@@ -33,7 +33,6 @@ from .oracles import (
     oracle_branch_selection,
     oracle_clarke_linear,
     oracle_exact_directional,
-    oracle_transform,
     parse_oracle,
 )
 from .piecewise import (
@@ -68,7 +67,7 @@ __all__ = [
     "equivalence_matrix", "hausdorff", "linear_image",
     "linear_range_over_polytope", "load_corpus", "newton_rate_estimate",
     "oracle_branch_selection", "oracle_clarke_linear",
-    "oracle_exact_directional", "oracle_transform", "parse_oracle",
+    "oracle_exact_directional", "parse_oracle",
     "project", "refine", "save_corpus", "semismooth_newton",
     "subgradient_descent", "subset_mod_subspace", "validate_continuity",
 ]

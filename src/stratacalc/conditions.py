@@ -19,11 +19,12 @@ crossing times and requires a 99% pass fraction elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Polytope, hausdorff, linear_range_over_polytope, project
+from .geometry import hausdorff, linear_range_over_polytope
+from .geometry import project  # noqa: F401  (re-export: the benchmark tracer wraps it here)
 from .oracles import GeneralizedDerivative
 from .piecewise import (
     Arrangement,
@@ -46,30 +47,29 @@ CONDITION_NAMES = {
 }
 
 
+# Fixed decision rules (README "Verdict rules").
+ABS_PASS_FACTOR = 1e-6   # sweep passes below this * scale at the smallest radius
+SLOPE_PASS = 0.5         # ... or with a log-log decay slope at least this
+AE_FRACTION = 0.99       # pass fraction required per curve
+CROSSING_TOL = 1e-10     # curve failures this close to a crossing are excused
+MAX_WITNESSES = 5
+
+
 @dataclass(frozen=True)
 class VerifierConfig:
     radii: tuple[float, ...] = tuple(0.1 * 0.1 ** k for k in range(7))
     n_uniform_directions: int = 64
     curve_samples: int = 512
     eps_eq: float = 1e-9
-    boundary_skip_tol: float = 1e-10
-    abs_pass_factor: float = 1e-6   # threshold multiplier at smallest radius
-    slope_pass: float = 0.5
-    ae_fraction: float = 0.99
     cell_points: int = 20
     tangent_combos: int = 10
-    extra_ambient_dirs: int = 3     # non-tangent probes for condition 5
-    sample_margin: float = 1e-6
     rejection_cap: int = 100_000
-    max_witnesses: int = 5
 
     def __post_init__(self):
         if any(r2 >= r1 for r1, r2 in zip(self.radii, self.radii[1:])):
             raise ValueError("radii must be strictly decreasing")
-        for name in ("eps_eq", "boundary_skip_tol", "abs_pass_factor",
-                     "sample_margin"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.eps_eq <= 0:
+            raise ValueError("eps_eq must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,16 +104,16 @@ def _fit_slope(radii, residuals) -> float | None:
     return float(np.polyfit(lr, le, 1)[0])
 
 
-def _sweep_verdict(radii, residuals, scale, cfg: VerifierConfig):
+def _sweep_verdict(radii, residuals, scale):
     """Two-sided decision rule for Limsup-style residual sweeps."""
     if not radii:
         return "inconclusive", None
     slope = _fit_slope(radii, residuals) if len(radii) >= 4 else None
-    if residuals[-1] <= cfg.abs_pass_factor * scale:
+    if residuals[-1] <= ABS_PASS_FACTOR * scale:
         return "pass", slope
     if len(radii) < 4:
         return "inconclusive", slope
-    if slope is not None and slope >= cfg.slope_pass:
+    if slope is not None and slope >= SLOPE_PASS:
         return "pass", slope
     return "fail", slope
 
@@ -132,53 +132,38 @@ def _sweep_directions(F: PiecewiseFunction, x: np.ndarray,
     return np.vstack(dirs)
 
 
-def _semismooth_sweep(F: PiecewiseFunction, D: GeneralizedDerivative,
-                      x, cfg: VerifierConfig, rng, mode: str) -> ConditionReport:
-    x = np.asarray(x, dtype=float)
+def _sweep(F: PiecewiseFunction, x: np.ndarray, cfg: VerifierConfig, rng,
+           condition: str, residual) -> ConditionReport:
+    """Shrinking-sphere sweep shared by conditions 1, 2 and the base-anchored
+    check: residual(y, r) at y = x + r*d for every radius r and sweep
+    direction d.
+
+    Samples outside the box are not evaluated (NaN); a radius at which every
+    sample left the box is dropped. The witness of a failed sweep is the first
+    maximum at the last radius kept.
+    """
+    rng = rng or np.random.default_rng(0)
     dirs = _sweep_directions(F, x, cfg, rng)
     lo, hi = F.box
-    table, per_sample = [], []
-    witnesses = []
-    radii_used = []
+    radii, table, per_sample, witness = [], [], [], None
     for r in cfg.radii:
-        row = []
-        worst = (-1.0, None, None)
-        for d in dirs:
-            y = x + r * d
-            if np.any(y < lo) or np.any(y > hi):
-                row.append(np.nan)   # outside the sampling box: not evaluated
-                continue
-            # compensated F(y)-F(x): cancellation would otherwise swamp the
-            # residual at small radii
-            diff = F.value_difference_exact(y, x)
-            if mode == "I":
-                img = D(y, y - x)
-                res = float(max(np.linalg.norm(diff - v)
-                                for v in img.vertices) / r)
-            else:
-                img = D(y, x - y)
-                res = float(max(np.linalg.norm(diff + v)
-                                for v in img.vertices) / r)
-            row.append(res)
-            if res > worst[0]:
-                worst = (res, y, d)
-        if worst[1] is None:
-            continue   # every direction left the box at this radius
-        radii_used.append(r)
-        table.append(float(np.nanmax(row)))
+        ys = x + r * dirs
+        row = [residual(y, r) if np.all(y >= lo) and np.all(y <= hi) else np.nan
+               for y in ys]
+        if np.all(np.isnan(row)):
+            continue
+        i = int(np.nanargmax(row))
+        radii.append(r)
+        table.append(row[i])
         per_sample.append(tuple(row))
-        witnesses.append((r, worst))
-    verdict, slope = _sweep_verdict(radii_used, table, _scale_of(F), cfg)
-    wit = ()
-    if verdict == "fail":
-        r, (res, y, d) = witnesses[-1]
-        wit = (Witness(tuple(y), tuple(d), res),)
+        witness = Witness(tuple(ys[i]), tuple(dirs[i]), row[i])
+    verdict, slope = _sweep_verdict(radii, table, _scale_of(F))
     return ConditionReport(
-        condition="1" if mode == "I" else "2",
+        condition=condition,
         verdict=verdict,
-        residual_table=tuple((f"{r:.0e}", v) for r, v in zip(radii_used, table)),
+        residual_table=tuple((f"{r:.0e}", v) for r, v in zip(radii, table)),
         slope=slope,
-        witnesses=wit,
+        witnesses=(witness,) if verdict == "fail" else (),
         sample_residuals=tuple(per_sample),
     )
 
@@ -190,18 +175,30 @@ def check_semismooth_I(F: PiecewiseFunction, D: GeneralizedDerivative, x,
 
     The value of D is anchored at the moving point y, which is what
     distinguishes the semismooth estimate from a plain first-order expansion
-    at x. The base point itself (y = x) is never evaluated.
+    at x. The base point itself (y = x) is never evaluated. F(y)-F(x) is
+    compensated: cancellation would otherwise swamp the residual at small
+    radii.
     """
-    rng = rng or np.random.default_rng(0)
-    return _semismooth_sweep(F, D, x, cfg, rng, "I")
+    x = np.asarray(x, dtype=float)
+
+    def residual(y, r):
+        diff = F.value_difference_exact(y, x)
+        return max(float(np.linalg.norm(diff - v)) for v in D(y, y - x).vertices) / r
+
+    return _sweep(F, x, cfg, rng, "1", residual)
 
 
 def check_semismooth_II(F: PiecewiseFunction, D: GeneralizedDerivative, x,
                         cfg: VerifierConfig = VerifierConfig(),
                         rng: np.random.Generator | None = None) -> ConditionReport:
     """Residual sweep for F(y) - F(x) + D(y, x-y); the mirror of check I."""
-    rng = rng or np.random.default_rng(0)
-    return _semismooth_sweep(F, D, x, cfg, rng, "II")
+    x = np.asarray(x, dtype=float)
+
+    def residual(y, r):
+        diff = F.value_difference_exact(y, x)
+        return max(float(np.linalg.norm(diff + v)) for v in D(y, x - y).vertices) / r
+
+    return _sweep(F, x, cfg, rng, "2", residual)
 
 
 def check_base_anchored(F: PiecewiseFunction, x,
@@ -215,42 +212,23 @@ def check_base_anchored(F: PiecewiseFunction, x,
     with a fixed matrix chosen at x it fails at kinks, which demonstrates
     why the moving anchor point matters.
     """
-    rng = rng or np.random.default_rng(0)
     x = np.asarray(x, dtype=float)
-    dirs = _sweep_directions(F, x, cfg, rng)
-    lo, hi = F.box
-    table, radii_used = [], []
-    for r in cfg.radii:
-        worst = 0.0
-        for d in dirs:
-            y = x + r * d
-            if np.any(y < lo) or np.any(y > hi):
-                continue
-            if fixed_matrix is None:
-                pred = F.directional_derivative(x, y - x)
-            else:
-                pred = fixed_matrix @ (y - x)
-            diff = F.value_difference_exact(y, x)
-            worst = max(worst, float(np.linalg.norm(diff - pred) / r))
-        radii_used.append(r)
-        table.append(worst)
-    verdict, slope = _sweep_verdict(radii_used, table, _scale_of(F), cfg)
-    return ConditionReport(condition="b_der", verdict=verdict,
-                           residual_table=tuple((f"{r:.0e}", v)
-                                                for r, v in zip(radii_used, table)),
-                           slope=slope)
+
+    def residual(y, r):
+        if fixed_matrix is None:
+            pred = F.directional_derivative(x, y - x)
+        else:
+            pred = fixed_matrix @ (y - x)
+        return float(np.linalg.norm(F.value_difference_exact(y, x) - pred) / r)
+
+    return _sweep(F, x, cfg, rng, "b_der", residual)
 
 
 # ---------------------------------------------------------------------------
 # curve-based checks (condition 3 and the directional-symmetry property)
 
-def _is_singleton_equal(img: Polytope, target: np.ndarray, tol: float) -> bool:
-    if img.diameter() > tol:
-        return False
-    return all(float(np.linalg.norm(v - target)) <= tol for v in img.vertices)
-
-
-def _curve_check(F, D, curves, cfg, rng, test) -> ConditionReport:
+def _curve_check(F, curves, cfg, rng, condition: str, test) -> ConditionReport:
+    rng = rng or np.random.default_rng(0)
     table, witnesses, notes = [], [], []
     all_ok = True
     for ci, curve in enumerate(curves):
@@ -264,22 +242,22 @@ def _curve_check(F, D, curves, cfg, rng, test) -> ConditionReport:
             worst = max(worst, res)
             if passed:
                 ok += 1
-            elif float(np.min(np.abs(crossings - t))) <= cfg.boundary_skip_tol:
+            elif float(np.min(np.abs(crossings - t))) <= CROSSING_TOL:
                 excused += 1
             else:
                 genuine += 1
-                if len(witnesses) < cfg.max_witnesses:
+                if len(witnesses) < MAX_WITNESSES:
                     witnesses.append(Witness(tuple(curve.value(t)),
                                              tuple(curve.velocity(t)), res))
         table.append((f"curve{ci}", worst))
         retained = ok + genuine
         frac = ok / retained if retained else 1.0
-        if genuine > 0 or frac < cfg.ae_fraction:
+        if genuine > 0 or frac < AE_FRACTION:
             all_ok = False
         if excused:
             notes.append(f"curve{ci}: {excused} samples excused at crossings")
-    verdict = "pass" if all_ok else "fail"
-    return ConditionReport(condition="", verdict=verdict,
+    return ConditionReport(condition=condition,
+                           verdict="pass" if all_ok else "fail",
                            residual_table=tuple(table),
                            witnesses=tuple(witnesses), notes=tuple(notes))
 
@@ -293,39 +271,31 @@ def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
     Samples on boundary subintervals (curve traveling inside a stratum) are
     tested like any other: the velocity is tangent there and the composed
     derivative is the tangential derivative. A failing sample within
-    boundary_skip_tol of a detected crossing time is excused as measure
-    zero; any other failure is genuine.
+    CROSSING_TOL of a detected crossing time is excused as measure zero; any
+    other failure is genuine.
     """
-    rng = rng or np.random.default_rng(0)
-
     def test(curve, comp, t):
         v = curve.velocity(t)
         target = comp.velocity(t)
         img = D(curve.value(t), v)
-        tol = cfg.eps_eq * (1.0 + float(np.linalg.norm(v)))
         res = max(img.diameter(),
                   max(float(np.linalg.norm(w - target)) for w in img.vertices))
-        return res, _is_singleton_equal(img, target, tol)
+        return res, res <= cfg.eps_eq * (1.0 + float(np.linalg.norm(v)))
 
-    rep = _curve_check(F, D, curves, cfg, rng, test)
-    return replace(rep, condition="3")
+    return _curve_check(F, curves, cfg, rng, "3", test)
 
 
 def check_directional_symmetry(F: PiecewiseFunction, D: GeneralizedDerivative,
                                curves, cfg: VerifierConfig = VerifierConfig(),
                                rng: np.random.Generator | None = None) -> ConditionReport:
     """D(curve(t), v) = -D(curve(t), -v) at almost every curve time."""
-    rng = rng or np.random.default_rng(0)
-
     def test(curve, comp, t):
         x = curve.value(t)
         v = curve.velocity(t)
         res = hausdorff(D(x, v), -D(x, -v))
-        tol = cfg.eps_eq * (1.0 + float(np.linalg.norm(v)))
-        return res, res <= tol
+        return res, res <= cfg.eps_eq * (1.0 + float(np.linalg.norm(v)))
 
-    rep = _curve_check(F, D, curves, cfg, rng, test)
-    return replace(rep, condition="symmetry")
+    return _curve_check(F, curves, cfg, rng, "symmetry", test)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +310,6 @@ def _cell_samples(F, partition: Arrangement, cfg, rng):
         pts = []
         for _ in range(cfg.cell_points):
             p = sample_cell_point(partition, sign, box, rng,
-                                  margin=cfg.sample_margin,
                                   cap=cfg.rejection_cap // cfg.cell_points)
             if p is not None:
                 pts.append(p)
@@ -352,19 +321,52 @@ def _cell_samples(F, partition: Arrangement, cfg, rng):
 
 
 def _tangent_directions(cell, cfg, rng) -> list[np.ndarray]:
+    """+/- the tangent basis plus random unit combinations of it."""
     dirs: list[np.ndarray] = []
     basis = cell.tangent.basis
     for b in basis:
         dirs.append(b.copy())
         dirs.append(-b)
-    if cell.dimension:
-        for _ in range(cfg.tangent_combos):
-            c = rng.normal(size=cell.dimension)
-            u = basis.T @ c
-            nrm = float(np.linalg.norm(u))
-            if nrm > 1e-12:
-                dirs.append(u / nrm)
+    for _ in range(cfg.tangent_combos):
+        c = rng.normal(size=cell.dimension)
+        u = basis.T @ c
+        nrm = float(np.linalg.norm(u))
+        if nrm > 1e-12:
+            dirs.append(u / nrm)
     return dirs
+
+
+def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
+                      cfg: VerifierConfig, rng, condition: str,
+                      residual) -> ConditionReport:
+    """Per-cell loop shared by conditions 4, 5 and the projection formula:
+    residual(x, u) at sampled points x of every cell, for directions u
+    tangent to the cell (u = 0 on zero-dimensional cells, whose tangent
+    space is trivial). A direction fails when its residual exceeds
+    eps_eq * (1 + |u|).
+    """
+    rng = rng or np.random.default_rng(0)
+    witnesses = []
+    worst = 0.0
+    all_ok = True
+    samples, notes = _cell_samples(F, partition, cfg, rng)
+    for cell, pts in samples:
+        for x in pts:
+            if cell.dimension:
+                dirs = _tangent_directions(cell, cfg, rng)
+            else:
+                dirs = [np.zeros(F.ambient_dim)]
+            for u in dirs:
+                res = residual(x, u)
+                worst = max(worst, res)
+                if res > cfg.eps_eq * (1.0 + float(np.linalg.norm(u))):
+                    all_ok = False
+                    if len(witnesses) < MAX_WITNESSES:
+                        witnesses.append(Witness(tuple(x), tuple(u), res))
+    return ConditionReport(condition=condition,
+                           verdict="pass" if all_ok else "fail",
+                           residual_table=(("max", worst),),
+                           witnesses=tuple(witnesses), notes=tuple(notes))
 
 
 def check_stratified_derivative(F: PiecewiseFunction, D: GeneralizedDerivative,
@@ -377,31 +379,13 @@ def check_stratified_derivative(F: PiecewiseFunction, D: GeneralizedDerivative,
     Zero-dimensional cells have trivial tangent space: only u=0 is tested
     there, where D(x,0)={0}=F'(x,0) is required.
     """
-    rng = rng or np.random.default_rng(0)
-    witnesses = []
-    worst = 0.0
-    all_ok = True
-    samples, notes = _cell_samples(F, partition, cfg, rng)
-    for cell, pts in samples:
-        for x in pts:
-            dirs = _tangent_directions(cell, cfg, rng)
-            if cell.dimension == 0:
-                dirs = [np.zeros(F.ambient_dim)]
-            for u in dirs:
-                img = D(x, u)
-                target = F.directional_derivative(x, u)
-                tol = cfg.eps_eq * (1.0 + float(np.linalg.norm(u)))
-                res = max(img.diameter(),
-                          max(float(np.linalg.norm(v - target)) for v in img.vertices))
-                worst = max(worst, res)
-                if not _is_singleton_equal(img, target, tol):
-                    all_ok = False
-                    if len(witnesses) < cfg.max_witnesses:
-                        witnesses.append(Witness(tuple(x), tuple(u), res))
-    return ConditionReport(condition="4",
-                           verdict="pass" if all_ok else "fail",
-                           residual_table=(("max", worst),),
-                           witnesses=tuple(witnesses), notes=tuple(notes))
+    def residual(x, u):
+        img = D(x, u)
+        target = F.directional_derivative(x, u)
+        return max(img.diameter(),
+                   max(float(np.linalg.norm(v - target)) for v in img.vertices))
+
+    return _stratified_check(F, partition, cfg, rng, "4", residual)
 
 
 def check_stratified_subdifferential(F: PiecewiseFunction, D: GeneralizedDerivative,
@@ -412,45 +396,18 @@ def check_stratified_subdifferential(F: PiecewiseFunction, D: GeneralizedDerivat
 
     For tangent u the normal-space shift contributes nothing, so membership
     reduces (subset-modulo-subspace style) to per-component membership of
-    every vertex in the interval <component Clarke subdifferential, u>.
-    Directions with a normal component make the containment trivial and are
-    recorded as trivial passes.
+    every vertex in the interval <component Clarke subdifferential, u>. The
+    residual is the largest distance of a vertex component to its interval.
     """
-    rng = rng or np.random.default_rng(0)
-    witnesses = []
-    worst = 0.0
-    trivial = 0
-    all_ok = True
-    samples, notes = _cell_samples(F, partition, cfg, rng)
-    for cell, pts in samples:
-        for x in pts:
-            dirs = _tangent_directions(cell, cfg, rng)
-            dirs.extend(unit_directions(rng, F.ambient_dim, cfg.extra_ambient_dirs))
-            if cell.dimension == 0:
-                dirs.append(np.zeros(F.ambient_dim))
-            for u in dirs:
-                unorm = float(np.linalg.norm(u))
-                tol = cfg.eps_eq * (1.0 + unorm)
-                if float(np.linalg.norm(u - project(u, cell.tangent))) > tol:
-                    trivial += 1   # u has a normal component: inclusion trivial
-                    continue
-                img = D(x, u)
-                intervals = [linear_range_over_polytope(F.component_clarke(x, i), u)
-                             for i in range(1, F.output_dim + 1)]
-                for v in img.vertices:
-                    res = max(max(lo - vi, vi - hi, 0.0)
-                              for vi, (lo, hi) in zip(v, intervals))
-                    worst = max(worst, res)
-                    if res > tol:
-                        all_ok = False
-                        if len(witnesses) < cfg.max_witnesses:
-                            witnesses.append(Witness(tuple(x), tuple(u), res))
-    if trivial:
-        notes.append(f"{trivial} directions passed trivially (normal component)")
-    return ConditionReport(condition="5",
-                           verdict="pass" if all_ok else "fail",
-                           residual_table=(("max", worst),),
-                           witnesses=tuple(witnesses), notes=tuple(notes))
+    def residual(x, u):
+        img = D(x, u)
+        intervals = [linear_range_over_polytope(F.component_clarke(x, i), u)
+                     for i in range(1, F.output_dim + 1)]
+        return max(max(max(lo - vi, vi - hi, 0.0)
+                       for vi, (lo, hi) in zip(v, intervals))
+                   for v in img.vertices)
+
+    return _stratified_check(F, partition, cfg, rng, "5", residual)
 
 
 def check_projection_formula(F: PiecewiseFunction, partition: Arrangement,
@@ -458,31 +415,15 @@ def check_projection_formula(F: PiecewiseFunction, partition: Arrangement,
                              rng: np.random.Generator | None = None) -> ConditionReport:
     """Scalar projection formula: on tangents of each cell, the interval
     <component Clarke subdifferential, u> degenerates to {F_i'(x,u)}."""
-    rng = rng or np.random.default_rng(0)
-    witnesses = []
-    worst = 0.0
-    all_ok = True
-    samples, notes = _cell_samples(F, partition, cfg, rng)
-    for cell, pts in samples:
-        for x in pts:
-            dirs = _tangent_directions(cell, cfg, rng)
-            if cell.dimension == 0:
-                dirs = [np.zeros(F.ambient_dim)]
-            for u in dirs:
-                tol = cfg.eps_eq * (1.0 + float(np.linalg.norm(u)))
-                target = F.directional_derivative(x, u)
-                for i in range(1, F.output_dim + 1):
-                    lo, hi = linear_range_over_polytope(F.component_clarke(x, i), u)
-                    res = max(abs(lo - target[i - 1]), abs(hi - target[i - 1]))
-                    worst = max(worst, res)
-                    if res > tol:
-                        all_ok = False
-                        if len(witnesses) < cfg.max_witnesses:
-                            witnesses.append(Witness(tuple(x), tuple(u), res))
-    return ConditionReport(condition="projection_formula",
-                           verdict="pass" if all_ok else "fail",
-                           residual_table=(("max", worst),),
-                           witnesses=tuple(witnesses), notes=tuple(notes))
+    def residual(x, u):
+        target = F.directional_derivative(x, u)
+        worst = 0.0
+        for i in range(1, F.output_dim + 1):
+            lo, hi = linear_range_over_polytope(F.component_clarke(x, i), u)
+            worst = max(worst, abs(lo - target[i - 1]), abs(hi - target[i - 1]))
+        return worst
+
+    return _stratified_check(F, partition, cfg, rng, "projection_formula", residual)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +441,7 @@ def merge_reports(condition: str, reports: list[ConditionReport]) -> ConditionRe
         for key, v in r.residual_table:
             table[key] = max(table.get(key, 0.0), v)
     slopes = [r.slope for r in reports if r.slope is not None]
-    witnesses = tuple(w for r in reports for w in r.witnesses)[:5]
+    witnesses = tuple(w for r in reports for w in r.witnesses)[:MAX_WITNESSES]
     notes = tuple(n for r in reports for n in r.notes)
     return ConditionReport(condition=condition, verdict=verdict,
                            residual_table=tuple(table.items()),

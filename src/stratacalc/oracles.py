@@ -20,8 +20,10 @@ from .piecewise import PiecewiseFunction
 from .seeding import substream
 
 EPS_HOM = 1e-8
+HOM_T_FACTORS = (0.5, 2.0, 10.0)
 LIPSCHITZ_RADIUS = 0.1
 LIPSCHITZ_CENTERS = 200
+LIPSCHITZ_PAIRS = 2
 LIPSCHITZ_BLOWUP = 1e6
 
 
@@ -110,23 +112,6 @@ def zero_at_strata_oracle(base: GeneralizedDerivative,
                                  base.input_dim, base.output_dim, fn)
 
 
-def oracle_transform(base: GeneralizedDerivative, kind: str, *,
-                     c: float | None = None,
-                     F: PiecewiseFunction | None = None) -> GeneralizedDerivative:
-    """Dispatch for the three control transforms."""
-    if kind == "scale":
-        if c is None:
-            raise ValueError("scale transform needs c")
-        return scale_oracle(base, c)
-    if kind == "reflect":
-        return reflect_oracle(base)
-    if kind == "zero_at_strata":
-        if F is None:
-            raise ValueError("zero_at_strata transform needs the function")
-        return zero_at_strata_oracle(base, F)
-    raise ValueError(f"unknown transform {kind!r}")
-
-
 def parse_oracle(spec: str, F: PiecewiseFunction) -> GeneralizedDerivative:
     """Resolve a CLI oracle identifier.
 
@@ -158,13 +143,8 @@ def parse_oracle(spec: str, F: PiecewiseFunction) -> GeneralizedDerivative:
 
 @dataclass(frozen=True)
 class AssumptionConfig:
-    eps_hom: float = EPS_HOM
-    t_factors: tuple[float, ...] = (0.5, 2.0, 10.0)
     directions_per_probe: int = 8
-    lipschitz_radius: float = LIPSCHITZ_RADIUS
     lipschitz_centers: int = LIPSCHITZ_CENTERS
-    lipschitz_pairs: int = 2
-    lipschitz_blowup: float = LIPSCHITZ_BLOWUP
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,9 +169,9 @@ def check_assumption(D: GeneralizedDerivative, F: PiecewiseFunction,
     uniform Lipschitz continuity in the direction argument.
 
     Homogeneity compares D(x, t u) with t D(x, u) in Hausdorff distance for
-    t in t_factors and checks D(x, 0) = {0} on the unasserted map. The
+    t in HOM_T_FACTORS and checks D(x, 0) = {0} on the unasserted map. The
     Lipschitz constant is estimated and reported per probe; the verdict only
-    fails on blow-up past cfg.lipschitz_blowup.
+    fails on blow-up past LIPSCHITZ_BLOWUP.
     """
     probes = [np.asarray(p, dtype=float) for p in probe_points]
     n = D.input_dim
@@ -204,7 +184,7 @@ def check_assumption(D: GeneralizedDerivative, F: PiecewiseFunction,
         dirs = rng.normal(size=(cfg.directions_per_probe, n))
         zero = D.raw(x, np.zeros(n))
         gap0 = hausdorff(zero, Polytope(np.zeros((1, D.output_dim))))
-        if gap0 > cfg.eps_hom:
+        if gap0 > EPS_HOM:
             hom_worst = max(hom_worst, gap0)
             hom_witness = (tuple(x), (0.0,) * n, 0.0)
         for u in dirs:
@@ -212,11 +192,9 @@ def check_assumption(D: GeneralizedDerivative, F: PiecewiseFunction,
             if out.n_vertices == 0:  # unreachable for Polytope, kept for contract
                 full_domain = "fail"
                 witnesses.append((tuple(x), tuple(u), "empty image"))
-            for t in cfg.t_factors:
-                lhs = D(x, t * u)
-                rhs = D(x, u).scale(t)
-                gap = hausdorff(lhs, rhs)
-                tol = cfg.eps_hom * max(1.0, t * float(np.linalg.norm(u)))
+            for t in HOM_T_FACTORS:
+                gap = hausdorff(D(x, t * u), out.scale(t))
+                tol = EPS_HOM * max(1.0, t * float(np.linalg.norm(u)))
                 if gap > tol and gap > hom_worst:
                     hom_worst = gap
                     hom_witness = (tuple(x), tuple(u), t)
@@ -231,8 +209,8 @@ def check_assumption(D: GeneralizedDerivative, F: PiecewiseFunction,
         rng = substream(seed, "lipschitz", pi)
         L = 0.0
         for _ in range(cfg.lipschitz_centers):
-            x = p + cfg.lipschitz_radius * rng.uniform(-1, 1, size=n)
-            for _ in range(cfg.lipschitz_pairs):
+            x = p + LIPSCHITZ_RADIUS * rng.uniform(-1, 1, size=n)
+            for _ in range(LIPSCHITZ_PAIRS):
                 u1 = rng.normal(size=n)
                 u2 = rng.normal(size=n)
                 du = float(np.linalg.norm(u1 - u2))
@@ -240,7 +218,7 @@ def check_assumption(D: GeneralizedDerivative, F: PiecewiseFunction,
                     continue
                 L = max(L, hausdorff(D(x, u1), D(x, u2)) / du)
         lipschitz_constants.append(L)
-        if L > cfg.lipschitz_blowup:
+        if L > LIPSCHITZ_BLOWUP:
             lipschitz = "fail"
             witnesses.append((tuple(p), None, L))
 

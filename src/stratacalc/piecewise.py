@@ -259,13 +259,13 @@ class Hyperplane:
     def side(self, x) -> float:
         return float(self.normal @ np.asarray(x, dtype=float) - self.offset)
 
-    def same_as(self, other: "Hyperplane", eps: float = EPS_CELL) -> bool:
+    def same_as(self, other: "Hyperplane") -> bool:
         """Geometric equality, treating opposite orientations as equal."""
-        if np.allclose(self.normal, other.normal, atol=eps) and \
-                abs(self.offset - other.offset) <= eps:
+        if np.allclose(self.normal, other.normal, atol=EPS_CELL) and \
+                abs(self.offset - other.offset) <= EPS_CELL:
             return True
-        return np.allclose(self.normal, -other.normal, atol=eps) and \
-            abs(self.offset + other.offset) <= eps
+        return np.allclose(self.normal, -other.normal, atol=EPS_CELL) and \
+            abs(self.offset + other.offset) <= EPS_CELL
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,7 +407,7 @@ class Cell:
         return self.tangent.orthogonal_complement()
 
 
-def refine(a1: Arrangement, a2: Arrangement, eps: float = EPS_CELL) -> Arrangement:
+def refine(a1: Arrangement, a2: Arrangement) -> Arrangement:
     """Common refinement: concatenate hyperplane lists, dropping geometric
     duplicates (orientation-insensitive). Every cell of the result lies in
     exactly one cell of each input."""
@@ -415,7 +415,7 @@ def refine(a1: Arrangement, a2: Arrangement, eps: float = EPS_CELL) -> Arrangeme
         raise PiecewiseError("arrangements live in different dimensions")
     kept: list[Hyperplane] = []
     for h in a1.hyperplanes + a2.hyperplanes:
-        if not any(h.same_as(g, eps) for g in kept):
+        if not any(h.same_as(g) for g in kept):
             kept.append(h)
     return Arrangement(a1.ambient_dim, tuple(kept))
 
@@ -590,8 +590,9 @@ class PiecewiseFunction:
     def piece_jacobian(self, sign: str, x) -> np.ndarray:
         return self._jac_eval(sign)(np.asarray(x, dtype=float))
 
-    def directional_cell(self, x, u, eps: float = EPS_CELL) -> str:
-        """Full-dimensional sign vector of the piece active on (x, x+eps*u].
+    def directional_cell(self, x, u) -> str:
+        """Full-dimensional sign vector of the piece active on (x, x+eps*u]
+        for small eps > 0.
 
         Residual zero signs after consulting <a_i, u> are tie-broken to '+';
         continuity across the facet makes the tangential derivative
@@ -609,9 +610,9 @@ class PiecewiseFunction:
             du = np.zeros(0)
         chars = []
         for i in range(self.arrangement.k):
-            if abs(r[i]) > eps:
+            if abs(r[i]) > EPS_CELL:
                 chars.append("+" if r[i] > 0 else "-")
-            elif abs(du[i]) > eps * unorm:
+            elif abs(du[i]) > EPS_CELL * unorm:
                 chars.append("+" if du[i] > 0 else "-")
             else:
                 chars.append("+")
@@ -783,13 +784,6 @@ class Curve:
         piece = self.pieces[self.interval_index(tt)]
         return _upolyval(_upolyder(piece), tt)
 
-    def on_boundary(self, t: float) -> bool:
-        return self.boundary[self.interval_index(float(t))]
-
-    def crossing_times(self) -> np.ndarray:
-        """Interior breakpoints (candidate stratum-crossing times)."""
-        return self.breakpoints[1:-1]
-
 
 def _upolyval(coeffs: np.ndarray, t: float) -> np.ndarray:
     """Evaluate rows of low-to-high univariate coefficients at t (Horner)."""
@@ -805,27 +799,25 @@ def _upolyder(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
 
 
-def _isolate_roots(coeffs: np.ndarray, t_lo: float, t_hi: float,
-                   n_seed: int = ROOT_SEED_INTERVALS,
-                   tol: float = ROOT_TOL) -> list[float]:
+def _isolate_roots(coeffs: np.ndarray, t_lo: float, t_hi: float) -> list[float]:
     """Roots of a univariate polynomial in (t_lo, t_hi) by sign-change
     bisection over a seed grid. Even-order touch points produce no sign
     change and are intentionally not subdivision points: the active piece is
     identical on both sides."""
-    grid = np.linspace(t_lo, t_hi, n_seed + 1)
+    grid = np.linspace(t_lo, t_hi, ROOT_SEED_INTERVALS + 1)
     vals = np.zeros(grid.size)
     for c in coeffs[::-1]:
         vals = vals * grid + c
     roots = []
     scale = max(1.0, float(np.max(np.abs(vals))))
-    for i in range(n_seed):
+    for i in range(ROOT_SEED_INTERVALS):
         a, b = float(grid[i]), float(grid[i + 1])
         va, vb = float(vals[i]), float(vals[i + 1])
         if abs(va) <= 1e-14 * scale:
             roots.append(a)
             continue
         if va * vb < 0:
-            while b - a > tol:
+            while b - a > ROOT_TOL:
                 m = 0.5 * (a + b)
                 vm = 0.0
                 for c in coeffs[::-1]:
@@ -840,8 +832,7 @@ def _isolate_roots(coeffs: np.ndarray, t_lo: float, t_hi: float,
     return [r for r in roots if t_lo < r < t_hi]
 
 
-def compose_exact(F: PiecewiseFunction, curve: Curve,
-                  eps: float = EPS_CELL) -> Curve:
+def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
     """Exact composition F(curve(t)) as a piecewise-polynomial curve in R^m.
 
     [0,1] is subdivided at the curve's own breakpoints and at every

@@ -127,11 +127,15 @@ def _g_metric(ctx):
     return True, "symmetry, triangle inequality, separation hold"
 
 
-def _member_sum_hull_lp(point, b_vertices, v_basis, tol=1e-9) -> bool:
+def member_sum_hull_lp(point, b_vertices, v_basis, tol=1e-9) -> bool:
+    """Brute-force membership of point in conv(B) + span(V): an L1-slack LP
+    (HiGHS) whose optimum is zero exactly for members. Raises RuntimeError
+    when HiGHS does not solve the LP."""
     point = np.asarray(point, float)
     bv = np.atleast_2d(np.asarray(b_vertices, float))
     n = point.size
     kb, kv = bv.shape[0], v_basis.shape[0]
+    # variables: lam (>=0), mu (free), e+ (>=0), e- (>=0)
     blocks = [bv.T]
     if kv:
         blocks.append(v_basis.T)
@@ -142,7 +146,9 @@ def _member_sum_hull_lp(point, b_vertices, v_basis, tol=1e-9) -> bool:
     c = np.concatenate([np.zeros(kb + kv), np.ones(2 * n)])
     bounds = [(0, None)] * kb + [(None, None)] * kv + [(0, None)] * (2 * n)
     res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    return bool(res.status == 0 and res.fun <= tol)
+    if res.status != 0:
+        raise RuntimeError(f"membership LP not solved: {res.message}")
+    return bool(res.fun <= tol)
 
 
 @_check("geometry", "subset-mod-subspace agrees with direct membership")
@@ -159,7 +165,7 @@ def _g_subset(ctx):
         samples = list(A.vertices)
         w = rng.dirichlet(np.ones(A.n_vertices), size=100)
         samples.extend(list(w @ A.vertices))
-        want = all(_member_sum_hull_lp(s, B.vertices, V.basis) for s in samples)
+        want = all(member_sum_hull_lp(s, B.vertices, V.basis) for s in samples)
         if got != want:
             return False, f"disagreement on an instance in dim {n}"
     return True, f"{trials} random instances, zero disagreements"

@@ -14,19 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Polytope
 from .oracles import GeneralizedDerivative
 from .piecewise import PiecewiseFunction
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    tol: float = 1e-12
-    max_iter: int = 100
-    det_tol: float = 1e-12
-    damp_init: float = 1e-8
-    damp_max: float = 1e-2
-    step_max: float = 1e6   # damped steps beyond this are a stall, not progress
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 100
+DET_TOL = 1e-12
+DAMP_INIT = 1e-8
+DAMP_MAX = 1e-2
+STEP_MAX = 1e6   # damped steps beyond this are a stall, not progress
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,13 +69,12 @@ def _select_jacobian(F: PiecewiseFunction, source, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown jacobian source {source!r}")
 
 
-def semismooth_newton(F: PiecewiseFunction, jacobian_source, x0,
-                      cfg: NewtonConfig = NewtonConfig()) -> NewtonTrace:
+def semismooth_newton(F: PiecewiseFunction, jacobian_source, x0) -> NewtonTrace:
     """Newton iteration x+ = x - A(x)^{-1} F(x) on a square piecewise map.
 
-    A(x) is the selected generalized Jacobian. When |det A| < det_tol the
-    matrix is damped as A + lambda*I with lambda doubling from damp_init up
-    to damp_max; if no lambda restores invertibility, or the damped step is
+    A(x) is the selected generalized Jacobian. When |det A| < DET_TOL the
+    matrix is damped as A + lambda*I with lambda doubling from DAMP_INIT up
+    to DAMP_MAX; if no lambda restores invertibility, or the damped step is
     absurdly long (flat singular pieces), the run stops as singular_stall.
     """
     if F.output_dim != F.ambient_dim:
@@ -89,17 +85,17 @@ def semismooth_newton(F: PiecewiseFunction, jacobian_source, x0,
     damping_log: list[str] = []
     residuals = [float(np.linalg.norm(F.value(x)))]
     status = "max_iter"
-    for k in range(cfg.max_iter):
-        if residuals[-1] <= cfg.tol:
+    for k in range(NEWTON_MAX_ITER):
+        if residuals[-1] <= NEWTON_TOL:
             status = "converged"
             break
         A = _select_jacobian(F, jacobian_source, x)
         damped = False
-        if abs(float(np.linalg.det(A))) < cfg.det_tol:
-            lam = cfg.damp_init
+        if abs(float(np.linalg.det(A))) < DET_TOL:
+            lam = DAMP_INIT
             ok = False
-            while lam <= cfg.damp_max * (1 + 1e-12):
-                if abs(float(np.linalg.det(A + lam * np.eye(A.shape[0])))) >= cfg.det_tol:
+            while lam <= DAMP_MAX * (1 + 1e-12):
+                if abs(float(np.linalg.det(A + lam * np.eye(A.shape[0])))) >= DET_TOL:
                     damping_log.append(f"k={k} lambda={lam:g}")
                     A = A + lam * np.eye(A.shape[0])
                     ok = True
@@ -108,15 +104,15 @@ def semismooth_newton(F: PiecewiseFunction, jacobian_source, x0,
                 lam *= 2.0
             if not ok:
                 status = "singular_stall"
-                damping_log.append(f"k={k} damping exhausted at lambda={cfg.damp_max:g}")
+                damping_log.append(f"k={k} damping exhausted at lambda={DAMP_MAX:g}")
                 jacobians.append(A)
                 break
         step = np.linalg.solve(A, F.value(x))
-        if damped and float(np.linalg.norm(step)) > cfg.step_max:
+        if damped and float(np.linalg.norm(step)) > STEP_MAX:
             status = "singular_stall"
             damping_log.append(
                 f"k={k} damped step length {float(np.linalg.norm(step)):.3g} "
-                f"exceeds {cfg.step_max:g}")
+                f"exceeds {STEP_MAX:g}")
             jacobians.append(A)
             break
         x = x - step
@@ -124,7 +120,7 @@ def semismooth_newton(F: PiecewiseFunction, jacobian_source, x0,
         jacobians.append(A)
         residuals.append(float(np.linalg.norm(F.value(x))))
     else:
-        if residuals[-1] <= cfg.tol:
+        if residuals[-1] <= NEWTON_TOL:
             status = "converged"
     return NewtonTrace(tuple(iterates), tuple(residuals), tuple(jacobians),
                        status, tuple(damping_log))

@@ -5,6 +5,7 @@ lines; tolerances are pinned here exactly as stated.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,13 +28,12 @@ from stratacalc.oracles import (
 )
 from stratacalc.piecewise import Curve, compose_exact
 from stratacalc.seeding import substream
-from stratacalc.selftest import forward_difference_slope_ok
+from stratacalc.selftest import forward_difference_slope_ok, member_sum_hull_lp
 from stratacalc.solvers import newton_rate_estimate, semismooth_newton
-
-from test_geometry import oracle_in_sum_hull_subspace
 
 CFG = VerifierConfig()
 SEED = 7
+DATA = Path(__file__).parent / "data"
 
 # piecewise-linear corpus entries: the semismooth residual must vanish exactly
 PIECEWISE_LINEAR = {"abs1d", "id1d", "max2d", "l1norm2d", "absplus"}
@@ -144,7 +144,7 @@ def test_criterion_5_subset_mod_subspace_oracle():
         samples = list(A.vertices)
         w = rng.dirichlet(np.ones(A.n_vertices), size=100)
         samples.extend(list(w @ A.vertices))
-        want = all(oracle_in_sum_hull_subspace(s, B.vertices, V.basis)
+        want = all(member_sum_hull_lp(s, B.vertices, V.basis)
                    for s in samples)
         disagreements += int(got != want)
     _report("5 subset-mod-subspace vs brute force", disagreements == 0,
@@ -212,8 +212,10 @@ def test_criterion_9_determinism(tmp_path):
         code = cli_main(["matrix", "--seed", str(SEED), "--output", str(p)])
         assert code == 0
     b1, b2 = paths[0].read_bytes(), paths[1].read_bytes()
-    _report("9 determinism", b1 == b2,
-            f"two cmd_matrix runs, {len(b1)} bytes, byte-identical={b1 == b2}")
+    golden = (DATA / "matrix_seed7.txt").read_bytes()
+    _report("9 determinism", b1 == b2 and b1 == golden,
+            f"two cmd_matrix runs, {len(b1)} bytes, byte-identical={b1 == b2}, "
+            f"matches tests/data/matrix_seed7.txt={b1 == golden}")
 
 
 def test_criterion_10_finite_difference_cross_check(corpus):

@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from stratacalc.geometry import (
     DimensionMismatchError,
@@ -16,10 +15,12 @@ from stratacalc.geometry import (
     project,
     subset_mod_subspace,
 )
+from stratacalc.selftest import member_sum_hull_lp
 
 
 # ---------------------------------------------------------------------------
-# Independent oracles (scipy-based, never used by the library itself)
+# Independent oracles (never used by the library itself; the brute-force
+# membership LP is shared with the selftest suite)
 
 def oracle_dist_to_hull(v, vertices):
     """Exact distance to conv(vertices) by exhaustive face enumeration.
@@ -44,28 +45,6 @@ def oracle_dist_to_hull(v, vertices):
                 proj = S[0] + D @ t
                 best = min(best, float(np.linalg.norm(v - proj)))
     return best
-
-
-def oracle_in_sum_hull_subspace(point, b_vertices, v_basis, tol=1e-9):
-    """Membership of point in conv(B) + span(V) via an L1-slack LP (HiGHS)."""
-    point = np.asarray(point, float)
-    bv = np.atleast_2d(np.asarray(b_vertices, float))
-    n = point.size
-    kb, kv = bv.shape[0], v_basis.shape[0]
-    # variables: lam (>=0), mu (free), e+ (>=0), e- (>=0)
-    blocks = [bv.T]
-    if kv:
-        blocks.append(v_basis.T)
-    blocks += [np.eye(n), -np.eye(n)]
-    A_eq = np.hstack(blocks)
-    A_eq = np.vstack([A_eq, np.concatenate(
-        [np.ones(kb), np.zeros(kv + 2 * n)])])
-    b_eq = np.append(point, 1.0)
-    c = np.concatenate([np.zeros(kb + kv), np.ones(2 * n)])
-    bounds = [(0, None)] * kb + [(None, None)] * kv + [(0, None)] * (2 * n)
-    res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    assert res.status == 0
-    return bool(res.fun <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +165,7 @@ def test_subset_mod_subspace_agrees_with_bruteforce():
         samples = [a for a in A.vertices]
         w = rng.dirichlet(np.ones(A.n_vertices), size=100)
         samples.extend(list(w @ A.vertices))
-        want = all(oracle_in_sum_hull_subspace(s, B.vertices, V.basis) for s in samples)
+        want = all(member_sum_hull_lp(s, B.vertices, V.basis) for s in samples)
         if got != want:
             disagreements += 1
     assert disagreements == 0

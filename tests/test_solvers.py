@@ -4,7 +4,6 @@ import pytest
 from stratacalc.oracles import parse_oracle
 from stratacalc.piecewise import Arrangement, Hyperplane, PiecewiseFunction
 from stratacalc.solvers import (
-    NewtonConfig,
     grid_minimize,
     newton_rate_estimate,
     semismooth_newton,
