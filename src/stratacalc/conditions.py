@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import hausdorff, linear_range_over_polytope
-from .geometry import project  # noqa: F401  (re-export: the benchmark tracer wraps it here)
+from .geometry import Polytope, diameters, hausdorff, row_norms
+# re-exports: the benchmark tracer wraps them here
+from .geometry import linear_range_over_polytope, project  # noqa: F401
 from .oracles import GeneralizedDerivative
 from .piecewise import (
     Arrangement,
@@ -135,8 +136,8 @@ def _sweep_directions(F: PiecewiseFunction, x: np.ndarray,
 def _sweep(F: PiecewiseFunction, x: np.ndarray, cfg: VerifierConfig, rng,
            condition: str, residual) -> ConditionReport:
     """Shrinking-sphere sweep shared by conditions 1, 2 and the base-anchored
-    check: residual(y, r) at y = x + r*d for every radius r and sweep
-    direction d.
+    check: residual(Y, r) at the rows y = x + r*d of Y for every radius r and
+    sweep direction d, evaluated in one call.
 
     Samples outside the box are not evaluated (NaN); a radius at which every
     sample left the box is dropped. The witness of a failed sweep is the first
@@ -145,26 +146,26 @@ def _sweep(F: PiecewiseFunction, x: np.ndarray, cfg: VerifierConfig, rng,
     rng = rng or np.random.default_rng(0)
     dirs = _sweep_directions(F, x, cfg, rng)
     lo, hi = F.box
-    radii, table, per_sample, witness = [], [], [], None
-    for r in cfg.radii:
-        ys = x + r * dirs
-        row = [residual(y, r) if np.all(y >= lo) and np.all(y <= hi) else np.nan
-               for y in ys]
-        if np.all(np.isnan(row)):
-            continue
-        i = int(np.nanargmax(row))
-        radii.append(r)
-        table.append(row[i])
-        per_sample.append(tuple(row))
-        witness = Witness(tuple(ys[i]), tuple(dirs[i]), row[i])
-    verdict, slope = _sweep_verdict(radii, table, _scale_of(F))
+    radii = np.array(cfg.radii)
+    ys = x + radii[:, None, None] * dirs
+    inside = np.all((ys >= lo) & (ys <= hi), axis=2)
+    res = np.full(inside.shape, np.nan)
+    if inside.any():
+        res[inside] = residual(ys[inside], np.broadcast_to(radii[:, None], inside.shape)[inside])
+    kept = [k for k in range(len(radii)) if inside[k].any()]
+    best = [int(np.nanargmax(res[k])) for k in kept]
+    table = [float(res[k, i]) for k, i in zip(kept, best)]
+    verdict, slope = _sweep_verdict([cfg.radii[k] for k in kept], table, _scale_of(F))
+    witnesses = ()
+    if verdict == "fail":
+        witnesses = (Witness(tuple(ys[kept[-1], best[-1]]), tuple(dirs[best[-1]]), table[-1]),)
     return ConditionReport(
         condition=condition,
         verdict=verdict,
-        residual_table=tuple((f"{r:.0e}", v) for r, v in zip(radii, table)),
+        residual_table=tuple((f"{cfg.radii[k]:.0e}", v) for k, v in zip(kept, table)),
         slope=slope,
-        witnesses=(witness,) if verdict == "fail" else (),
-        sample_residuals=tuple(per_sample),
+        witnesses=witnesses,
+        sample_residuals=tuple(tuple(res[k].tolist()) for k in kept),
     )
 
 
@@ -181,9 +182,9 @@ def check_semismooth_I(F: PiecewiseFunction, D: GeneralizedDerivative, x,
     """
     x = np.asarray(x, dtype=float)
 
-    def residual(y, r):
-        diff = F.value_difference_exact(y, x)
-        return max(float(np.linalg.norm(diff - v)) for v in D(y, y - x).vertices) / r
+    def residual(Y, r):
+        diff = F.value_differences(Y, np.broadcast_to(x, Y.shape))
+        return row_norms(diff[:, None, :] - D.batch(Y, Y - x)).max(axis=1) / r
 
     return _sweep(F, x, cfg, rng, "1", residual)
 
@@ -194,9 +195,9 @@ def check_semismooth_II(F: PiecewiseFunction, D: GeneralizedDerivative, x,
     """Residual sweep for F(y) - F(x) + D(y, x-y); the mirror of check I."""
     x = np.asarray(x, dtype=float)
 
-    def residual(y, r):
-        diff = F.value_difference_exact(y, x)
-        return max(float(np.linalg.norm(diff + v)) for v in D(y, x - y).vertices) / r
+    def residual(Y, r):
+        diff = F.value_differences(Y, np.broadcast_to(x, Y.shape))
+        return row_norms(diff[:, None, :] + D.batch(Y, x - Y)).max(axis=1) / r
 
     return _sweep(F, x, cfg, rng, "2", residual)
 
@@ -214,12 +215,13 @@ def check_base_anchored(F: PiecewiseFunction, x,
     """
     x = np.asarray(x, dtype=float)
 
-    def residual(y, r):
+    def residual(Y, r):
+        X = np.broadcast_to(x, Y.shape)
         if fixed_matrix is None:
-            pred = F.directional_derivative(x, y - x)
+            pred = F.directional_derivatives(X, Y - x)
         else:
-            pred = fixed_matrix @ (y - x)
-        return float(np.linalg.norm(F.value_difference_exact(y, x) - pred) / r)
+            pred = np.matmul(fixed_matrix, (Y - x)[..., None])[..., 0]
+        return row_norms(F.value_differences(Y, X) - pred) / r
 
     return _sweep(F, x, cfg, rng, "b_der", residual)
 
@@ -228,34 +230,29 @@ def check_base_anchored(F: PiecewiseFunction, x,
 # curve-based checks (condition 3 and the directional-symmetry property)
 
 def _curve_check(F, curves, cfg, rng, condition: str, test) -> ConditionReport:
+    """Per-curve loop: test(X, V, comp, ts) -> (residuals, passed) for all
+    sampled times ts of a curve at once, X and V the curve's points and
+    velocities there and comp its exact composition with F."""
     rng = rng or np.random.default_rng(0)
     table, witnesses, notes = [], [], []
     all_ok = True
     for ci, curve in enumerate(curves):
         comp = compose_exact(F, curve)
-        crossings = comp.breakpoints
         ts = rng.uniform(0.0, 1.0, size=cfg.curve_samples)
-        ok = genuine = excused = 0
-        worst = 0.0
-        for t in ts:
-            res, passed = test(curve, comp, float(t))
-            worst = max(worst, res)
-            if passed:
-                ok += 1
-            elif float(np.min(np.abs(crossings - t))) <= CROSSING_TOL:
-                excused += 1
-            else:
-                genuine += 1
-                if len(witnesses) < MAX_WITNESSES:
-                    witnesses.append(Witness(tuple(curve.value(t)),
-                                             tuple(curve.velocity(t)), res))
-        table.append((f"curve{ci}", worst))
-        retained = ok + genuine
-        frac = ok / retained if retained else 1.0
-        if genuine > 0 or frac < AE_FRACTION:
+        X, V = curve.value(ts), curve.velocity(ts)
+        res, passed = test(X, V, comp, ts)
+        near = np.min(np.abs(comp.breakpoints[:, None] - ts), axis=0) <= CROSSING_TOL
+        excused = ~passed & near
+        genuine = ~passed & ~near
+        for i in np.flatnonzero(genuine)[:MAX_WITNESSES - len(witnesses)]:
+            witnesses.append(Witness(tuple(X[i]), tuple(V[i]), float(res[i])))
+        table.append((f"curve{ci}", max(0.0, float(res.max()))))
+        ok, n_genuine = int(passed.sum()), int(genuine.sum())
+        frac = ok / (ok + n_genuine) if ok + n_genuine else 1.0
+        if n_genuine > 0 or frac < AE_FRACTION:
             all_ok = False
-        if excused:
-            notes.append(f"curve{ci}: {excused} samples excused at crossings")
+        if excused.any():
+            notes.append(f"curve{ci}: {int(excused.sum())} samples excused at crossings")
     return ConditionReport(condition=condition,
                            verdict="pass" if all_ok else "fail",
                            residual_table=tuple(table),
@@ -274,13 +271,11 @@ def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
     CROSSING_TOL of a detected crossing time is excused as measure zero; any
     other failure is genuine.
     """
-    def test(curve, comp, t):
-        v = curve.velocity(t)
-        target = comp.velocity(t)
-        img = D(curve.value(t), v)
-        res = max(img.diameter(),
-                  max(float(np.linalg.norm(w - target)) for w in img.vertices))
-        return res, res <= cfg.eps_eq * (1.0 + float(np.linalg.norm(v)))
+    def test(X, V, comp, ts):
+        img = D.batch(X, V)
+        miss = row_norms(img - comp.velocity(ts)[:, None, :]).max(axis=1)
+        res = np.maximum(diameters(img), miss)
+        return res, res <= cfg.eps_eq * (1.0 + row_norms(V))
 
     return _curve_check(F, curves, cfg, rng, "3", test)
 
@@ -289,11 +284,10 @@ def check_directional_symmetry(F: PiecewiseFunction, D: GeneralizedDerivative,
                                curves, cfg: VerifierConfig = VerifierConfig(),
                                rng: np.random.Generator | None = None) -> ConditionReport:
     """D(curve(t), v) = -D(curve(t), -v) at almost every curve time."""
-    def test(curve, comp, t):
-        x = curve.value(t)
-        v = curve.velocity(t)
-        res = hausdorff(D(x, v), -D(x, -v))
-        return res, res <= cfg.eps_eq * (1.0 + float(np.linalg.norm(v)))
+    def test(X, V, comp, ts):
+        pairs = zip(D.batch(X, V), -D.batch(X, -V))
+        res = np.array([hausdorff(Polytope(a), Polytope(b)) for a, b in pairs])
+        return res, res <= cfg.eps_eq * (1.0 + row_norms(V))
 
     return _curve_check(F, curves, cfg, rng, "symmetry", test)
 
@@ -340,33 +334,33 @@ def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
                       cfg: VerifierConfig, rng, condition: str,
                       residual) -> ConditionReport:
     """Per-cell loop shared by conditions 4, 5 and the projection formula:
-    residual(x, u) at sampled points x of every cell, for directions u
+    residual(X, U) at sampled points x of every cell, for directions u
     tangent to the cell (u = 0 on zero-dimensional cells, whose tangent
-    space is trivial). A direction fails when its residual exceeds
+    space is trivial). All points and directions are drawn first, then
+    evaluated in one call. A direction fails when its residual exceeds
     eps_eq * (1 + |u|).
     """
     rng = rng or np.random.default_rng(0)
-    witnesses = []
-    worst = 0.0
-    all_ok = True
     samples, notes = _cell_samples(F, partition, cfg, rng)
+    X, U = [], []
     for cell, pts in samples:
         for x in pts:
             if cell.dimension:
                 dirs = _tangent_directions(cell, cfg, rng)
             else:
                 dirs = [np.zeros(F.ambient_dim)]
-            for u in dirs:
-                res = residual(x, u)
-                worst = max(worst, res)
-                if res > cfg.eps_eq * (1.0 + float(np.linalg.norm(u))):
-                    all_ok = False
-                    if len(witnesses) < MAX_WITNESSES:
-                        witnesses.append(Witness(tuple(x), tuple(u), res))
+            X += [x] * len(dirs)
+            U += dirs
+    X = np.array(X).reshape(-1, F.ambient_dim)
+    U = np.array(U).reshape(-1, F.ambient_dim)
+    res = residual(X, U) if len(X) else np.zeros(0)
+    fails = np.flatnonzero(res > cfg.eps_eq * (1.0 + row_norms(U)))
     return ConditionReport(condition=condition,
-                           verdict="pass" if all_ok else "fail",
-                           residual_table=(("max", worst),),
-                           witnesses=tuple(witnesses), notes=tuple(notes))
+                           verdict="fail" if fails.size else "pass",
+                           residual_table=(("max", max(0.0, *res.tolist())),),
+                           witnesses=tuple(Witness(tuple(X[i]), tuple(U[i]), float(res[i]))
+                                           for i in fails[:MAX_WITNESSES]),
+                           notes=tuple(notes))
 
 
 def check_stratified_derivative(F: PiecewiseFunction, D: GeneralizedDerivative,
@@ -379,11 +373,10 @@ def check_stratified_derivative(F: PiecewiseFunction, D: GeneralizedDerivative,
     Zero-dimensional cells have trivial tangent space: only u=0 is tested
     there, where D(x,0)={0}=F'(x,0) is required.
     """
-    def residual(x, u):
-        img = D(x, u)
-        target = F.directional_derivative(x, u)
-        return max(img.diameter(),
-                   max(float(np.linalg.norm(v - target)) for v in img.vertices))
+    def residual(X, U):
+        img = D.batch(X, U)
+        target = F.directional_derivatives(X, U)
+        return np.maximum(diameters(img), row_norms(img - target[:, None, :]).max(axis=1))
 
     return _stratified_check(F, partition, cfg, rng, "4", residual)
 
@@ -399,13 +392,11 @@ def check_stratified_subdifferential(F: PiecewiseFunction, D: GeneralizedDerivat
     every vertex in the interval <component Clarke subdifferential, u>. The
     residual is the largest distance of a vertex component to its interval.
     """
-    def residual(x, u):
-        img = D(x, u)
-        intervals = [linear_range_over_polytope(F.component_clarke(x, i), u)
-                     for i in range(1, F.output_dim + 1)]
-        return max(max(max(lo - vi, vi - hi, 0.0)
-                       for vi, (lo, hi) in zip(v, intervals))
-                   for v in img.vertices)
+    def residual(X, U):
+        img = D.batch(X, U)
+        lo, hi = F.component_ranges(X, U)
+        gap = np.maximum(lo[:, None, :] - img, img - hi[:, None, :])
+        return np.maximum(gap, 0.0).max(axis=(1, 2))
 
     return _stratified_check(F, partition, cfg, rng, "5", residual)
 
@@ -415,13 +406,10 @@ def check_projection_formula(F: PiecewiseFunction, partition: Arrangement,
                              rng: np.random.Generator | None = None) -> ConditionReport:
     """Scalar projection formula: on tangents of each cell, the interval
     <component Clarke subdifferential, u> degenerates to {F_i'(x,u)}."""
-    def residual(x, u):
-        target = F.directional_derivative(x, u)
-        worst = 0.0
-        for i in range(1, F.output_dim + 1):
-            lo, hi = linear_range_over_polytope(F.component_clarke(x, i), u)
-            worst = max(worst, abs(lo - target[i - 1]), abs(hi - target[i - 1]))
-        return worst
+    def residual(X, U):
+        target = F.directional_derivatives(X, U)
+        lo, hi = F.component_ranges(X, U)
+        return np.maximum(np.abs(lo - target), np.abs(hi - target)).max(axis=1)
 
     return _stratified_check(F, partition, cfg, rng, "projection_formula", residual)
 

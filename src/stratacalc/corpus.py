@@ -66,10 +66,8 @@ class Corpus:
             for curve in cf.curves:
                 if curve.dim != cf.func.ambient_dim:
                     raise PiecewiseError(f"function {fid!r}: curve dimension mismatch")
-                for t in np.linspace(0, 1, 33):
-                    if np.max(np.abs(curve.value(float(t)))) > cf.func.box_halfwidth:
-                        raise PiecewiseError(
-                            f"function {fid!r}: curve leaves the bounding box")
+                if np.max(np.abs(curve.value(np.linspace(0, 1, 33)))) > cf.func.box_halfwidth:
+                    raise PiecewiseError(f"function {fid!r}: curve leaves the bounding box")
         for fid, _oracle in self.matrix_rows:
             if fid not in self.functions:
                 raise PiecewiseError(f"matrix row references unknown function {fid!r}")

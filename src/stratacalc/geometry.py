@@ -39,6 +39,29 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def as_rows(X, dim: int) -> np.ndarray:
+    """Coerce to a finite (N, dim) float array: as_vector for a batch."""
+    arr = np.asarray(X, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise DimensionMismatchError(f"expected rows of dimension {dim}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("vector entries must be finite")
+    return arr
+
+
+def row_norms(v) -> np.ndarray:
+    """Euclidean norms over the last axis. Bit-identical to np.linalg.norm of
+    each row: both reduce through the same dot kernel (an axis sum would not)."""
+    v = np.asarray(v, dtype=float)
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0, 0]
+
+
+def diameters(vertices: np.ndarray) -> np.ndarray:
+    """Max pairwise vertex distance of each (V, m) vertex list in a stack."""
+    diff = vertices[..., :, None, :] - vertices[..., None, :, :]
+    return np.sqrt(np.max(np.sum(diff * diff, axis=-1), axis=(-2, -1)))
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=float)
     arr.flags.writeable = False
@@ -155,11 +178,7 @@ class Polytope:
 
     def diameter(self) -> float:
         """Max pairwise vertex distance (0 for singletons)."""
-        v = self.vertices
-        if v.shape[0] == 1:
-            return 0.0
-        diff = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
+        return float(diameters(self.vertices))
 
     def translate(self, shift) -> "Polytope":
         return Polytope(self.vertices + as_vector(shift, self.ambient_dim))

@@ -11,11 +11,13 @@ lower-dimensional strata) on top of any base oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .geometry import Polytope, hausdorff, linear_image
+from .geometry import Polytope, as_rows, hausdorff, row_norms
+from .geometry import linear_image  # noqa: F401  (re-export: the benchmark tracer wraps it here)
 from .piecewise import PiecewiseFunction
 from .seeding import substream
 
@@ -31,41 +33,74 @@ LIPSCHITZ_BLOWUP = 1e6
 class GeneralizedDerivative:
     """Set-valued first-order model (x, u) -> polytope in R^m.
 
-    The zero direction is short-circuited to {0}: positive homogeneity at
-    u=0 is asserted per call rather than trusted to the backing map. The
+    `batch(X, U)` evaluates rows of points and directions at once and
+    returns an (N, V, m) vertex stack; a row with fewer than V vertices
+    repeats its own vertex 0, so max, min and diameter reductions need no
+    mask. The zero direction is short-circuited to {0}: positive homogeneity
+    at u=0 is asserted per row rather than trusted to the backing map. The
     unasserted map stays reachable through `raw` for the assumption checker.
+
+    The built-in oracles pass an array `kernel`; a pointwise `fn`
+    (x, u) -> Polytope is run row by row instead.
     """
 
     name: str
     provenance: str
     input_dim: int
     output_dim: int
-    fn: Callable[[np.ndarray, np.ndarray], Polytope]
+    fn: Callable[[np.ndarray, np.ndarray], Polytope] | None = None
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.kernel is None:
+            if self.fn is None:
+                raise ValueError("an oracle needs a pointwise fn or an array kernel")
+            object.__setattr__(self, "kernel", partial(_row_loop, self.fn))
+
+    def batch(self, X, U) -> np.ndarray:
+        X, U = as_rows(X, self.input_dim), as_rows(U, self.input_dim)
+        return _on_rows(row_norms(U) != 0.0, self.kernel, X, U, self.output_dim)
 
     def __call__(self, x, u) -> Polytope:
-        u = np.asarray(u, dtype=float)
-        if float(np.linalg.norm(u)) == 0.0:
-            return Polytope(np.zeros((1, self.output_dim)))
-        return self.fn(np.asarray(x, dtype=float), u)
+        return Polytope(self.batch(np.asarray(x, dtype=float)[None],
+                                   np.asarray(u, dtype=float)[None])[0])
 
     def raw(self, x, u) -> Polytope:
-        return self.fn(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
+        return Polytope(self.kernel(np.asarray(x, dtype=float)[None],
+                                    np.asarray(u, dtype=float)[None])[0])
+
+
+def _row_loop(fn, X, U) -> np.ndarray:
+    """Array form of a pointwise oracle: one call per row, padded stack."""
+    rows = [fn(x, u).vertices for x, u in zip(X, U)]
+    width = max(len(r) for r in rows)
+    return np.array([np.concatenate([r] + [r[:1]] * (width - len(r))) for r in rows])
+
+
+def _on_rows(keep: np.ndarray, kernel, X, U, m: int) -> np.ndarray:
+    """kernel(X, U) on the rows where keep holds, {0} on the others."""
+    if keep.all():
+        return kernel(X, U)
+    out = np.zeros((len(X), 1, m))
+    if keep.any():
+        sub = kernel(X[keep], U[keep])
+        out = np.zeros((len(X),) + sub.shape[1:])
+        out[keep] = sub
+    return out
 
 
 def oracle_exact_directional(F: PiecewiseFunction) -> GeneralizedDerivative:
     """D(x,u) = {F'(x,u)}, the one-sided directional derivative itself."""
-    def fn(x, u):
-        return Polytope.singleton(F.directional_derivative(x, u))
-    return GeneralizedDerivative("exact", "exact directional derivative",
-                                 F.ambient_dim, F.output_dim, fn)
+    return GeneralizedDerivative(
+        "exact", "exact directional derivative", F.ambient_dim, F.output_dim,
+        kernel=lambda X, U: F.directional_derivatives(X, U)[:, None, :])
 
 
 def oracle_clarke_linear(F: PiecewiseFunction) -> GeneralizedDerivative:
     """D(x,u) = (Clarke Jacobian of F at x) applied to u."""
-    def fn(x, u):
-        return linear_image(F.clarke_jacobian(x), u)
-    return GeneralizedDerivative("clarke", "Clarke Jacobian image",
-                                 F.ambient_dim, F.output_dim, fn)
+    return GeneralizedDerivative(
+        "clarke", "Clarke Jacobian image", F.ambient_dim, F.output_dim,
+        kernel=lambda X, U: np.matmul(F.clarke_jacobians(X)[0], U[:, None, :, None])[..., 0])
 
 
 def oracle_branch_selection(F: PiecewiseFunction) -> GeneralizedDerivative:
@@ -75,41 +110,37 @@ def oracle_branch_selection(F: PiecewiseFunction) -> GeneralizedDerivative:
     Deterministic by construction, like an autodiff scheme that always
     resolves ties the same way (e.g. a zero-slope convention at kinks).
     """
-    def fn(x, u):
-        sign = F.adjacent_full_signs(x)[0]
-        return Polytope.singleton(F.piece_jacobian(sign, x) @ u)
-    return GeneralizedDerivative("branch", "lexicographic branch selection",
-                                 F.ambient_dim, F.output_dim, fn)
+    return GeneralizedDerivative(
+        "branch", "lexicographic branch selection", F.ambient_dim, F.output_dim,
+        kernel=lambda X, U: np.matmul(F.clarke_jacobians(X)[0][:, :1],
+                                      U[:, None, :, None])[..., 0])
 
 
 def scale_oracle(base: GeneralizedDerivative, c: float) -> GeneralizedDerivative:
-    def fn(x, u):
-        return base(x, u).scale(c)
     return GeneralizedDerivative(f"scale:{c:g}:{base.name}" if base.name != "exact"
                                  else f"scale:{c:g}",
                                  f"scaled ({c:g}x) {base.provenance}",
-                                 base.input_dim, base.output_dim, fn)
+                                 base.input_dim, base.output_dim,
+                                 kernel=lambda X, U: c * base.batch(X, U))
 
 
 def reflect_oracle(base: GeneralizedDerivative) -> GeneralizedDerivative:
     """D^(x,u) := -D(x,-u)."""
-    def fn(x, u):
-        return -base(x, -u)
     return GeneralizedDerivative(f"reflect:{base.name}",
                                  f"reflection of {base.provenance}",
-                                 base.input_dim, base.output_dim, fn)
+                                 base.input_dim, base.output_dim,
+                                 kernel=lambda X, U: -base.batch(X, -U))
 
 
 def zero_at_strata_oracle(base: GeneralizedDerivative,
                           F: PiecewiseFunction) -> GeneralizedDerivative:
     """Base oracle off the lower-dimensional cells, {0} on them."""
-    def fn(x, u):
-        if "0" in F.arrangement.sign_vector(x):
-            return Polytope(np.zeros((1, base.output_dim)))
-        return base(x, u)
+    def kernel(X, U):
+        off_strata = np.all(F.arrangement.sign_codes(X) != 1, axis=1)
+        return _on_rows(off_strata, base.batch, X, U, base.output_dim)
     return GeneralizedDerivative(f"zero-strata:{base.name}",
                                  f"{base.provenance}, zeroed on strata",
-                                 base.input_dim, base.output_dim, fn)
+                                 base.input_dim, base.output_dim, kernel=kernel)
 
 
 def parse_oracle(spec: str, F: PiecewiseFunction) -> GeneralizedDerivative:

@@ -17,11 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .geometry import MatrixPolytope, Polytope, Subspace, as_vector
+from .geometry import MatrixPolytope, Polytope, Subspace, as_rows, as_vector, row_norms
 
 EPS_CELL = 1e-10       # sign-vector zero declaration threshold
 EPS_EQ = 1e-9          # value-agreement tolerance (continuity, curves)
@@ -110,22 +111,11 @@ class Polynomial:
                 for e, c in zip(self.exponents, self.coeffs)]
 
     def __call__(self, x) -> float:
-        if self.coeffs.size == 0:
-            return 0.0
-        x = np.asarray(x, dtype=float)
-        return float(self.coeffs @ np.prod(x[None, :] ** self.exponents, axis=1))
+        return float(self.eval_many(np.asarray(x, dtype=float)[None])[0])
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate on an (N, num_vars) array of points (term-by-term)."""
-        X = np.asarray(X, dtype=float)
-        out = np.zeros(X.shape[0])
-        for e, c in zip(self.exponents, self.coeffs):
-            term = np.full(X.shape[0], c)
-            for j, p in enumerate(e):
-                if p:
-                    term *= X[:, j] ** int(p)
-            out += term
-        return out
+        """Evaluate on an (N, num_vars) array of points."""
+        return _StackedPolys([self], ())(np.asarray(X, dtype=float))
 
     def partial(self, j: int) -> "Polynomial":
         rows = []
@@ -187,11 +177,11 @@ class Polynomial:
 
 
 class _StackedPolys:
-    """Batch evaluator for a fixed tuple of polynomials sharing a point.
+    """Batch evaluator for a fixed tuple of polynomials.
 
     Stacks all terms into one exponent matrix so a single vectorized pass
-    evaluates every output slot; used for piece values and Jacobians on the
-    hot paths of the verifiers.
+    evaluates every output slot at every row of a point array; used for
+    piece values and Jacobians.
     """
 
     def __init__(self, polys: list[Polynomial], shape: tuple[int, ...]):
@@ -203,26 +193,29 @@ class _StackedPolys:
                 slots.append(slot)
         self.shape = shape
         self.size = int(np.prod(shape))
-        if exps:
-            self.exponents = np.array(exps, dtype=float)
-            self.coeffs = np.array(cfs, dtype=float)
-            self.slots = np.array(slots, dtype=int)
-        else:
-            self.exponents = None
+        self.exponents = np.array(exps, dtype=float).reshape(len(exps), polys[0].num_vars)
+        self.coeffs = np.array(cfs, dtype=float)
+        self.slots = np.array(slots, dtype=int)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self.exponents is None:
-            return np.zeros(self.shape)
-        vals = self.coeffs * np.prod(x[None, :] ** self.exponents, axis=1)
-        out = np.bincount(self.slots, weights=vals, minlength=self.size)
-        return out.reshape(self.shape)
+    def terms(self, X: np.ndarray) -> np.ndarray:
+        """(N, T) monomial products at the rows of X, in term order."""
+        return self.coeffs * (X[:, None, :] ** self.exponents).prod(axis=2)
 
-    def term_values(self, x: np.ndarray):
-        """Per-term products and their output slots (for compensated sums)."""
-        if self.exponents is None:
-            return np.zeros(0), np.zeros(0, dtype=int)
-        vals = self.coeffs * np.prod(x[None, :] ** self.exponents, axis=1)
-        return vals, self.slots
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """(N,) + shape values; each slot sums its terms in term order, as
+        bincount does, so a row's value does not depend on the batch."""
+        n = X.shape[0]
+        idx = np.arange(n)[:, None] * self.size + self.slots
+        out = np.bincount(idx.ravel(), weights=self.terms(X).ravel(),
+                          minlength=n * self.size)
+        return out.reshape((n,) + self.shape)
+
+    def slot_terms(self, X: np.ndarray, width: int) -> np.ndarray:
+        """(N, size, width) array holding term t of each row in column t of
+        its output slot, zeros elsewhere (for compensated sums)."""
+        out = np.zeros((X.shape[0], self.size, width))
+        out[:, self.slots, np.arange(self.slots.size)] = self.terms(X)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +273,7 @@ class Arrangement:
     _normals: np.ndarray = field(init=False, repr=False, compare=False)
     _offsets: np.ndarray = field(init=False, repr=False, compare=False)
     _nonempty_cache: dict = field(init=False, repr=False, compare=False)
+    _compatible_cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         hps = tuple(self.hyperplanes)
@@ -294,6 +288,7 @@ class Arrangement:
         object.__setattr__(self, "_normals", A)
         object.__setattr__(self, "_offsets", b)
         object.__setattr__(self, "_nonempty_cache", {})
+        object.__setattr__(self, "_compatible_cache", {})
 
     @property
     def k(self) -> int:
@@ -308,11 +303,14 @@ class Arrangement:
         return self._offsets
 
     def residuals(self, x) -> np.ndarray:
-        """<a_i, x> - b_i for every hyperplane."""
+        """<a_i, x> - b_i for every hyperplane, per row when x is (N, n)."""
         x = np.asarray(x, dtype=float)
-        if self.k == 0:
-            return np.zeros(0)
-        return self._normals @ x - self._offsets
+        return np.matmul(self._normals, x[..., None])[..., 0] - self._offsets
+
+    def sign_codes(self, X, eps: float = EPS_CELL) -> np.ndarray:
+        """Sign vectors of the rows of X as integers: 0 '-', 1 '0', 2 '+'."""
+        r = self.residuals(X)
+        return np.where(np.abs(r) <= eps, 1, 2 * (r > 0))
 
     def sign_vector(self, x, eps: float = EPS_CELL) -> str:
         r = self.residuals(x)
@@ -384,13 +382,16 @@ class Arrangement:
         signs.sort(key=sign_key)
         return [s for s in signs if self.cell_nonempty(s)]
 
-    def compatible_full_signs(self, sign: str) -> list[str]:
+    def compatible_full_signs(self, sign: str) -> tuple[str, ...]:
         """Nonempty full-dimensional sign vectors whose closure contains the
-        cell `sign` (coordinatewise: equal where sign is nonzero)."""
-        options = [("-", "+") if c == "0" else (c,) for c in sign]
-        out = ["".join(s) for s in itertools.product(*options)]
-        out.sort(key=sign_key)
-        return [s for s in out if self.cell_nonempty(s)]
+        cell `sign` (coordinatewise: equal where sign is nonzero); cached."""
+        out = self._compatible_cache.get(sign)
+        if out is None:
+            options = [("-", "+") if c == "0" else (c,) for c in sign]
+            cands = sorted(("".join(s) for s in itertools.product(*options)), key=sign_key)
+            out = self._compatible_cache[sign] = tuple(s for s in cands
+                                                       if self.cell_nonempty(s))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,6 +467,15 @@ def sample_cell_point(arr: Arrangement, sign: str, box: np.ndarray,
 # ---------------------------------------------------------------------------
 # Piecewise functions
 
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows grouped by equal keys: the first row of each group, and the
+    group of every row (a single row is its own group)."""
+    if len(keys) == 1:
+        return np.zeros(1, dtype=int), np.zeros(1, dtype=int)
+    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, inv.ravel()
+
+
 @dataclass(frozen=True, eq=False)
 class PiecewiseFunction:
     """Continuous piecewise-polynomial map over a hyperplane arrangement.
@@ -485,6 +495,8 @@ class PiecewiseFunction:
     _value_cache: dict = field(init=False, repr=False, compare=False)
     _jac_cache: dict = field(init=False, repr=False, compare=False)
     _grad_polys: dict = field(init=False, repr=False, compare=False)
+    _signs: list = field(init=False, repr=False, compare=False)    # piece index -> sign
+    _index: dict = field(init=False, repr=False, compare=False)    # sign -> piece index
 
     def __post_init__(self):
         n = self.arrangement.ambient_dim
@@ -504,6 +516,8 @@ class PiecewiseFunction:
         object.__setattr__(self, "_value_cache", {})
         object.__setattr__(self, "_jac_cache", {})
         object.__setattr__(self, "_grad_polys", {})
+        object.__setattr__(self, "_signs", list(norm_pieces))
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(norm_pieces)})
 
     @property
     def ambient_dim(self) -> int:
@@ -558,95 +572,159 @@ class PiecewiseFunction:
                 f"no adjacent full-dimensional piece at sign vector {sigma!r}")
         return out
 
-    def value(self, x) -> np.ndarray:
-        """Evaluate the map; well-defined by continuity at boundary points."""
-        x = as_vector(x, self.ambient_dim)
-        sign = self.adjacent_full_signs(x)[0]
-        return self._value_eval(sign)(x)
+    # -- array kernels: every row of X (N, n) at once ----------------------
+    #
+    # Products go through stacked np.matmul (the same per-matrix kernel as a
+    # single product) and sums through bincount or math.fsum, so each row is
+    # bit-identical to evaluating it alone; the one-point methods below are
+    # one-row views of these kernels.
 
-    def value_difference_exact(self, y, x) -> np.ndarray:
-        """F(y) - F(x) with one exactly-rounded summation over the monomials
-        of both active pieces.
+    def _adjacent_ids(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Piece indices of the cells adjacent to each row, looked up once
+        per distinct sign vector: an (N, V) array whose short rows repeat
+        their column 0, and the (N,) counts."""
+        # a single row needs no sign codes to be its own group
+        first, inv = _groups(X if len(X) == 1 else self.arrangement.sign_codes(X))
+        adj = [[self._index[s] for s in self.adjacent_full_signs(X[i])] for i in first]
+        width = max(map(len, adj))
+        table = np.array([a + a[:1] * (width - len(a)) for a in adj])
+        return table[inv], np.array([len(a) for a in adj])[inv]
+
+    def _directional_ids(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """(N, 1) index of the piece active on (x, x + eps*u] per row (u != 0).
+
+        Residual zero signs after consulting <a_i, u> are tie-broken to '+';
+        continuity across the facet makes the tangential derivative
+        independent of that choice.
+        """
+        arr = self.arrangement
+        r, du = arr.residuals(X), np.matmul(arr.normals, U[..., None])[..., 0]
+        moving = np.abs(du) > EPS_CELL * row_norms(U)[:, None]
+        plus = np.where(np.abs(r) > EPS_CELL, r > 0, ~moving | (du > 0))
+        first, inv = _groups(plus)
+        ids = []
+        for key in plus[first]:
+            sign = "".join("+" if c else "-" for c in key)
+            if not arr.cell_nonempty(sign):
+                raise PiecewiseError(
+                    f"directional cell {sign!r} is empty: arrangement is degenerate "
+                    "(duplicate hyperplanes with opposite orientations?)")
+            if sign not in self.pieces:
+                raise PiecewiseError(f"no piece for directional cell {sign!r}")
+            ids.append(self._index[sign])
+        return np.array(ids)[inv, None]
+
+    def _at_pieces(self, evaluator, X: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """evaluator(sign)(rows) for each piece index in the (N, V) array
+        ids, called once per distinct piece on the rows that use it."""
+        flat = ids.ravel()
+        out = None
+        for p in set(flat.tolist()):
+            at = np.flatnonzero(flat == p)
+            vals = evaluator(self._signs[p])(X[at // ids.shape[1]])
+            if out is None:
+                out = np.empty((flat.size,) + vals.shape[1:])
+            out[at] = vals
+        return out.reshape(ids.shape + out.shape[1:])
+
+    def _at_first_piece(self, evaluator, X) -> np.ndarray:
+        """evaluator(sign)(x) with the first adjacent piece of each row."""
+        X = as_rows(X, self.ambient_dim)
+        return self._at_pieces(evaluator, X, self._adjacent_ids(X)[0][:, :1])[:, 0]
+
+    def values(self, X) -> np.ndarray:
+        """(N, m) values at the rows of X."""
+        return self._at_first_piece(self._value_eval, X)
+
+    def value_differences(self, Y, X) -> np.ndarray:
+        """(N, m) rows F(y) - F(x), each with one exactly-rounded summation
+        over the monomials of both active pieces.
 
         Naive differencing loses ~eps*|F| absolute accuracy to cancellation,
         which dominates semismooth residuals at small radii; summing all
         monomial products in one fsum removes it entirely (piecewise-linear
         residuals become exact zeros when the products themselves are exact).
         """
-        y = as_vector(y, self.ambient_dim)
-        x = as_vector(x, self.ambient_dim)
-        vy, sy = self._value_eval(self.adjacent_full_signs(y)[0]).term_values(y)
-        vx, sx = self._value_eval(self.adjacent_full_signs(x)[0]).term_values(x)
-        out = np.zeros(self.output_dim)
-        for i in range(self.output_dim):
-            parts = [float(v) for v, s in zip(vy, sy) if s == i]
-            parts += [-float(v) for v, s in zip(vx, sx) if s == i]
-            out[i] = math.fsum(parts)
+        width = max(self._value_eval(s).coeffs.size for s in self.pieces)
+        terms = partial(self._at_first_piece,
+                        lambda s: partial(self._value_eval(s).slot_terms, width=width))
+        parts = np.concatenate([terms(Y), -terms(X)], axis=2)
+        sums = [math.fsum(p) for p in parts.reshape(-1, parts.shape[2]).tolist()]
+        return np.array(sums).reshape(parts.shape[:2])
+
+    def directional_derivatives(self, X, U) -> np.ndarray:
+        """(N, m) one-sided directional derivatives; zero where u = 0."""
+        X, U = as_rows(X, self.ambient_dim), as_rows(U, self.ambient_dim)
+        out = np.zeros((X.shape[0], self.output_dim))
+        move = row_norms(U) != 0.0
+        if move.any():
+            X, U = X[move], U[move]
+            J = self._at_pieces(self._jac_eval, X, self._directional_ids(X, U))[:, 0]
+            out[move] = np.matmul(J, U[..., None])[..., 0]
         return out
 
+    def clarke_jacobians(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacent piece Jacobians per row, (N, V, m, n) padded by repeating
+        vertex 0, and the (N,) vertex counts."""
+        X = as_rows(X, self.ambient_dim)
+        ids, counts = self._adjacent_ids(X)
+        return self._at_pieces(self._jac_eval, X, ids), counts
+
+    def component_ranges(self, X, U) -> tuple[np.ndarray, np.ndarray]:
+        """(N, m) arrays lo, hi: [min, max] of <g, u> over the Clarke
+        subdifferential of each scalar component F_i at x."""
+        J, counts = self.clarke_jacobians(X)
+        U = as_rows(U, self.ambient_dim)
+        lo, hi = np.empty((2, len(J), self.output_dim))
+        for c in set(counts.tolist()):
+            # rows grouped by vertex count c, so each product has the shape
+            # component_clarke(x, i).vertices @ u has: (c, n) times u
+            sel = counts == c
+            rows = np.ascontiguousarray(J[sel, :c].swapaxes(1, 2))
+            vals = np.matmul(rows, U[sel][:, None, :, None])[..., 0]
+            lo[sel], hi[sel] = vals.min(axis=2), vals.max(axis=2)
+        return lo, hi
+
+    # -- one-point views ----------------------------------------------------
+
+    def _row(self, v) -> np.ndarray:
+        return as_vector(v, self.ambient_dim)[None]
+
+    def value(self, x) -> np.ndarray:
+        """Evaluate the map; well-defined by continuity at boundary points."""
+        return self.values(self._row(x))[0]
+
+    def value_difference_exact(self, y, x) -> np.ndarray:
+        """F(y) - F(x), compensated as in value_differences."""
+        return self.value_differences(self._row(y), self._row(x))[0]
+
     def piece_value(self, sign: str, x) -> np.ndarray:
-        return self._value_eval(sign)(np.asarray(x, dtype=float))
+        return self._value_eval(sign)(np.asarray(x, dtype=float)[None])[0]
 
     def piece_jacobian(self, sign: str, x) -> np.ndarray:
-        return self._jac_eval(sign)(np.asarray(x, dtype=float))
+        return self._jac_eval(sign)(np.asarray(x, dtype=float)[None])[0]
 
     def directional_cell(self, x, u) -> str:
         """Full-dimensional sign vector of the piece active on (x, x+eps*u]
-        for small eps > 0.
-
-        Residual zero signs after consulting <a_i, u> are tie-broken to '+';
-        continuity across the facet makes the tangential derivative
-        independent of that choice.
-        """
-        x = as_vector(x, self.ambient_dim)
-        u = as_vector(u, self.ambient_dim)
-        unorm = float(np.linalg.norm(u))
-        if unorm == 0.0:
+        for small eps > 0."""
+        x, u = self._row(x), self._row(u)
+        if row_norms(u)[0] == 0.0:
             raise PiecewiseError("direction must be nonzero")
-        r = self.arrangement.residuals(x)
-        if self.arrangement.k:
-            du = self.arrangement._normals @ u
-        else:
-            du = np.zeros(0)
-        chars = []
-        for i in range(self.arrangement.k):
-            if abs(r[i]) > EPS_CELL:
-                chars.append("+" if r[i] > 0 else "-")
-            elif abs(du[i]) > EPS_CELL * unorm:
-                chars.append("+" if du[i] > 0 else "-")
-            else:
-                chars.append("+")
-        sign = "".join(chars)
-        if not self.arrangement.cell_nonempty(sign):
-            raise PiecewiseError(
-                f"directional cell {sign!r} is empty: arrangement is degenerate "
-                "(duplicate hyperplanes with opposite orientations?)")
-        if sign not in self.pieces:
-            raise PiecewiseError(f"no piece for directional cell {sign!r}")
-        return sign
+        return self._signs[self._directional_ids(x, u)[0, 0]]
 
     def directional_derivative(self, x, u) -> np.ndarray:
         """One-sided directional derivative; exact for piecewise polynomials."""
-        x = as_vector(x, self.ambient_dim)
-        u = as_vector(u, self.ambient_dim)
-        if float(np.linalg.norm(u)) == 0.0:
-            return np.zeros(self.output_dim)
-        sign = self.directional_cell(x, u)
-        return self._jac_eval(sign)(x) @ u
+        return self.directional_derivatives(self._row(x), self._row(u))[0]
 
     def clarke_jacobian(self, x) -> MatrixPolytope:
         """Vertex list of adjacent piece Jacobians at x (hull = Clarke Jacobian)."""
-        x = as_vector(x, self.ambient_dim)
-        mats = [self._jac_eval(s)(x) for s in self.adjacent_full_signs(x)]
-        return MatrixPolytope(np.array(mats))
+        return MatrixPolytope(self.clarke_jacobians(self._row(x))[0][0])
 
     def component_clarke(self, x, i: int) -> Polytope:
         """Clarke subdifferential of the scalar component F_i at x (row vectors)."""
         if not 1 <= i <= self.output_dim:
             raise PiecewiseError(f"component index {i} out of range")
-        x = as_vector(x, self.ambient_dim)
-        rows = [self._jac_eval(s)(x)[i - 1] for s in self.adjacent_full_signs(x)]
-        return Polytope(np.array(rows))
+        return Polytope(self.clarke_jacobians(self._row(x))[0][0][:, i - 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -685,17 +763,14 @@ def validate_continuity(F: PiecewiseFunction, n_samples: int = N_FACET_SAMPLES,
             if not arr.cell_nonempty(facet):
                 continue
             pairs += 1
-            worst_gap, worst_pt = 0.0, None
-            for _ in range(n_samples):
-                pt = sample_cell_point(arr, facet, F.box, rng, cap=2000)
-                if pt is None:
-                    continue
-                gap = float(np.linalg.norm(
-                    F.piece_value(sign, pt) - F.piece_value(other, pt)))
-                if gap > worst_gap:
-                    worst_gap, worst_pt = gap, pt
-            if worst_gap > eps:
-                violations.append(ContinuityViolation(sign, other, worst_pt, worst_gap))
+            pts = [sample_cell_point(arr, facet, F.box, rng, cap=2000)
+                   for _ in range(n_samples)]
+            pts = np.array([p for p in pts if p is not None]).reshape(-1, arr.ambient_dim)
+            gaps = row_norms(F._value_eval(sign)(pts) - F._value_eval(other)(pts))
+            worst = int(np.argmax(gaps)) if len(gaps) else None
+            if worst is not None and gaps[worst] > eps:
+                violations.append(ContinuityViolation(sign, other, pts[worst],
+                                                      float(gaps[worst])))
     return ContinuityReport(ok=not violations, violations=tuple(violations),
                             pairs_checked=pairs)
 
@@ -762,31 +837,37 @@ class Curve:
             mat[i, : r.size] = r
         return cls(np.array([0.0, 1.0]), (mat,))
 
-    def interval_index(self, t: float) -> int:
-        """Piece index with the left-derivative convention: t in (t_j, t_{j+1}]
-        maps to j, and t=0 maps to 0 (right-sided, matching one-sided velocity)."""
-        bp = self.breakpoints
-        if t <= bp[0]:
-            return 0
-        if t >= bp[-1]:
-            return len(self.pieces) - 1
-        j = int(np.searchsorted(bp, t, side="left")) - 1
-        return min(max(j, 0), len(self.pieces) - 1)
+    def interval_index(self, t):
+        """Piece index (per time, for an array) with the left-derivative
+        convention: t in (t_j, t_{j+1}] maps to j, and t=0 maps to 0
+        (right-sided, matching one-sided velocity)."""
+        j = np.searchsorted(self.breakpoints, t, side="left") - 1
+        return np.minimum(np.maximum(j, 0), len(self.pieces) - 1)
 
-    def value(self, t: float) -> np.ndarray:
-        tt = min(max(float(t), 0.0), 1.0)
-        return _upolyval(self.pieces[self.interval_index(tt)], tt)
+    def _at(self, t, deriv: bool) -> np.ndarray:
+        """Point (or velocity) at a time, or one row per time of an array."""
+        tt = np.minimum(np.maximum(np.asarray(t, dtype=float), 0.0), 1.0)
+        flat = tt.reshape(-1)
+        idx = self.interval_index(flat)
+        out = np.empty((flat.size, self.dim))
+        for j in set(idx.tolist()):
+            piece = _upolyder(self.pieces[j]) if deriv else self.pieces[j]
+            out[idx == j] = _upolyval(piece, flat[idx == j])
+        return out if tt.ndim else out[0]
 
-    def velocity(self, t: float) -> np.ndarray:
+    def value(self, t) -> np.ndarray:
+        return self._at(t, False)
+
+    def velocity(self, t) -> np.ndarray:
         """Derivative of the active piece: right-sided at t=0, left-sided at
         interior breakpoints and t=1."""
-        tt = min(max(float(t), 0.0), 1.0)
-        piece = self.pieces[self.interval_index(tt)]
-        return _upolyval(_upolyder(piece), tt)
+        return self._at(t, True)
 
 
-def _upolyval(coeffs: np.ndarray, t: float) -> np.ndarray:
-    """Evaluate rows of low-to-high univariate coefficients at t (Horner)."""
+def _upolyval(coeffs: np.ndarray, t) -> np.ndarray:
+    """Evaluate rows of low-to-high univariate coefficients at t (Horner);
+    an array of times gives one row per time."""
+    t = np.asarray(t, dtype=float)[..., None]
     out = np.zeros(coeffs.shape[0])
     for c in coeffs.T[::-1]:
         out = out * t + c

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import diameters
 from .oracles import GeneralizedDerivative
 from .piecewise import PiecewiseFunction
 
@@ -46,16 +47,11 @@ class NewtonTrace:
 def _jacobian_from_oracle(D: GeneralizedDerivative, x: np.ndarray) -> np.ndarray:
     """Assemble a matrix column-by-column from a singleton oracle."""
     n = D.input_dim
-    cols = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        img = D(x, e)
-        if img.diameter() > 1e-9:
-            raise ValueError(
-                f"oracle {D.name!r} is set-valued at {x}; cannot assemble a Jacobian")
-        cols.append(img.vertices[0])
-    return np.column_stack(cols)
+    cols = D.batch(np.tile(x, (n, 1)), np.eye(n))
+    if np.max(diameters(cols)) > 1e-9:
+        raise ValueError(
+            f"oracle {D.name!r} is set-valued at {x}; cannot assemble a Jacobian")
+    return cols[:, 0, :].T
 
 
 def _select_jacobian(F: PiecewiseFunction, source, x: np.ndarray) -> np.ndarray:
@@ -226,25 +222,9 @@ def grid_minimize(f: PiecewiseFunction, lo, hi, resolution: float = 1e-3,
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
     best_val, best_pt = np.inf, None
-    arr = f.arrangement
-    full_signs = [s for s in arr.full_dim_signs() if s in f.pieces]
     for start in range(0, pts.shape[0], chunk):
         block = pts[start:start + chunk]
-        vals = np.full(block.shape[0], np.inf)
-        if arr.k:
-            resid = block @ arr.normals.T - arr.offsets
-        else:
-            resid = np.zeros((block.shape[0], 0))
-        for sign in full_signs:
-            mask = np.ones(block.shape[0], dtype=bool)
-            for i, ch in enumerate(sign):
-                if ch == "+":
-                    mask &= resid[:, i] >= -1e-12
-                else:
-                    mask &= resid[:, i] <= 1e-12
-            if not np.any(mask):
-                continue
-            vals[mask] = f.pieces[sign][0].eval_many(block[mask])
+        vals = f.values(block)[:, 0]
         idx = int(np.argmin(vals))
         if vals[idx] < best_val:
             best_val = float(vals[idx])
