@@ -296,11 +296,14 @@ def check_directional_symmetry(F: PiecewiseFunction, D: GeneralizedDerivative,
 # stratified checks (conditions 4, 5, projection formula)
 
 def _cell_samples(F, partition: Arrangement, cfg, rng):
-    """Sample points from every nonempty cell; skipped cells become notes."""
+    """Sample points from every nonempty cell of positive dimension;
+    skipped cells become notes."""
     out, notes = [], []
     box = F.box
     for sign in partition.all_nonempty_signs():
         cell = partition.cell(sign)
+        if cell.dimension == 0:
+            continue
         pts = []
         for _ in range(cfg.cell_points):
             p = sample_cell_point(partition, sign, box, rng,
@@ -315,13 +318,14 @@ def _cell_samples(F, partition: Arrangement, cfg, rng):
 
 
 def _tangent_directions(cell, cfg, rng) -> list[np.ndarray]:
-    """+/- the tangent basis plus random unit combinations of it."""
+    """+/- the tangent basis plus, from dimension 2 on, random unit
+    combinations of it (on a line they would only repeat +/- the basis)."""
     dirs: list[np.ndarray] = []
     basis = cell.tangent.basis
     for b in basis:
         dirs.append(b.copy())
         dirs.append(-b)
-    for _ in range(cfg.tangent_combos):
+    for _ in range(cfg.tangent_combos if cell.dimension >= 2 else 0):
         c = rng.normal(size=cell.dimension)
         u = basis.T @ c
         nrm = float(np.linalg.norm(u))
@@ -335,20 +339,20 @@ def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
                       residual) -> ConditionReport:
     """Per-cell loop shared by conditions 4, 5 and the projection formula:
     residual(X, U) at sampled points x of every cell, for directions u
-    tangent to the cell (u = 0 on zero-dimensional cells, whose tangent
-    space is trivial). All points and directions are drawn first, then
+    tangent to the cell. All points and directions are drawn first, then
     evaluated in one call. A direction fails when its residual exceeds
     eps_eq * (1 + |u|).
+
+    Zero-dimensional cells are not sampled: their only tangent direction is
+    u = 0, where D(x, 0) = {0} by the GeneralizedDerivative contract and
+    F'(x, 0) = 0, so every oracle would pass there.
     """
     rng = rng or np.random.default_rng(0)
     samples, notes = _cell_samples(F, partition, cfg, rng)
     X, U = [], []
     for cell, pts in samples:
         for x in pts:
-            if cell.dimension:
-                dirs = _tangent_directions(cell, cfg, rng)
-            else:
-                dirs = [np.zeros(F.ambient_dim)]
+            dirs = _tangent_directions(cell, cfg, rng)
             X += [x] * len(dirs)
             U += dirs
     X = np.array(X).reshape(-1, F.ambient_dim)
@@ -368,11 +372,7 @@ def check_stratified_derivative(F: PiecewiseFunction, D: GeneralizedDerivative,
                                 cfg: VerifierConfig = VerifierConfig(),
                                 rng: np.random.Generator | None = None) -> ConditionReport:
     """On each cell of the partition, D must be a singleton equal to the
-    directional derivative for directions tangent to the cell.
-
-    Zero-dimensional cells have trivial tangent space: only u=0 is tested
-    there, where D(x,0)={0}=F'(x,0) is required.
-    """
+    directional derivative for directions tangent to the cell."""
     def residual(X, U):
         img = D.batch(X, U)
         target = F.directional_derivatives(X, U)

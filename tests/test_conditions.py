@@ -246,6 +246,37 @@ def test_projection_formula(abs1d, max2d):
         assert rep.verdict == "pass"
 
 
+@pytest.mark.parametrize("check", [check_stratified_derivative,
+                                   check_stratified_subdifferential])
+def test_zero_dimensional_cells_are_not_evaluated(max2d, check, monkeypatch):
+    # The only tangent direction of a vertex is u = 0, where D(x, 0) = {0}
+    # by contract: no oracle can fail there, so the vertex is not sampled.
+    part = refine(max2d.arrangement, Arrangement(2, (Hyperplane([0.0, 1.0], 0.25),)))
+    vertex = part.cell("00").point            # the lines cross at (0.25, 0.25)
+    seen = []
+    batch = GeneralizedDerivative.batch
+
+    def spy(self, X, U):
+        seen.extend(np.asarray(X))
+        return batch(self, X, U)
+
+    monkeypatch.setattr(GeneralizedDerivative, "batch", spy)
+    rep = check(max2d, oracle_clarke_linear(max2d), part, CFG, substream(0, "z0"))
+    assert rep.verdict == "pass" and seen
+    assert not any(np.allclose(x, vertex, atol=1e-9) for x in seen)
+
+
+def test_one_dimensional_cell_directions_are_plus_minus_basis():
+    # random combinations of a single basis vector are only +/- that vector
+    from stratacalc.conditions import _tangent_directions
+    cell = make_max2d().arrangement.cell("0")
+    rng = np.random.default_rng(0)
+    dirs = _tangent_directions(cell, CFG, rng)
+    basis = cell.tangent.basis
+    assert np.array_equal(np.array(dirs), np.vstack([basis, -basis]))
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # aggregation / matrix
 

@@ -61,9 +61,10 @@ def test_sample_cell_point_cap_exhaustion():
 
 
 def test_stratified_check_skips_unsamplable_cells_with_note():
-    # hyperplanes 1e-9 apart: the sliver full-dim cell defeats rejection
-    # sampling at the default margin, so it must be skipped and logged
-    arr = Arrangement(1, (Hyperplane([1.0], 0.0), Hyperplane([1.0], 1e-9)))
+    # hyperplanes 1e-8 apart: the sliver full-dim cell is nonempty for the
+    # LP (margin 5e-9 > 1e-9) but defeats rejection sampling at the default
+    # margin, so it must be skipped and logged
+    arr = Arrangement(1, (Hyperplane([1.0], 0.0), Hyperplane([1.0], 1e-8)))
     x = Polynomial.coordinate(1, 0)
     F = PiecewiseFunction(arr, 1, {
         "--": (x,), "+-": (x,), "++": (x,),
