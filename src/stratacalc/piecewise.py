@@ -313,6 +313,7 @@ class Arrangement:
         return np.where(np.abs(r) <= eps, 1, 2 * (r > 0))
 
     def sign_vector(self, x, eps: float = EPS_CELL) -> str:
+        """One point's sign vector as a string (the rule of sign_codes)."""
         r = self.residuals(x)
         return "".join("0" if abs(v) <= eps else ("+" if v > 0 else "-") for v in r)
 
@@ -618,8 +619,12 @@ class PiecewiseFunction:
         """evaluator(sign)(rows) for each piece index in the (N, V) array
         ids, called once per distinct piece on the rows that use it."""
         flat = ids.ravel()
+        pieces = set(flat.tolist())
+        if len(pieces) == 1:    # then V = 1: every row on the same piece
+            vals = evaluator(self._signs[pieces.pop()])(X)
+            return vals.reshape(ids.shape + vals.shape[1:])
         out = None
-        for p in set(flat.tolist()):
+        for p in pieces:
             at = np.flatnonzero(flat == p)
             vals = evaluator(self._signs[p])(X[at // ids.shape[1]])
             if out is None:
@@ -886,9 +891,7 @@ def _isolate_roots(coeffs: np.ndarray, t_lo: float, t_hi: float) -> list[float]:
     change and are intentionally not subdivision points: the active piece is
     identical on both sides."""
     grid = np.linspace(t_lo, t_hi, ROOT_SEED_INTERVALS + 1)
-    vals = np.zeros(grid.size)
-    for c in coeffs[::-1]:
-        vals = vals * grid + c
+    vals = _upolyval(coeffs[None], grid)[:, 0]
     roots = []
     scale = max(1.0, float(np.max(np.abs(vals))))
     for i in range(ROOT_SEED_INTERVALS):
@@ -970,9 +973,7 @@ def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
             h = arr._normals[i] @ piece
             h = h.copy()
             h[0] -= arr._offsets[i]
-            vals = np.zeros(probes.size)
-            for c in h[::-1]:
-                vals = vals * probes + c
+            vals = _upolyval(h[None], probes)[:, 0]
             v = vals[int(np.argmax(np.abs(vals)))]
             sigma.append("0" if v == 0.0 else ("+" if v > 0 else "-"))
         candidates = [s for s in arr.compatible_full_signs("".join(sigma))
