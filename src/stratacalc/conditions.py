@@ -150,8 +150,7 @@ def _sweep(F: PiecewiseFunction, x: np.ndarray, cfg: VerifierConfig, rng,
     ys = x + radii[:, None, None] * dirs
     inside = np.all((ys >= lo) & (ys <= hi), axis=2)
     res = np.full(inside.shape, np.nan)
-    if inside.any():
-        res[inside] = residual(ys[inside], np.broadcast_to(radii[:, None], inside.shape)[inside])
+    res[inside] = residual(ys[inside], np.broadcast_to(radii[:, None], inside.shape)[inside])
     kept = [k for k in range(len(radii)) if inside[k].any()]
     best = [int(np.nanargmax(res[k])) for k in kept]
     table = [float(res[k, i]) for k, i in zip(kept, best)]
@@ -246,7 +245,7 @@ def _curve_check(F, curves, cfg, rng, condition: str, test) -> ConditionReport:
         genuine = ~passed & ~near
         for i in np.flatnonzero(genuine)[:MAX_WITNESSES - len(witnesses)]:
             witnesses.append(Witness(tuple(X[i]), tuple(V[i]), float(res[i])))
-        table.append((f"curve{ci}", max(0.0, float(res.max()))))
+        table.append((f"curve{ci}", float(np.max(res, initial=0.0))))
         ok, n_genuine = int(passed.sum()), int(genuine.sum())
         frac = ok / (ok + n_genuine) if ok + n_genuine else 1.0
         if n_genuine > 0 or frac < AE_FRACTION:
@@ -357,11 +356,11 @@ def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
             U += dirs
     X = np.array(X).reshape(-1, F.ambient_dim)
     U = np.array(U).reshape(-1, F.ambient_dim)
-    res = residual(X, U) if len(X) else np.zeros(0)
+    res = residual(X, U)
     fails = np.flatnonzero(res > cfg.eps_eq * (1.0 + row_norms(U)))
     return ConditionReport(condition=condition,
                            verdict="fail" if fails.size else "pass",
-                           residual_table=(("max", max(0.0, *res.tolist())),),
+                           residual_table=(("max", float(np.max(res, initial=0.0))),),
                            witnesses=tuple(Witness(tuple(X[i]), tuple(U[i]), float(res[i]))
                                            for i in fails[:MAX_WITNESSES]),
                            notes=tuple(notes))

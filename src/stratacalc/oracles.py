@@ -79,7 +79,7 @@ def _row_loop(fn, X, U) -> np.ndarray:
 
 def _on_rows(keep: np.ndarray, kernel, X, U, m: int) -> np.ndarray:
     """kernel(X, U) on the rows where keep holds, {0} on the others."""
-    if keep.all():
+    if keep.all() and len(keep):
         return kernel(X, U)
     out = np.zeros((len(X), 1, m))
     if keep.any():

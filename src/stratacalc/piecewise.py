@@ -587,9 +587,9 @@ class PiecewiseFunction:
         # a single row needs no sign codes to be its own group
         first, inv = _groups(X if len(X) == 1 else self.arrangement.sign_codes(X))
         adj = [[self._index[s] for s in self.adjacent_full_signs(X[i])] for i in first]
-        width = max(map(len, adj))
-        table = np.array([a + a[:1] * (width - len(a)) for a in adj])
-        return table[inv], np.array([len(a) for a in adj])[inv]
+        width = max(map(len, adj), default=1)
+        table = np.array([a + a[:1] * (width - len(a)) for a in adj], dtype=int)
+        return table.reshape(len(adj), width)[inv], np.array(list(map(len, adj)), dtype=int)[inv]
 
     def _directional_ids(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
         """(N, 1) index of the piece active on (x, x + eps*u] per row (u != 0).
@@ -619,7 +619,7 @@ class PiecewiseFunction:
         """evaluator(sign)(rows) for each piece index in the (N, V) array
         ids, called once per distinct piece on the rows that use it."""
         flat = ids.ravel()
-        pieces = set(flat.tolist())
+        pieces = set(flat.tolist()) or {0}      # no rows: any piece gives the shape
         if len(pieces) == 1:    # then V = 1: every row on the same piece
             vals = evaluator(self._signs[pieces.pop()])(X)
             return vals.reshape(ids.shape + vals.shape[1:])

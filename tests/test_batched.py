@@ -176,3 +176,18 @@ def test_row_norms_and_diameters_equal_numpy_per_row():
             assert diameters(V[k, :1]) == 0.0
         padded = np.concatenate([V, V[:, :1]], axis=1)
         assert np.array_equal(diameters(padded), diameters(V))
+
+
+def test_empty_batches(functions):
+    # zero rows are a valid batch: a check with no samples passes vacuously
+    from stratacalc import VerifierConfig, check_conservative
+    F = functions[0]
+    none = np.zeros((0, F.ambient_dim))
+    assert F.values(none).shape == (0, F.output_dim)
+    assert F.value_differences(none, none).shape == (0, F.output_dim)
+    assert F.component_ranges(none, none)[0].shape == (0, F.output_dim)
+    assert parse_oracle("clarke", F).batch(none, none).shape == (0, 1, F.output_dim)
+    cf = default_corpus().function("max2d")
+    rep = check_conservative(cf.func, parse_oracle("clarke", cf.func), cf.curves,
+                             VerifierConfig(curve_samples=0), np.random.default_rng(0))
+    assert rep.verdict == "pass"
