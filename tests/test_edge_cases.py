@@ -60,11 +60,9 @@ def test_sample_cell_point_cap_exhaustion():
     assert pt is None
 
 
-def test_stratified_check_skips_unsamplable_cells_with_note():
-    # hyperplanes 1e-8 apart: the sliver full-dim cell is nonempty for the
-    # LP (margin 5e-9 > 1e-9) but defeats rejection sampling at the default
-    # margin, so it must be skipped and logged
-    arr = Arrangement(1, (Hyperplane([1.0], 0.0), Hyperplane([1.0], 1e-8)))
+def _sliver_check(gap: float):
+    """Condition 4 on x over two parallel hyperplanes `gap` apart."""
+    arr = Arrangement(1, (Hyperplane([1.0], 0.0), Hyperplane([1.0], gap)))
     x = Polynomial.coordinate(1, 0)
     F = PiecewiseFunction(arr, 1, {
         "--": (x,), "+-": (x,), "++": (x,),
@@ -72,7 +70,26 @@ def test_stratified_check_skips_unsamplable_cells_with_note():
     D = oracle_clarke_linear(F)
     cfg = VerifierConfig(cell_points=3, tangent_combos=2,
                          rejection_cap=300)
-    rep = check_stratified_derivative(F, D, arr, cfg, np.random.default_rng(1))
+    return check_stratified_derivative(F, D, arr, cfg, np.random.default_rng(1))
+
+
+def test_stratified_check_skips_unsamplable_cells_with_note():
+    # hyperplanes 1e-8 apart: the sliver full-dim cell is nonempty for the
+    # LP (margin 5e-9 > 1e-9) but defeats rejection sampling at the default
+    # margin, so it must be skipped and logged
+    rep = _sliver_check(1e-8)
+    assert rep.verdict == "pass"
+    assert any("skipped" in n for n in rep.notes)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "Arrangement.cell_nonempty judges the real sliver cells '0-', '+-', '+0' "
+    "empty at an absolute 1e-9 margin (and the point '00' nonempty), so the "
+    "unsamplable sliver is never reached and no note is written"))
+def test_stratified_check_skips_sliver_cell_1e9_apart_with_note():
+    # the same check with the hyperplanes 1e-9 apart: the sliver '+-' is a
+    # real cell, so it must be skipped and logged as well
+    rep = _sliver_check(1e-9)
     assert rep.verdict == "pass"
     assert any("skipped" in n for n in rep.notes)
 
