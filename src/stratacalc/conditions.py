@@ -319,11 +319,8 @@ def _cell_samples(F, partition: Arrangement, cfg, rng):
 def _tangent_directions(cell, cfg, rng) -> list[np.ndarray]:
     """+/- the tangent basis plus, from dimension 2 on, random unit
     combinations of it (on a line they would only repeat +/- the basis)."""
-    dirs: list[np.ndarray] = []
     basis = cell.tangent.basis
-    for b in basis:
-        dirs.append(b.copy())
-        dirs.append(-b)
+    dirs = [s * b for b in basis for s in (1.0, -1.0)]
     for _ in range(cfg.tangent_combos if cell.dimension >= 2 else 0):
         c = rng.normal(size=cell.dimension)
         u = basis.T @ c

@@ -37,8 +37,8 @@ class GeneralizedDerivative:
     returns an (N, V, m) vertex stack; a row with fewer than V vertices
     repeats its own vertex 0, so max, min and diameter reductions need no
     mask. The zero direction is short-circuited to {0}: positive homogeneity
-    at u=0 is asserted per row rather than trusted to the backing map. The
-    unasserted map stays reachable through `raw` for the assumption checker.
+    at u=0 is asserted per row rather than trusted to the backing map; the
+    assumption checker calls the unasserted `kernel` directly.
 
     The built-in oracles pass an array `kernel`; a pointwise `fn`
     (x, u) -> Polytope is run row by row instead.
@@ -65,10 +65,6 @@ class GeneralizedDerivative:
         return Polytope(self.batch(np.asarray(x, dtype=float)[None],
                                    np.asarray(u, dtype=float)[None])[0])
 
-    def raw(self, x, u) -> Polytope:
-        return Polytope(self.kernel(np.asarray(x, dtype=float)[None],
-                                    np.asarray(u, dtype=float)[None])[0])
-
 
 def _row_loop(fn, X, U) -> np.ndarray:
     """Array form of a pointwise oracle: one call per row, padded stack."""
@@ -79,8 +75,6 @@ def _row_loop(fn, X, U) -> np.ndarray:
 
 def _on_rows(keep: np.ndarray, kernel, X, U, m: int) -> np.ndarray:
     """kernel(X, U) on the rows where keep holds, {0} on the others."""
-    if keep.all() and len(keep):
-        return kernel(X, U)
     out = np.zeros((len(X), 1, m))
     if keep.any():
         sub = kernel(X[keep], U[keep])
@@ -213,7 +207,7 @@ def check_assumption(D: GeneralizedDerivative, F: PiecewiseFunction,
     for pi, x in enumerate(probes):
         rng = substream(seed, "assumption", pi)
         dirs = rng.normal(size=(cfg.directions_per_probe, n))
-        zero = D.raw(x, np.zeros(n))
+        zero = Polytope(D.kernel(x[None], np.zeros((1, n)))[0])
         gap0 = hausdorff(zero, Polytope(np.zeros((1, D.output_dim))))
         if gap0 > EPS_HOM:
             hom_worst = max(hom_worst, gap0)

@@ -313,9 +313,8 @@ class Arrangement:
         return np.where(np.abs(r) <= eps, 1, 2 * (r > 0))
 
     def sign_vector(self, x, eps: float = EPS_CELL) -> str:
-        """One point's sign vector as a string (the rule of sign_codes)."""
-        r = self.residuals(x)
-        return "".join("0" if abs(v) <= eps else ("+" if v > 0 else "-") for v in r)
+        """One point's sign vector as a string: sign_codes of one row."""
+        return "".join("-0+"[c] for c in self.sign_codes(x, eps))
 
     def _solve_cell_lp(self, sign: str):
         """Max-margin LP deciding nonemptiness; returns (margin, point)."""
@@ -432,35 +431,22 @@ def sample_cell_point(arr: Arrangement, sign: str, box: np.ndarray,
     constraints, then the strict signs are checked with a safety margin.
     Returns None when the cap is exhausted (caller logs and skips).
     """
-    n = arr.ambient_dim
     zeros = [i for i, c in enumerate(sign) if c == "0"]
     if zeros:
         A = arr._normals[zeros]
         b = arr._offsets[zeros]
         pinv = np.linalg.pinv(A)
     lo, hi = box
+    accept = [{"0": (-EPS_CELL, EPS_CELL), "+": (margin, np.inf),
+               "-": (-np.inf, -margin)}[c] for c in sign]
     for _ in range(cap):
         x = rng.uniform(lo, hi)
         if zeros:
             x = x - pinv @ (A @ x - b)
             if np.any(x < lo) or np.any(x > hi):
                 continue
-        r = arr.residuals(x)
-        ok = True
-        for i, c in enumerate(sign):
-            if c == "0":
-                if abs(r[i]) > EPS_CELL:
-                    ok = False
-                    break
-            elif c == "+":
-                if r[i] < margin:
-                    ok = False
-                    break
-            else:
-                if r[i] > -margin:
-                    ok = False
-                    break
-        if ok:
+        r = arr.residuals(x).tolist()
+        if all(rlo <= v <= rhi for v, (rlo, rhi) in zip(r, accept)):
             return x
     return None
 
@@ -471,7 +457,7 @@ def sample_cell_point(arr: Arrangement, sign: str, box: np.ndarray,
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows grouped by equal keys: the first row of each group, and the
     group of every row (a single row is its own group)."""
-    if len(keys) == 1:
+    if len(keys) == 1:     # np.unique over rows would dominate a one-row call
         return np.zeros(1, dtype=int), np.zeros(1, dtype=int)
     _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     return first, inv.ravel()
@@ -584,8 +570,7 @@ class PiecewiseFunction:
         """Piece indices of the cells adjacent to each row, looked up once
         per distinct sign vector: an (N, V) array whose short rows repeat
         their column 0, and the (N,) counts."""
-        # a single row needs no sign codes to be its own group
-        first, inv = _groups(X if len(X) == 1 else self.arrangement.sign_codes(X))
+        first, inv = _groups(self.arrangement.sign_codes(X))
         adj = [[self._index[s] for s in self.adjacent_full_signs(X[i])] for i in first]
         width = max(map(len, adj), default=1)
         table = np.array([a + a[:1] * (width - len(a)) for a in adj], dtype=int)
@@ -618,13 +603,8 @@ class PiecewiseFunction:
     def _at_pieces(self, evaluator, X: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """evaluator(sign)(rows) for each piece index in the (N, V) array
         ids, called once per distinct piece on the rows that use it."""
-        flat = ids.ravel()
-        pieces = set(flat.tolist()) or {0}      # no rows: any piece gives the shape
-        if len(pieces) == 1:    # then V = 1: every row on the same piece
-            vals = evaluator(self._signs[pieces.pop()])(X)
-            return vals.reshape(ids.shape + vals.shape[1:])
-        out = None
-        for p in pieces:
+        flat, out = ids.ravel(), None
+        for p in set(flat.tolist()) or {0}:     # no rows: any piece gives the shape
             at = np.flatnonzero(flat == p)
             vals = evaluator(self._signs[p])(X[at // ids.shape[1]])
             if out is None:
@@ -903,9 +883,7 @@ def _isolate_roots(coeffs: np.ndarray, t_lo: float, t_hi: float) -> list[float]:
         if va * vb < 0:
             while b - a > ROOT_TOL:
                 m = 0.5 * (a + b)
-                vm = 0.0
-                for c in coeffs[::-1]:
-                    vm = vm * m + c
+                vm = float(_upolyval(coeffs[None], m)[0])
                 if va * vm <= 0:
                     b = m
                 else:
@@ -937,7 +915,6 @@ def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
         for i in range(arr.k):
             # h_i(t) = <a_i, curve(t)> - b_i restricted to this piece
             h = arr._normals[i] @ piece
-            h = h.copy()
             h[0] -= arr._offsets[i]
             hscale = max(1.0, float(np.max(np.abs(piece))))
             if np.max(np.abs(h)) <= 1e-12 * hscale:
@@ -971,7 +948,6 @@ def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
                 sigma.append("0")
                 continue
             h = arr._normals[i] @ piece
-            h = h.copy()
             h[0] -= arr._offsets[i]
             vals = _upolyval(h[None], probes)[:, 0]
             v = vals[int(np.argmax(np.abs(vals)))]
@@ -985,10 +961,6 @@ def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
         coord_polys = [piece[c] for c in range(curve.dim)]
         rows = [F.pieces[chosen][i].compose_univariate(coord_polys)
                 for i in range(F.output_dim)]
-        width = max(r.size for r in rows)
-        mat = np.zeros((F.output_dim, width))
-        for i, r in enumerate(rows):
-            mat[i, : r.size] = r
-        out_pieces.append(mat)
+        out_pieces.append(Curve.from_coeffs(rows).pieces[0])
         out_boundary.append(boundary)
     return Curve(np.array(merged), tuple(out_pieces), tuple(out_boundary))
