@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Polytope, diameters, hausdorff, row_norms
+from .geometry import diameters, hausdorffs, row_norms
 # re-exports: the benchmark tracer wraps them here
-from .geometry import linear_range_over_polytope, project  # noqa: F401
+from .geometry import hausdorff, linear_range_over_polytope, project  # noqa: F401
 from .oracles import GeneralizedDerivative
 from .piecewise import (
     Arrangement,
@@ -284,8 +284,7 @@ def check_directional_symmetry(F: PiecewiseFunction, D: GeneralizedDerivative,
                                rng: np.random.Generator | None = None) -> ConditionReport:
     """D(curve(t), v) = -D(curve(t), -v) at almost every curve time."""
     def test(X, V, comp, ts):
-        pairs = zip(D.batch(X, V), -D.batch(X, -V))
-        res = np.array([hausdorff(Polytope(a), Polytope(b)) for a, b in pairs])
+        res = hausdorffs(D.batch(X, V), -D.batch(X, -V))
         return res, res <= cfg.eps_eq * (1.0 + row_norms(V))
 
     return _curve_check(F, curves, cfg, rng, "symmetry", test)

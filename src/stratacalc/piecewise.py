@@ -352,7 +352,10 @@ class Arrangement:
         cached = self._nonempty_cache.get(sign)
         if cached is None:
             margin, point = self._solve_cell_lp(sign)
-            cached = (margin > 1e-9, point)
+            # HiGHS meets equality rows only within its own tolerance
+            zero = [c == "0" for c in sign]
+            cached = (margin > 1e-9 and bool(np.all(
+                np.abs(self.residuals(point)[zero]) <= EPS_CELL)), point)
             self._nonempty_cache[sign] = cached
         return cached[0]
 

@@ -35,7 +35,7 @@ from .oracles import (
     parse_oracle,
     reflect_oracle,
 )
-from .piecewise import compose_exact
+from .piecewise import Curve, compose_exact
 from .report import render_matrix_report
 from .seeding import substream
 
@@ -193,23 +193,28 @@ def _corpus_items(ctx):
     return sorted(ctx.corpus.functions.items())
 
 
-@_check("piecewise", "one-sided velocity equals derivative limit at 0")
-def _p_univariate(ctx):
-    rng = substream(ctx.seed, "p-uni")
-    n_curves = 5 if ctx.fast else 20
+def univariate_gap(functions, rng: np.random.Generator, n_curves: int) -> float:
+    """Max |velocity(0) - derivative limit at 0+| of F along n_curves random
+    cubic curves per function, the limit extrapolated from two times below
+    the first breakpoint."""
     worst = 0.0
-    for fid, cf in _corpus_items(ctx):
-        F = cf.func
+    for F in functions:
         for _ in range(n_curves):
-            gamma_coeffs = rng.uniform(-2.0, 2.0, size=(F.ambient_dim, 4))
-            from .piecewise import Curve
-            comp = compose_exact(F, Curve.from_coeffs(gamma_coeffs))
+            gamma = Curve.from_coeffs(rng.uniform(-2.0, 2.0, size=(F.ambient_dim, 4)))
+            comp = compose_exact(F, gamma)
             v0 = comp.velocity(0.0)
             first = comp.breakpoints[1] if comp.breakpoints.size > 2 else 1.0
             t1, t2 = min(1e-7, first / 4), min(1e-8, first / 8)
             d1, d2 = comp.velocity(t1), comp.velocity(t2)
             limit = d2 + (d2 - d1) * t2 / (t1 - t2)
             worst = max(worst, float(np.max(np.abs(v0 - limit))))
+    return worst
+
+
+@_check("piecewise", "one-sided velocity equals derivative limit at 0")
+def _p_univariate(ctx):
+    worst = univariate_gap([cf.func for _, cf in _corpus_items(ctx)],
+                           substream(ctx.seed, "p-uni"), 5 if ctx.fast else 20)
     return worst <= 1e-8, f"max gap {worst:.2e} over corpus curves"
 
 

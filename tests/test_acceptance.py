@@ -26,9 +26,9 @@ from stratacalc.oracles import (
     parse_oracle,
     reflect_oracle,
 )
-from stratacalc.piecewise import Curve, compose_exact
+from stratacalc.piecewise import Curve
 from stratacalc.seeding import substream
-from stratacalc.selftest import forward_difference_slope_ok, member_sum_hull_lp
+from stratacalc.selftest import forward_difference_slope_ok, member_sum_hull_lp, univariate_gap
 from stratacalc.solvers import newton_rate_estimate, semismooth_newton
 
 CFG = VerifierConfig()
@@ -188,19 +188,8 @@ def test_criterion_7_newton_rates(corpus):
 
 
 def test_criterion_8_univariate_semismoothness(corpus):
-    rng = substream(SEED, "acc8")
-    worst = 0.0
-    for fid, cf in sorted(corpus.functions.items()):
-        F = cf.func
-        for _ in range(20):
-            gamma = Curve.from_coeffs(rng.uniform(-2, 2, size=(F.ambient_dim, 4)))
-            comp = compose_exact(F, gamma)
-            v0 = comp.velocity(0.0)
-            first = comp.breakpoints[1] if comp.breakpoints.size > 2 else 1.0
-            t1, t2 = min(1e-7, first / 4), min(1e-8, first / 8)
-            d1, d2 = comp.velocity(t1), comp.velocity(t2)
-            limit = d2 + (d2 - d1) * t2 / (t1 - t2)
-            worst = max(worst, float(np.max(np.abs(v0 - limit))))
+    worst = univariate_gap([cf.func for _, cf in sorted(corpus.functions.items())],
+                           substream(SEED, "acc8"), 20)
     _report("8 univariate semismoothness", worst <= 1e-8,
             f"max |velocity(0) - derivative limit| = {worst:.2e} (<=1e-8), "
             f"20 curves x {len(corpus.functions)} functions")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,18 @@ def test_check_positive_binding_exits_zero(tmp_path):
     text = out.read_text()
     assert text.startswith("stratacalc-report/1\n")
     assert "overall: pass" in text
+
+
+CHECK_GOLDEN = Path(__file__).parent / "data" / "check_seed7"
+
+
+@pytest.mark.parametrize("fid", sorted(default_corpus().functions))
+def test_check_clarke_seed7_matches_golden(tmp_path, fid):
+    # pins the assumption lines along with the rest of each check report
+    out = tmp_path / "r.txt"
+    run(["check", "--function", fid, "--oracle", "clarke", "--seed", "7",
+         "--output", str(out)])
+    assert out.read_bytes() == (CHECK_GOLDEN / f"{fid}.txt").read_bytes()
 
 
 def test_check_negative_control_exits_two(tmp_path):

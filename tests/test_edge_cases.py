@@ -73,6 +73,13 @@ def _sliver_check(gap: float):
     return check_stratified_derivative(F, D, arr, cfg, np.random.default_rng(1))
 
 
+def test_two_parallel_hyperplanes_1e9_apart_share_no_point():
+    # HiGHS accepts both equality rows of '00' within its own tolerance and
+    # returns a witness 1e-9 off the second hyperplane: not a point of both
+    arr = Arrangement(1, (Hyperplane([1.0], 0.0), Hyperplane([1.0], 1e-9)))
+    assert "00" not in arr.all_nonempty_signs()
+
+
 def test_stratified_check_skips_unsamplable_cells_with_note():
     # hyperplanes 1e-8 apart: the sliver full-dim cell is nonempty for the
     # LP (margin 5e-9 > 1e-9) but defeats rejection sampling at the default
@@ -84,8 +91,8 @@ def test_stratified_check_skips_unsamplable_cells_with_note():
 
 @pytest.mark.xfail(strict=True, reason=(
     "Arrangement.cell_nonempty judges the real sliver cells '0-', '+-', '+0' "
-    "empty at an absolute 1e-9 margin (and the point '00' nonempty), so the "
-    "unsamplable sliver is never reached and no note is written"))
+    "empty at an absolute 1e-9 margin, so the unsamplable sliver is never "
+    "reached and no note is written"))
 def test_stratified_check_skips_sliver_cell_1e9_apart_with_note():
     # the same check with the hyperplanes 1e-9 apart: the sliver '+-' is a
     # real cell, so it must be skipped and logged as well
