@@ -69,11 +69,22 @@ def _build_entry(corpus: Corpus, fid: str, oracle_id: str) -> MatrixEntry:
                        cf.base_points, cf.curves, cf.partition)
 
 
+def _finite_float(text: str) -> float:
+    """float(text), refusing nan and inf (argparse type for --c)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_point(text: str, dim: int) -> np.ndarray:
     try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise InputError(f"cannot parse point {text!r}") from None
+        vals = [_finite_float(v) for v in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"cannot parse point {text!r}: {exc}") from None
     if len(vals) != dim:
         raise InputError(f"point {text!r} has {len(vals)} coordinates, expected {dim}")
     return np.array(vals)
@@ -124,18 +135,22 @@ def cmd_matrix(args) -> int:
     return EXIT_OK if matrix.all_consistent else EXIT_FAIL
 
 
+def _solver_source(spec: str, F):
+    """"clarke" (the lexicographically minimal Clarke vertex) or an oracle."""
+    if spec == "clarke":
+        return spec
+    try:
+        return parse_oracle(spec, F)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
 def cmd_solve(args) -> int:
     corpus = _get_corpus(args)
     cf = _get_function(corpus, args.function)
     x0 = _parse_point(args.x0, cf.func.ambient_dim)
     if args.solver == "newton":
-        if args.jacobian in ("clarke", "branch"):
-            source = args.jacobian
-        else:
-            try:
-                source = parse_oracle(args.jacobian, cf.func)
-            except ValueError as exc:
-                raise InputError(str(exc)) from None
+        source = _solver_source(args.jacobian, cf.func)
         try:
             trace = semismooth_newton(cf.func, source, x0)
         except ValueError as exc:
@@ -151,9 +166,12 @@ def cmd_solve(args) -> int:
     # subgradient
     if cf.func.output_dim != 1:
         raise InputError(f"{args.function!r} is not a scalar objective")
-    source = "clarke" if args.oracle == "clarke" else parse_oracle(args.oracle, cf.func)
-    trace = subgradient_descent(cf.func, source, x0, rule=args.rule,
-                                c=args.c, iters=args.iters)
+    source = _solver_source(args.oracle, cf.func)
+    try:
+        trace = subgradient_descent(cf.func, source, x0, rule=args.rule,
+                                    c=args.c, iters=args.iters)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     text = rpt.render_subgradient_trace(args.function, trace, args.seed)
     _emit(text, args.output)
     if args.dump:
@@ -182,9 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "derivatives of piecewise-polynomial maps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--corpus", help="corpus file (stratacalc-corpus/1); "
-                                        "defaults to the built-in corpus")
+    def common(p, corpus=True):
+        if corpus:
+            p.add_argument("--corpus", help="corpus file (stratacalc-corpus/1); "
+                                            "defaults to the built-in corpus")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for all sampling (default 0)")
         p.add_argument("--output", help="write the report here instead of stdout")
@@ -210,12 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--x0", required=True, help="comma-separated start point")
     p.add_argument("--jacobian", default="clarke",
-                   help="newton: clarke | branch | an oracle id")
+                   help="newton: clarke (lexicographically minimal Clarke "
+                        "vertex) | a singleton oracle id, e.g. branch")
     p.add_argument("--oracle", default="clarke",
                    help="subgrad: clarke | an oracle id")
     p.add_argument("--rule", default="one_over_k",
                    choices=("constant", "one_over_k", "c_over_sqrt_k"))
-    p.add_argument("--c", type=float, default=1.0, help="step-size constant")
+    p.add_argument("--c", type=_finite_float, default=1.0, help="step-size constant")
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--use-known-root", action="store_true",
                    help="newton: rate ratios against the corpus minimizer")
@@ -223,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    common(p)
+    common(p, corpus=False)
     p.add_argument("--filter", help="restrict to one group "
                                     "(geometry, piecewise, oracles, conditions, "
                                     "solvers, corpus)")

@@ -28,6 +28,8 @@ from .geometry import diameters, hausdorffs, row_norms
 from .geometry import hausdorff, linear_range_over_polytope, project  # noqa: F401
 from .oracles import GeneralizedDerivative
 from .piecewise import (
+    EPS_EQ,
+    REJECTION_CAP,
     Arrangement,
     Curve,
     PiecewiseFunction,
@@ -49,6 +51,7 @@ CONDITION_NAMES = {
 
 
 # Fixed decision rules (README "Verdict rules").
+RADII = tuple(0.1 * 0.1 ** k for k in range(7))   # sweep radii, 1e-1 down to 1e-7
 ABS_PASS_FACTOR = 1e-6   # sweep passes below this * scale at the smallest radius
 SLOPE_PASS = 0.5         # ... or with a log-log decay slope at least this
 AE_FRACTION = 0.99       # pass fraction required per curve
@@ -58,19 +61,11 @@ MAX_WITNESSES = 5
 
 @dataclass(frozen=True)
 class VerifierConfig:
-    radii: tuple[float, ...] = tuple(0.1 * 0.1 ** k for k in range(7))
     n_uniform_directions: int = 64
     curve_samples: int = 512
-    eps_eq: float = 1e-9
     cell_points: int = 20
     tangent_combos: int = 10
-    rejection_cap: int = 100_000
-
-    def __post_init__(self):
-        if any(r2 >= r1 for r1, r2 in zip(self.radii, self.radii[1:])):
-            raise ValueError("radii must be strictly decreasing")
-        if self.eps_eq <= 0:
-            raise ValueError("eps_eq must be positive")
+    rejection_cap: int = REJECTION_CAP
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +141,7 @@ def _sweep(F: PiecewiseFunction, x: np.ndarray, cfg: VerifierConfig, rng,
     rng = rng or np.random.default_rng(0)
     dirs = _sweep_directions(F, x, cfg, rng)
     lo, hi = F.box
-    radii = np.array(cfg.radii)
+    radii = np.array(RADII)
     ys = x + radii[:, None, None] * dirs
     inside = np.all((ys >= lo) & (ys <= hi), axis=2)
     res = np.full(inside.shape, np.nan)
@@ -154,14 +149,14 @@ def _sweep(F: PiecewiseFunction, x: np.ndarray, cfg: VerifierConfig, rng,
     kept = [k for k in range(len(radii)) if inside[k].any()]
     best = [int(np.nanargmax(res[k])) for k in kept]
     table = [float(res[k, i]) for k, i in zip(kept, best)]
-    verdict, slope = _sweep_verdict([cfg.radii[k] for k in kept], table, _scale_of(F))
+    verdict, slope = _sweep_verdict([RADII[k] for k in kept], table, _scale_of(F))
     witnesses = ()
     if verdict == "fail":
         witnesses = (Witness(tuple(ys[kept[-1], best[-1]]), tuple(dirs[best[-1]]), table[-1]),)
     return ConditionReport(
         condition=condition,
         verdict=verdict,
-        residual_table=tuple((f"{cfg.radii[k]:.0e}", v) for k, v in zip(kept, table)),
+        residual_table=tuple((f"{RADII[k]:.0e}", v) for k, v in zip(kept, table)),
         slope=slope,
         witnesses=witnesses,
         sample_residuals=tuple(tuple(res[k].tolist()) for k in kept),
@@ -274,7 +269,7 @@ def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
         img = D.batch(X, V)
         miss = row_norms(img - comp.velocity(ts)[:, None, :]).max(axis=1)
         res = np.maximum(diameters(img), miss)
-        return res, res <= cfg.eps_eq * (1.0 + row_norms(V))
+        return res, res <= EPS_EQ * (1.0 + row_norms(V))
 
     return _curve_check(F, curves, cfg, rng, "3", test)
 
@@ -285,7 +280,7 @@ def check_directional_symmetry(F: PiecewiseFunction, D: GeneralizedDerivative,
     """D(curve(t), v) = -D(curve(t), -v) at almost every curve time."""
     def test(X, V, comp, ts):
         res = hausdorffs(D.batch(X, V), -D.batch(X, -V))
-        return res, res <= cfg.eps_eq * (1.0 + row_norms(V))
+        return res, res <= EPS_EQ * (1.0 + row_norms(V))
 
     return _curve_check(F, curves, cfg, rng, "symmetry", test)
 
@@ -336,7 +331,7 @@ def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
     residual(X, U) at sampled points x of every cell, for directions u
     tangent to the cell. All points and directions are drawn first, then
     evaluated in one call. A direction fails when its residual exceeds
-    eps_eq * (1 + |u|).
+    EPS_EQ * (1 + |u|).
 
     Zero-dimensional cells are not sampled: their only tangent direction is
     u = 0, where D(x, 0) = {0} by the GeneralizedDerivative contract and
@@ -353,7 +348,7 @@ def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
     X = np.array(X).reshape(-1, F.ambient_dim)
     U = np.array(U).reshape(-1, F.ambient_dim)
     res = residual(X, U)
-    fails = np.flatnonzero(res > cfg.eps_eq * (1.0 + row_norms(U)))
+    fails = np.flatnonzero(res > EPS_EQ * (1.0 + row_norms(U)))
     return ConditionReport(condition=condition,
                            verdict="fail" if fails.size else "pass",
                            residual_table=(("max", float(np.max(res, initial=0.0))),),

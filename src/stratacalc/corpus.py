@@ -180,8 +180,9 @@ def _p(num_vars, terms):
     return Polynomial.from_terms(num_vars, terms)
 
 
-def _random_curve(rng, dim: int, degree: int = 3) -> Curve:
-    return Curve.from_coeffs(rng.uniform(-2.0, 2.0, size=(dim, degree + 1)))
+def _random_curve(rng, dim: int) -> Curve:
+    """A random cubic curve."""
+    return Curve.from_coeffs(rng.uniform(-2.0, 2.0, size=(dim, 4)))
 
 
 def default_corpus() -> Corpus:
@@ -322,6 +323,5 @@ def default_corpus() -> Corpus:
         ("max2d", "zero-strata:clarke"),
         ("l1norm2d", "zero-strata:exact"),
     )
-    corpus = Corpus(functions=fns, matrix_rows=rows)
-    corpus.validate()
-    return corpus
+    # constant data: tests/test_corpus_io.py validates it once
+    return Corpus(functions=fns, matrix_rows=rows)

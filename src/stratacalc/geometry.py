@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Module-level tolerances (defaults; functions accept overrides).
+# Module-level tolerances.
 EPS_ORTH = 1e-12    # orthonormality slack for subspace bases
 EPS_QP = 1e-10      # distance / containment tolerance
 MAX_DIM = 8         # ambient dimensions supported
@@ -104,7 +104,7 @@ class Subspace:
         return cls(ambient_dim, np.eye(ambient_dim))
 
     @classmethod
-    def from_spanning(cls, vectors, ambient_dim: int, eps: float = EPS_ORTH) -> "Subspace":
+    def from_spanning(cls, vectors, ambient_dim: int) -> "Subspace":
         """Orthonormalize a (possibly redundant) spanning set via SVD."""
         arr = np.atleast_2d(np.asarray(vectors, dtype=float))
         if arr.size == 0:
@@ -112,11 +112,11 @@ class Subspace:
         if arr.shape[1] != ambient_dim:
             raise DimensionMismatchError("spanning vectors have wrong dimension")
         u, s, vt = np.linalg.svd(arr, full_matrices=False)
-        rank = int(np.sum(s > max(eps, 1e-12) * max(1.0, s[0] if s.size else 1.0)))
+        rank = int(np.sum(s > EPS_ORTH * max(1.0, s[0])))
         return cls(ambient_dim, vt[:rank])
 
     @classmethod
-    def null_space_of(cls, normals, ambient_dim: int, eps: float = EPS_ORTH) -> "Subspace":
+    def null_space_of(cls, normals, ambient_dim: int) -> "Subspace":
         """Orthonormal basis of {x : <a,x> = 0 for all rows a of normals}."""
         arr = np.atleast_2d(np.asarray(normals, dtype=float))
         if arr.size == 0:
@@ -124,14 +124,8 @@ class Subspace:
         if arr.shape[1] != ambient_dim:
             raise DimensionMismatchError("normals have wrong dimension")
         u, s, vt = np.linalg.svd(arr, full_matrices=True)
-        tol = max(eps, 1e-12) * max(1.0, s[0] if s.size else 1.0)
-        rank = int(np.sum(s > tol))
+        rank = int(np.sum(s > EPS_ORTH * max(1.0, s[0])))
         return cls(ambient_dim, vt[rank:])
-
-    def orthogonal_complement(self) -> "Subspace":
-        return Subspace.null_space_of(
-            self.basis if self.dim else np.zeros((0, self.ambient_dim)),
-            self.ambient_dim)
 
 
 def project(v, V: Subspace) -> np.ndarray:
@@ -172,22 +166,8 @@ class Polytope:
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
-    @classmethod
-    def singleton(cls, point) -> "Polytope":
-        return cls(np.atleast_2d(as_vector(point)))
-
-    def diameter(self) -> float:
-        """Max pairwise vertex distance (0 for singletons)."""
-        return float(diameters(self.vertices))
-
-    def translate(self, shift) -> "Polytope":
-        return Polytope(self.vertices + as_vector(shift, self.ambient_dim))
-
     def scale(self, c: float) -> "Polytope":
         return Polytope(c * self.vertices)
-
-    def __neg__(self) -> "Polytope":
-        return Polytope(-self.vertices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,10 +185,6 @@ class MatrixPolytope:
         if not np.all(np.isfinite(v)):
             raise ValueError("matrix vertices must be finite")
         object.__setattr__(self, "vertices", _freeze(v))
-
-    @property
-    def rows(self) -> int:
-        return self.vertices.shape[1]
 
     @property
     def cols(self) -> int:
@@ -244,11 +220,11 @@ def _affine_min_norm(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return points.T @ mu, mu
 
 
-def min_norm_point(points, eps: float = EPS_QP, max_iter: int = MNP_MAX_ITER) -> np.ndarray:
+def min_norm_point(points) -> np.ndarray:
     """Point of minimal Euclidean norm in conv(points), Wolfe's algorithm.
 
-    Terminates when the support-function gap certifies optimality within eps
-    (scaled), or at max_iter with the best iterate found.
+    Terminates when the support-function gap certifies optimality within
+    EPS_QP (scaled), or at MNP_MAX_ITER with the best iterate found.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     norms2 = np.sum(pts * pts, axis=1)
@@ -257,11 +233,11 @@ def min_norm_point(points, eps: float = EPS_QP, max_iter: int = MNP_MAX_ITER) ->
     lam = np.array([1.0])
     x = pts[start].copy()
     scale = max(1.0, float(np.sqrt(np.max(norms2))))
-    for _ in range(max_iter):
+    for _ in range(MNP_MAX_ITER):
         dots = pts @ x
         j = int(np.argmin(dots))
         gap = float(x @ x - dots[j])
-        if gap <= eps * scale:
+        if gap <= EPS_QP * scale:
             break
         if j in active:
             break  # no progress possible: numerical optimum
@@ -292,18 +268,17 @@ def min_norm_point(points, eps: float = EPS_QP, max_iter: int = MNP_MAX_ITER) ->
     return x
 
 
-def dist_point_polytope(v, P: Polytope, eps: float = EPS_QP,
-                        max_iter: int = MNP_MAX_ITER) -> float:
-    """Euclidean distance from a point to conv(P), within eps."""
+def dist_point_polytope(v, P: Polytope) -> float:
+    """Euclidean distance from a point to conv(P), within EPS_QP."""
     x = as_vector(v, None)
     if x.size != P.ambient_dim:
         raise DimensionMismatchError(
             f"point dim {x.size} != polytope dim {P.ambient_dim}")
-    best = min_norm_point(P.vertices - x, eps=eps, max_iter=max_iter)
+    best = min_norm_point(P.vertices - x)
     return float(np.linalg.norm(best))
 
 
-def hausdorff(P: Polytope, Q: Polytope, eps: float = EPS_QP) -> float:
+def hausdorff(P: Polytope, Q: Polytope) -> float:
     """Hausdorff distance between conv(P) and conv(Q).
 
     The sup over a polytope of the convex function dist(., conv Q) is attained
@@ -311,8 +286,8 @@ def hausdorff(P: Polytope, Q: Polytope, eps: float = EPS_QP) -> float:
     """
     if P.ambient_dim != Q.ambient_dim:
         raise DimensionMismatchError("polytopes live in different dimensions")
-    d_pq = max(dist_point_polytope(p, Q, eps=eps) for p in P.vertices)
-    d_qp = max(dist_point_polytope(q, P, eps=eps) for q in Q.vertices)
+    d_pq = max(dist_point_polytope(p, Q) for p in P.vertices)
+    d_qp = max(dist_point_polytope(q, P) for q in Q.vertices)
     return max(d_pq, d_qp)
 
 
@@ -331,8 +306,7 @@ def hausdorffs(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return out
 
 
-def subset_mod_subspace(A: Polytope, B: Polytope, V: Subspace,
-                        eps: float = EPS_QP) -> bool:
+def subset_mod_subspace(A: Polytope, B: Polytope, V: Subspace) -> bool:
     """Whether conv(A) is contained in conv(B) + V.
 
     Containment modulo a subspace reduces to containment of the projections
@@ -344,7 +318,7 @@ def subset_mod_subspace(A: Polytope, B: Polytope, V: Subspace,
         return p - project(p, V)
     b_proj = Polytope(np.array([drop(q) for q in B.vertices]))
     for a in A.vertices:
-        if dist_point_polytope(drop(a), b_proj, eps=eps) > eps:
+        if dist_point_polytope(drop(a), b_proj) > EPS_QP:
             return False
     return True
 

@@ -24,6 +24,7 @@ from .seeding import substream
 
 EPS_HOM = 1e-8
 HOM_T_FACTORS = (0.5, 2.0, 10.0)
+DIRECTIONS_PER_PROBE = 8
 LIPSCHITZ_RADIUS = 0.1
 LIPSCHITZ_CENTERS = 200
 LIPSCHITZ_PAIRS = 2
@@ -155,7 +156,9 @@ def parse_oracle(spec: str, F: PiecewiseFunction) -> GeneralizedDerivative:
         try:
             c = float(spec.split(":", 1)[1])
         except ValueError:
-            raise ValueError(f"bad scale factor in oracle id {spec!r}") from None
+            c = np.nan
+        if not np.isfinite(c):
+            raise ValueError(f"bad scale factor in oracle id {spec!r}")
         return scale_oracle(oracle_exact_directional(F), c)
     if spec.startswith("reflect:"):
         return reflect_oracle(parse_oracle(spec.split(":", 1)[1], F))
@@ -167,15 +170,9 @@ def parse_oracle(spec: str, F: PiecewiseFunction) -> GeneralizedDerivative:
 # ---------------------------------------------------------------------------
 # Assumption checks
 
-@dataclass(frozen=True)
-class AssumptionConfig:
-    directions_per_probe: int = 8
-    lipschitz_centers: int = LIPSCHITZ_CENTERS
-
-
 @dataclass(frozen=True, eq=False)
 class AssumptionReport:
-    full_domain: str                 # pass/fail
+    full_domain: str                 # "pass", or "fail (...)" naming a probe
     homogeneity: str
     homogeneity_worst: float
     homogeneity_witness: tuple | None
@@ -188,9 +185,17 @@ class AssumptionReport:
         return (self.full_domain, self.homogeneity, self.lipschitz) == ("pass",) * 3
 
 
+def _defined_hausdorffs(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, bool]:
+    """`hausdorffs` of the rows where both vertex stacks are finite (0 on the
+    others), and whether every row was."""
+    finite = np.isfinite(P).all(axis=(1, 2)) & np.isfinite(Q).all(axis=(1, 2))
+    out = np.zeros(len(P))
+    out[finite] = hausdorffs(P[finite], Q[finite])
+    return out, bool(finite.all())
+
+
 def check_assumption(D: GeneralizedDerivative, F: PiecewiseFunction,
-                     probe_points, cfg: AssumptionConfig = AssumptionConfig(),
-                     seed: int = 0) -> AssumptionReport:
+                     probe_points, seed: int = 0) -> AssumptionReport:
     """Sampled verification of full domain, positive homogeneity, and local
     uniform Lipschitz continuity in the direction argument.
 
@@ -198,23 +203,32 @@ def check_assumption(D: GeneralizedDerivative, F: PiecewiseFunction,
     t in HOM_T_FACTORS and checks D(x, 0) = {0} on the unasserted map. The
     Lipschitz constant is estimated and reported per probe; the verdict only
     fails on blow-up past LIPSCHITZ_BLOWUP. Each probe's draws come first, then
-    one `D.batch` call per check; a batch row always holds a vertex, so the
-    full domain holds once D evaluates every row.
+    one `D.batch` call per check. Full domain fails, naming the first such
+    probe, when a row evaluated for a probe has a non-finite vertex; such rows
+    are left out of the Hausdorff distances, so the report is still written.
     """
     probes = [np.asarray(p, dtype=float) for p in probe_points]
     n, m = D.input_dim, D.output_dim
     hom_worst, hom_witness = 0.0, None
+    undefined = set()    # probes with a non-finite vertex on some row
     witnesses = []
 
     for pi, x in enumerate(probes):
-        dirs = substream(seed, "assumption", pi).normal(size=(cfg.directions_per_probe, n))
-        gap0 = hausdorffs(D.kernel(x[None], np.zeros((1, n))), np.zeros((1, 1, m)))[0]
-        if gap0 > EPS_HOM:
-            hom_worst = max(hom_worst, float(gap0))
+        dirs = substream(seed, "assumption", pi).normal(size=(DIRECTIONS_PER_PROBE, n))
+        gap0, defined = _defined_hausdorffs(D.kernel(x[None], np.zeros((1, n))),
+                                            np.zeros((1, 1, m)))
+        if gap0[0] > EPS_HOM:
+            hom_worst = max(hom_worst, float(gap0[0]))
             hom_witness = (tuple(x), (0.0,) * n, 0.0)
         U = np.concatenate([dirs] + [t * dirs for t in HOM_T_FACTORS])
         base, *scaled = np.split(D.batch(np.tile(x, (len(U), 1)), U), 1 + len(HOM_T_FACTORS))
-        gaps = [hausdorffs(rows, t * base) for t, rows in zip(HOM_T_FACTORS, scaled)]
+        gaps = []
+        for t, rows in zip(HOM_T_FACTORS, scaled):
+            gap, ok = _defined_hausdorffs(rows, t * base)
+            gaps.append(gap)
+            defined &= ok
+        if not defined:
+            undefined.add(pi)
         for i, u in enumerate(dirs):  # u outer, t inner: ties keep the first witness
             for t, gap in zip(HOM_T_FACTORS, gaps):
                 tol = EPS_HOM * max(1.0, t * float(np.linalg.norm(u)))
@@ -231,21 +245,28 @@ def check_assumption(D: GeneralizedDerivative, F: PiecewiseFunction,
     for pi, p in enumerate(probes):
         rng = substream(seed, "lipschitz", pi)
         X, U = [], []
-        for _ in range(cfg.lipschitz_centers):
+        for _ in range(LIPSCHITZ_CENTERS):
             X += [p + LIPSCHITZ_RADIUS * rng.uniform(-1, 1, size=n)] * LIPSCHITZ_PAIRS
             U.append(rng.normal(size=(LIPSCHITZ_PAIRS, 2, n)))  # u1, u2 per pair
         U1, U2 = np.reshape(U, (-1, 2, n)).transpose(1, 0, 2)
         keep = row_norms(U1 - U2) >= 1e-12
         X, U1, U2 = np.reshape(X, (-1, n))[keep], U1[keep], U2[keep]
         out = D.batch(np.concatenate([X, X]), np.concatenate([U1, U2]))
-        L = float(np.max(hausdorffs(out[:len(X)], out[len(X):]) / row_norms(U1 - U2),
-                         initial=0.0))
+        dist, defined = _defined_hausdorffs(out[:len(X)], out[len(X):])
+        if not defined:
+            undefined.add(pi)
+        L = float(np.max(dist / row_norms(U1 - U2), initial=0.0))
         lipschitz_constants.append(L)
         if L > LIPSCHITZ_BLOWUP:
             lipschitz = "fail"
             witnesses.append((tuple(p), None, L))
 
-    return AssumptionReport(full_domain="pass",
+    full_domain = "pass"
+    if undefined:
+        pi = min(undefined)
+        full_domain = (f"fail (probe {pi} at {tuple(map(float, probes[pi]))} "
+                       "gives a non-finite vertex)")
+    return AssumptionReport(full_domain=full_domain,
                             homogeneity=homogeneity,
                             homogeneity_worst=hom_worst,
                             homogeneity_witness=hom_witness,

@@ -100,22 +100,9 @@ class Polynomial:
         e[j] = 1
         return cls.from_terms(num_vars, [(tuple(e), 1.0)])
 
-    @property
-    def degree(self) -> int:
-        if self.exponents.shape[0] == 0:
-            return 0
-        return int(self.exponents.sum(axis=1).max())
-
     def terms(self) -> list[tuple[tuple[int, ...], float]]:
         return [(tuple(int(v) for v in e), float(c))
                 for e, c in zip(self.exponents, self.coeffs)]
-
-    def __call__(self, x) -> float:
-        return float(self.eval_many(np.asarray(x, dtype=float)[None])[0])
-
-    def eval_many(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate on an (N, num_vars) array of points."""
-        return _StackedPolys([self], ())(np.asarray(X, dtype=float))
 
     def partial(self, j: int) -> "Polynomial":
         rows = []
@@ -249,9 +236,6 @@ class Hyperplane:
         object.__setattr__(self, "normal", a)
         object.__setattr__(self, "offset", b)
 
-    def side(self, x) -> float:
-        return float(self.normal @ np.asarray(x, dtype=float) - self.offset)
-
     def same_as(self, other: "Hyperplane") -> bool:
         """Geometric equality, treating opposite orientations as equal."""
         if np.allclose(self.normal, other.normal, atol=EPS_CELL) and \
@@ -307,14 +291,14 @@ class Arrangement:
         x = np.asarray(x, dtype=float)
         return np.matmul(self._normals, x[..., None])[..., 0] - self._offsets
 
-    def sign_codes(self, X, eps: float = EPS_CELL) -> np.ndarray:
+    def sign_codes(self, X) -> np.ndarray:
         """Sign vectors of the rows of X as integers: 0 '-', 1 '0', 2 '+'."""
         r = self.residuals(X)
-        return np.where(np.abs(r) <= eps, 1, 2 * (r > 0))
+        return np.where(np.abs(r) <= EPS_CELL, 1, 2 * (r > 0))
 
-    def sign_vector(self, x, eps: float = EPS_CELL) -> str:
+    def sign_vector(self, x) -> str:
         """One point's sign vector as a string: sign_codes of one row."""
-        return "".join("-0+"[c] for c in self.sign_codes(x, eps))
+        return "".join("-0+"[c] for c in self.sign_codes(x))
 
     def _solve_cell_lp(self, sign: str):
         """Max-margin LP deciding nonemptiness; returns (margin, point)."""
@@ -406,10 +390,6 @@ class Cell:
     tangent: Subspace
     point: np.ndarray
 
-    @property
-    def normal_space(self) -> Subspace:
-        return self.tangent.orthogonal_complement()
-
 
 def refine(a1: Arrangement, a2: Arrangement) -> Arrangement:
     """Common refinement: concatenate hyperplane lists, dropping geometric
@@ -426,7 +406,6 @@ def refine(a1: Arrangement, a2: Arrangement) -> Arrangement:
 
 def sample_cell_point(arr: Arrangement, sign: str, box: np.ndarray,
                       rng: np.random.Generator,
-                      margin: float = SAMPLE_MARGIN,
                       cap: int = REJECTION_CAP) -> np.ndarray | None:
     """Rejection-sample a point of the cell inside the box.
 
@@ -440,8 +419,8 @@ def sample_cell_point(arr: Arrangement, sign: str, box: np.ndarray,
         b = arr._offsets[zeros]
         pinv = np.linalg.pinv(A)
     lo, hi = box
-    accept = [{"0": (-EPS_CELL, EPS_CELL), "+": (margin, np.inf),
-               "-": (-np.inf, -margin)}[c] for c in sign]
+    accept = [{"0": (-EPS_CELL, EPS_CELL), "+": (SAMPLE_MARGIN, np.inf),
+               "-": (-np.inf, -SAMPLE_MARGIN)}[c] for c in sign]
     for _ in range(cap):
         x = rng.uniform(lo, hi)
         if zeros:
@@ -689,9 +668,6 @@ class PiecewiseFunction:
     def piece_value(self, sign: str, x) -> np.ndarray:
         return self._value_eval(sign)(np.asarray(x, dtype=float)[None])[0]
 
-    def piece_jacobian(self, sign: str, x) -> np.ndarray:
-        return self._jac_eval(sign)(np.asarray(x, dtype=float)[None])[0]
-
     def directional_cell(self, x, u) -> str:
         """Full-dimensional sign vector of the piece active on (x, x+eps*u]
         for small eps > 0."""
@@ -731,7 +707,7 @@ class ContinuityReport:
 
 
 def validate_continuity(F: PiecewiseFunction, n_samples: int = N_FACET_SAMPLES,
-                        eps: float = EPS_EQ, seed: int = 0) -> ContinuityReport:
+                        seed: int = 0) -> ContinuityReport:
     """Sample shared facets of adjacent full-dimensional pieces and compare
     the two piece values. Report-only; lists violating pairs with witnesses."""
     arr = F.arrangement
@@ -756,7 +732,7 @@ def validate_continuity(F: PiecewiseFunction, n_samples: int = N_FACET_SAMPLES,
             pts = np.array([p for p in pts if p is not None]).reshape(-1, arr.ambient_dim)
             gaps = row_norms(F._value_eval(sign)(pts) - F._value_eval(other)(pts))
             worst = int(np.argmax(gaps)) if len(gaps) else None
-            if worst is not None and gaps[worst] > eps:
+            if worst is not None and gaps[worst] > EPS_EQ:
                 violations.append(ContinuityViolation(sign, other, pts[worst],
                                                       float(gaps[worst])))
     return ContinuityReport(ok=not violations, violations=tuple(violations),

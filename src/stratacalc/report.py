@@ -92,8 +92,7 @@ def matrix_csv(matrix: MatrixReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_matrix_report(matrix: MatrixReport, seed: int,
-                         include_details: bool = True) -> str:
+def render_matrix_report(matrix: MatrixReport, seed: int) -> str:
     lines = [REPORT_TAG,
              "command: matrix",
              f"seed: {seed}",
@@ -105,11 +104,10 @@ def render_matrix_report(matrix: MatrixReport, seed: int,
         if row.has_inconclusive:
             flag += " (has inconclusive)"
         lines.append(f"entry {row.entry_id}: {verdict_str} [{flag}]")
-    if include_details:
-        for row in matrix.rows:
-            lines.append(f"--- entry {row.entry_id}")
-            for cid in sorted(row.reports):
-                lines += ["  " + l for l in render_condition(row.reports[cid])]
+    for row in matrix.rows:
+        lines.append(f"--- entry {row.entry_id}")
+        for cid in sorted(row.reports):
+            lines += ["  " + l for l in render_condition(row.reports[cid])]
     lines.append(f"all_consistent: {str(matrix.all_consistent).lower()}")
     lines.append("csv:")
     lines.append(matrix_csv(matrix).rstrip("\n"))

@@ -35,17 +35,20 @@ from .oracles import (
     parse_oracle,
     reflect_oracle,
 )
-from .piecewise import Curve, compose_exact
+from .piecewise import EPS_EQ, Curve, compose_exact
 from .report import render_matrix_report
 from .seeding import substream
 
 
+LP_MEMBER_TOL = 1e-9   # L1 slack below which member_sum_hull_lp reports membership
+
+
 @dataclass
 class SelftestContext:
-    eps_eq: float = 1e-9
+    eps_eq: float = EPS_EQ
     seed: int = 0
-    corpus: Corpus = field(default_factory=default_corpus)
     fast: bool = False   # trims sample counts for unit-test use
+    corpus: Corpus = field(init=False, repr=False, default_factory=default_corpus)
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ def _g_metric(ctx):
     return True, "symmetry, triangle inequality, separation hold"
 
 
-def member_sum_hull_lp(point, b_vertices, v_basis, tol=1e-9) -> bool:
+def member_sum_hull_lp(point, b_vertices, v_basis) -> bool:
     """Brute-force membership of point in conv(B) + span(V): an L1-slack LP
     (HiGHS) whose optimum is zero exactly for members. Raises RuntimeError
     when HiGHS does not solve the LP."""
@@ -148,7 +151,7 @@ def member_sum_hull_lp(point, b_vertices, v_basis, tol=1e-9) -> bool:
     res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if res.status != 0:
         raise RuntimeError(f"membership LP not solved: {res.message}")
-    return bool(res.fun <= tol)
+    return bool(res.fun <= LP_MEMBER_TOL)
 
 
 @_check("geometry", "subset-mod-subspace agrees with direct membership")
@@ -265,7 +268,7 @@ def _p_singleton(ctx):
         F = cf.func
         for _ in range(10):
             x = rng.uniform(-5, 5, size=F.ambient_dim)
-            if "0" in F.arrangement.sign_vector(x, eps=1e-6):
+            if np.any(np.abs(F.arrangement.residuals(x)) <= 1e-6):
                 continue
             if F.clarke_jacobian(x).n_vertices != 1:
                 return False, f"{fid}: multiple vertices at interior point {x}"
@@ -377,7 +380,7 @@ def _o_coincide(ctx):
         oracles = _corpus_oracles(F)
         for _ in range(10):
             x = rng.uniform(-5, 5, size=F.ambient_dim)
-            if "0" in F.arrangement.sign_vector(x, eps=1e-6):
+            if np.any(np.abs(F.arrangement.residuals(x)) <= 1e-6):
                 continue
             u = rng.normal(size=F.ambient_dim)
             outs = [D(x, u).vertices for D in oracles]

@@ -3,9 +3,10 @@ method driven by generalized-derivative oracles.
 
 The Newton step inverts one deterministic element of the generalized
 Jacobian (lexicographically minimal vertex of the Clarke polytope, or the
-branch selection); near-singular selections are damped diagonally on a
-fixed schedule. Rate estimates quantify the superlinear convergence that
-the semismoothness conditions certify.
+matrix assembled from a singleton oracle such as the branch selection);
+near-singular selections are damped diagonally on a fixed schedule. Rate
+estimates quantify the superlinear convergence that the semismoothness
+conditions certify.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ DET_TOL = 1e-12
 DAMP_INIT = 1e-8
 DAMP_MAX = 1e-2
 STEP_MAX = 1e6   # damped steps beyond this are a stall, not progress
+GRID_CHUNK = 200_000   # grid nodes evaluated per call in grid_minimize
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,10 +41,6 @@ class NewtonTrace:
     def converged(self) -> bool:
         return self.status == "converged"
 
-    @property
-    def solution(self) -> np.ndarray:
-        return self.iterates[-1]
-
 
 def _jacobian_from_oracle(D: GeneralizedDerivative, x: np.ndarray) -> np.ndarray:
     """Assemble a matrix column-by-column from a singleton oracle."""
@@ -55,11 +53,10 @@ def _jacobian_from_oracle(D: GeneralizedDerivative, x: np.ndarray) -> np.ndarray
 
 
 def _select_jacobian(F: PiecewiseFunction, source, x: np.ndarray) -> np.ndarray:
+    """The lexicographically minimal Clarke vertex for "clarke", else the
+    matrix of a singleton oracle."""
     if source == "clarke":
         return F.clarke_jacobian(x).lex_min_vertex()
-    if source == "branch":
-        sign = F.adjacent_full_signs(x)[0]
-        return F.piece_jacobian(sign, x)
     if isinstance(source, GeneralizedDerivative):
         return _jacobian_from_oracle(source, x)
     raise ValueError(f"unknown jacobian source {source!r}")
@@ -68,10 +65,12 @@ def _select_jacobian(F: PiecewiseFunction, source, x: np.ndarray) -> np.ndarray:
 def semismooth_newton(F: PiecewiseFunction, jacobian_source, x0) -> NewtonTrace:
     """Newton iteration x+ = x - A(x)^{-1} F(x) on a square piecewise map.
 
-    A(x) is the selected generalized Jacobian. When |det A| < DET_TOL the
-    matrix is damped as A + lambda*I with lambda doubling from DAMP_INIT up
-    to DAMP_MAX; if no lambda restores invertibility, or the damped step is
-    absurdly long (flat singular pieces), the run stops as singular_stall.
+    A(x) is the selected generalized Jacobian: jacobian_source is "clarke" or
+    a singleton oracle such as `oracle_branch_selection(F)`. When
+    |det A| < DET_TOL the matrix is damped as A + lambda*I with lambda
+    doubling from DAMP_INIT up to DAMP_MAX; if no lambda restores
+    invertibility, or the damped step is absurdly long (flat singular
+    pieces), the run stops as singular_stall.
     """
     if F.output_dim != F.ambient_dim:
         raise ValueError("semismooth Newton needs a square system (m = n)")
@@ -122,13 +121,12 @@ def semismooth_newton(F: PiecewiseFunction, jacobian_source, x0) -> NewtonTrace:
                        status, tuple(damping_log))
 
 
-def newton_rate_estimate(trace: NewtonTrace, root=None,
-                         tol: float = 1e-12) -> list[float]:
+def newton_rate_estimate(trace: NewtonTrace, root=None) -> list[float]:
     """Error contraction ratios e_{k+1}/e_k with e_k = ||x_k - x*||.
 
     x* defaults to the final iterate (self-referential estimate); pass the
     known root when available. Ratios are reported only where e_k exceeds
-    100*tol, below which the estimate is noise.
+    100*NEWTON_TOL, below which the estimate is noise.
     """
     xs = trace.iterates
     if len(xs) < 3 and root is None:
@@ -137,7 +135,7 @@ def newton_rate_estimate(trace: NewtonTrace, root=None,
     errs = [float(np.linalg.norm(x - xstar)) for x in xs]
     ratios = []
     for k in range(len(errs) - 1):
-        if errs[k] > 100.0 * tol:
+        if errs[k] > 100.0 * NEWTON_TOL:
             ratios.append(errs[k + 1] / errs[k])
     return ratios
 
@@ -155,10 +153,6 @@ class SubgradientTrace:
     @property
     def best_value(self) -> float:
         return min(self.values)
-
-    @property
-    def best_point(self) -> np.ndarray:
-        return self.iterates[int(np.argmin(self.values))]
 
 
 def step_size(rule: str, c: float, k: int) -> float:
@@ -189,14 +183,7 @@ def subgradient_descent(f: PiecewiseFunction, grad_source, x0,
     grads: list[np.ndarray] = []
     steps: list[float] = []
     for k in range(1, iters + 1):
-        if grad_source == "clarke":
-            sub = f.component_clarke(x, 1)
-            g = min((tuple(v) for v in sub.vertices))
-            g = np.asarray(g, dtype=float)
-        elif isinstance(grad_source, GeneralizedDerivative):
-            g = _jacobian_from_oracle(grad_source, x)[0]
-        else:
-            raise ValueError(f"unknown gradient source {grad_source!r}")
+        g = _select_jacobian(f, grad_source, x)[0]
         alpha = step_size(rule, c, k)
         x = x - alpha * g
         iterates.append(x.copy())
@@ -207,8 +194,8 @@ def subgradient_descent(f: PiecewiseFunction, grad_source, x0,
                             tuple(steps))
 
 
-def grid_minimize(f: PiecewiseFunction, lo, hi, resolution: float = 1e-3,
-                  chunk: int = 200_000) -> tuple[np.ndarray, float]:
+def grid_minimize(f: PiecewiseFunction, lo, hi,
+                  resolution: float = 1e-3) -> tuple[np.ndarray, float]:
     """Brute-force grid search for the minimizer of a scalar objective.
 
     Independent of the descent path: evaluates every grid node of the box
@@ -222,8 +209,8 @@ def grid_minimize(f: PiecewiseFunction, lo, hi, resolution: float = 1e-3,
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
     best_val, best_pt = np.inf, None
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start:start + chunk]
+    for start in range(0, pts.shape[0], GRID_CHUNK):
+        block = pts[start:start + GRID_CHUNK]
         vals = f.values(block)[:, 0]
         idx = int(np.argmin(vals))
         if vals[idx] < best_val:

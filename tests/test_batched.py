@@ -21,13 +21,13 @@ from stratacalc.geometry import (
     linear_range_over_polytope,
     row_norms,
 )
+from stratacalc import oracles
 from stratacalc.oracles import (
     EPS_HOM,
     HOM_T_FACTORS,
     LIPSCHITZ_BLOWUP,
     LIPSCHITZ_PAIRS,
     LIPSCHITZ_RADIUS,
-    AssumptionConfig,
     AssumptionReport,
     check_assumption,
 )
@@ -125,16 +125,17 @@ def _scalar_oracle(F, oracle_id, x, u):
     return np.array(jacs) @ u
 
 
-def _scalar_assumption(D, probe_points, cfg, seed):
+def _scalar_assumption(D, probe_points, seed):
     """check_assumption as a loop of one-row oracle calls and Hausdorff
-    distances, in the draw and scan order the batched form keeps."""
+    distances, in the draw and scan order the batched form keeps, with the
+    sample sizes the oracles module holds at call time."""
     probes = [np.asarray(p, dtype=float) for p in probe_points]
     n = D.input_dim
     hom_worst, hom_witness = 0.0, None
     witnesses = []
     for pi, x in enumerate(probes):
         rng = substream(seed, "assumption", pi)
-        dirs = rng.normal(size=(cfg.directions_per_probe, n))
+        dirs = rng.normal(size=(oracles.DIRECTIONS_PER_PROBE, n))
         zero = Polytope(D.kernel(x[None], np.zeros((1, n)))[0])
         gap0 = hausdorff(zero, Polytope(np.zeros((1, D.output_dim))))
         if gap0 > EPS_HOM:
@@ -154,7 +155,7 @@ def _scalar_assumption(D, probe_points, cfg, seed):
     for pi, p in enumerate(probes):
         rng = substream(seed, "lipschitz", pi)
         L = 0.0
-        for _ in range(cfg.lipschitz_centers):
+        for _ in range(oracles.LIPSCHITZ_CENTERS):
             x = p + LIPSCHITZ_RADIUS * rng.uniform(-1, 1, size=n)
             for _ in range(LIPSCHITZ_PAIRS):
                 u1 = rng.normal(size=n)
@@ -306,30 +307,36 @@ def _handcrafted_oracles():
     ]
 
 
-def test_check_assumption_equals_one_row_loop():
-    cfg = AssumptionConfig(directions_per_probe=4, lipschitz_centers=10)
+def _set_sizes(monkeypatch, directions, centers):
+    monkeypatch.setattr(oracles, "DIRECTIONS_PER_PROBE", directions)
+    monkeypatch.setattr(oracles, "LIPSCHITZ_CENTERS", centers)
+
+
+def test_check_assumption_equals_one_row_loop(monkeypatch):
+    _set_sizes(monkeypatch, 4, 10)
     corpus = default_corpus()
     for fid in sorted(corpus.functions):
         cf = corpus.function(fid)
         for oracle_id in ("exact", "clarke", "branch", "scale:2", "zero-strata:clarke"):
             D = parse_oracle(oracle_id, cf.func)
-            _assert_same_report(check_assumption(D, cf.func, cf.base_points, cfg, seed=3),
-                                _scalar_assumption(D, cf.base_points, cfg, seed=3))
+            _assert_same_report(check_assumption(D, cf.func, cf.base_points, seed=3),
+                                _scalar_assumption(D, cf.base_points, seed=3))
     F = corpus.function("abs1d").func
     probes = [[0.5], [0.0], [-2.0]]
     for D in _handcrafted_oracles():
-        rep = check_assumption(D, F, probes, cfg, seed=5)
+        rep = check_assumption(D, F, probes, seed=5)
         assert rep.homogeneity == "fail"
-        _assert_same_report(rep, _scalar_assumption(D, probes, cfg, seed=5))
+        _assert_same_report(rep, _scalar_assumption(D, probes, seed=5))
 
 
-@pytest.mark.parametrize("cfg, probes", [
-    (AssumptionConfig(lipschitz_centers=0), [[0.5], [0.0]]),
-    (AssumptionConfig(directions_per_probe=0, lipschitz_centers=5), [[0.5], [0.0]]),
-    (AssumptionConfig(), []),
+@pytest.mark.parametrize("cfg, probes", [   # cfg: (directions per probe, centers)
+    ((8, 0), [[0.5], [0.0]]),
+    ((0, 5), [[0.5], [0.0]]),
+    ((8, 200), []),
 ])
-def test_check_assumption_degenerate_configs(cfg, probes):
+def test_check_assumption_degenerate_configs(monkeypatch, cfg, probes):
+    _set_sizes(monkeypatch, *cfg)
     F = default_corpus().function("abs1d").func
     for D in [parse_oracle("clarke", F)] + _handcrafted_oracles():
-        _assert_same_report(check_assumption(D, F, probes, cfg, seed=2),
-                            _scalar_assumption(D, probes, cfg, seed=2))
+        _assert_same_report(check_assumption(D, F, probes, seed=2),
+                            _scalar_assumption(D, probes, seed=2))

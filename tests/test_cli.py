@@ -148,6 +148,27 @@ def test_solve_nonsquare_exit_one():
     assert run(["solve", "newton", "--function", "maxreg2d", "--x0", "1,1"]) == 1
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["solve", "subgrad", "--function", "abs1d", "--x0", "nan"], "'nan'"),
+    (["solve", "newton", "--function", "pwq2d", "--x0", "1,inf"], "'inf'"),
+    (["solve", "subgrad", "--function", "abs1d", "--x0", "1",
+      "--rule", "constant", "--c", "nan"], "--c: not a finite number: 'nan'"),
+    (["check", "--function", "abs1d", "--oracle", "scale:nan"], "'scale:nan'"),
+    (["check", "--function", "abs1d", "--oracle", "scale:inf"], "'scale:inf'"),
+    (["solve", "newton", "--function", "abs1d", "--x0", "1",
+      "--jacobian", "scale:nan"], "'scale:nan'"),
+    (["solve", "subgrad", "--function", "abs1d", "--x0", "1", "--oracle", "wat"], "'wat'"),
+    (["solve", "subgrad", "--function", "abs1d", "--x0", "0",
+      "--oracle", "reflect:clarke"], "set-valued"),
+], ids=["x0-nan", "x0-inf", "c-nan", "oracle-scale-nan", "oracle-scale-inf",
+        "jacobian-scale-nan", "subgrad-unknown-oracle", "subgrad-set-valued-oracle"])
+def test_bad_cli_values_exit_one_naming_them(capsys, argv, named):
+    # regression: each printed a traceback, or an error not naming the value
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and named in err
+
+
 # ---------------------------------------------------------------------------
 # selftest
 
@@ -170,6 +191,12 @@ def test_selftest_filter_geometry(tmp_path):
 
 def test_selftest_unknown_filter():
     assert run(["selftest", "--filter", "bogus"]) == 1
+
+
+def test_selftest_has_no_corpus_flag(tmp_path):
+    # selftest always checks the built-in corpus; the flag was silently ignored
+    assert run(["selftest", "--fast", "--filter", "corpus",
+                "--corpus", str(tmp_path / "missing.json")]) == 1
 
 
 def test_selftest_corrupted_tolerance_exits_two(tmp_path):

@@ -36,6 +36,20 @@ def test_default_corpus_contents(corpus):
     assert len(negatives) >= 3
 
 
+def test_default_corpus_validates(corpus):
+    corpus.validate()
+
+
+def test_default_corpus_solves_no_cell_lp(monkeypatch):
+    # the built-in corpus is constant data, validated once above
+    calls = []
+    solve = Arrangement._solve_cell_lp
+    monkeypatch.setattr(Arrangement, "_solve_cell_lp",
+                        lambda arr, sign: calls.append(sign) or solve(arr, sign))
+    default_corpus()
+    assert calls == []
+
+
 def test_default_corpus_base_points_include_kinks(corpus):
     # every function with strata designates at least one base point on them
     for fid, cf in corpus.functions.items():

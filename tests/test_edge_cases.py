@@ -108,13 +108,6 @@ def test_eval_outside_any_piece_raises():
         F.value([-2.0])
 
 
-def test_verifier_config_validation():
-    with pytest.raises(ValueError, match="decreasing"):
-        VerifierConfig(radii=(1e-3, 1e-2))
-    with pytest.raises(ValueError, match="positive"):
-        VerifierConfig(eps_eq=0.0)
-
-
 def test_piecewise_function_rejects_bad_pieces():
     arr = Arrangement(1, (Hyperplane([1.0], 0.0),))
     with pytest.raises(PiecewiseError, match="sign"):

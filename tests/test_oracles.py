@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from stratacalc.geometry import Polytope, hausdorff
+from stratacalc.report import render_assumption
+from stratacalc import oracles
 from stratacalc.oracles import (
-    AssumptionConfig,
     GeneralizedDerivative,
     check_assumption,
     oracle_branch_selection,
@@ -28,8 +29,11 @@ def max2d():
     return make_max2d()
 
 
-# a cheap config so assumption sweeps stay fast in unit tests
-FAST = AssumptionConfig(lipschitz_centers=25, directions_per_probe=4)
+@pytest.fixture
+def fast_assumption(monkeypatch):
+    """Smaller assumption-checker samples, so unit tests stay fast."""
+    monkeypatch.setattr(oracles, "LIPSCHITZ_CENTERS", 25)
+    monkeypatch.setattr(oracles, "DIRECTIONS_PER_PROBE", 4)
 
 
 def test_exact_oracle_abs(abs1d):
@@ -146,8 +150,9 @@ def test_parse_oracle_ids(abs1d):
     assert parse_oracle("zero-strata:exact", abs1d).name == "zero-strata:exact"
     with pytest.raises(ValueError):
         parse_oracle("bogus", abs1d)
-    with pytest.raises(ValueError):
-        parse_oracle("scale:x", abs1d)
+    for spec in ("scale:x", "scale:nan", "scale:inf", "scale:-inf"):
+        with pytest.raises(ValueError, match="bad scale factor"):
+            parse_oracle(spec, abs1d)
 
 
 def test_zero_direction_shortcircuit(abs1d):
@@ -162,29 +167,45 @@ def test_zero_direction_shortcircuit(abs1d):
 # ---------------------------------------------------------------------------
 # check_assumption
 
-def test_assumption_clarke_abs_passes(abs1d):
+def test_assumption_clarke_abs_passes(abs1d, fast_assumption):
     D = oracle_clarke_linear(abs1d)
-    rep = check_assumption(D, abs1d, [[0.0], [1.0]], FAST, seed=5)
+    rep = check_assumption(D, abs1d, [[0.0], [1.0]], seed=5)
     assert rep.ok
     # hausdorff([-t,t],[-s,s]) gives L=1 around the kink
     assert rep.lipschitz_constants[0] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_assumption_quadratic_direction_fails():
+def test_assumption_quadratic_direction_fails(fast_assumption):
     # handcrafted D(x,u) = {||u||^2}: positively homogeneous it is not
     F = make_abs1d()
     D = GeneralizedDerivative("quad", "handcrafted", 1, 1,
                               lambda x, u: Polytope([[float(u @ u)]]))
-    rep = check_assumption(D, F, [[0.5]], FAST, seed=5)
+    rep = check_assumption(D, F, [[0.5]], seed=5)
     assert rep.homogeneity == "fail"
     assert rep.homogeneity_witness is not None
     # worst violation at the largest tested factor
     assert rep.homogeneity_witness[2] in (0.5, 2.0, 10.0)
 
 
-def test_assumption_exact_passes_both(abs1d, max2d):
+def test_assumption_exact_passes_both(abs1d, max2d, fast_assumption):
     for F in (abs1d, max2d):
         D = oracle_exact_directional(F)
         pts = [np.zeros(F.ambient_dim), np.full(F.ambient_dim, 0.5)]
-        rep = check_assumption(D, F, pts, FAST, seed=1)
+        rep = check_assumption(D, F, pts, seed=1)
         assert rep.ok
+
+
+def test_assumption_full_domain_fails_on_a_non_finite_vertex(abs1d, fast_assumption):
+    # D(x, u) = {u} for x <= 0 and {inf} for x > 0: every row at probe 1
+    # (x = 0.5) and the Lipschitz rows right of probe 2 (x = 0) are undefined
+    D = GeneralizedDerivative(
+        "inf-right", "handcrafted", 1, 1,
+        kernel=lambda X, U: np.where(X[:, None, :] > 0, np.inf, U[:, None, :]))
+    rep = check_assumption(D, abs1d, [[-1.0], [0.5], [0.0]], seed=5)
+    assert rep.full_domain == "fail (probe 1 at (0.5,) gives a non-finite vertex)"
+    assert not rep.ok
+    # the finite rows are still compared: D is linear in u there
+    assert (rep.homogeneity, rep.lipschitz) == ("pass", "pass")
+    assert rep.lipschitz_constants[0] == pytest.approx(1.0)
+    assert render_assumption(rep)[0] == f"assumption full_domain: {rep.full_domain}"
+
