@@ -35,10 +35,17 @@ class InputError(Exception):
     """Bad corpus, unknown id, or malformed flags: maps to exit 1."""
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(output, text)
     else:
         sys.stdout.write(text)
 
@@ -80,6 +87,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """int(text) >= 1 (argparse type for --iters)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _parse_point(text: str, dim: int) -> np.ndarray:
     try:
         vals = [_finite_float(v) for v in text.split(",")]
@@ -97,6 +115,8 @@ def cmd_check(args) -> int:
     corpus = _get_corpus(args)
     entry = _build_entry(corpus, args.function, args.oracle)
     requested = tuple(c.strip() for c in args.conditions.split(",") if c.strip())
+    if not requested:
+        raise InputError(f"--conditions names no condition: {args.conditions!r}")
     known = {"1", "2", "3", "4", "5"}
     if not set(requested) <= known:
         raise InputError(f"unknown condition ids in {args.conditions!r}")
@@ -130,8 +150,7 @@ def cmd_matrix(args) -> int:
     text = rpt.render_matrix_report(matrix, seed=args.seed)
     _emit(text, args.output)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(rpt.matrix_csv(matrix))
+        _write(args.csv, rpt.matrix_csv(matrix))
     return EXIT_OK if matrix.all_consistent else EXIT_FAIL
 
 
@@ -160,8 +179,7 @@ def cmd_solve(args) -> int:
         text = rpt.render_newton_trace(args.function, trace, rates, args.seed)
         _emit(text, args.output)
         if args.dump:
-            with open(args.dump, "w", encoding="utf-8") as fh:
-                fh.write(rpt.newton_csv(trace))
+            _write(args.dump, rpt.newton_csv(trace))
         return EXIT_STALL if trace.status == "singular_stall" else EXIT_OK
     # subgradient
     if cf.func.output_dim != 1:
@@ -175,8 +193,7 @@ def cmd_solve(args) -> int:
     text = rpt.render_subgradient_trace(args.function, trace, args.seed)
     _emit(text, args.output)
     if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            fh.write(rpt.subgradient_csv(trace))
+        _write(args.dump, rpt.subgradient_csv(trace))
     return EXIT_OK
 
 
@@ -236,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", default="one_over_k",
                    choices=("constant", "one_over_k", "c_over_sqrt_k"))
     p.add_argument("--c", type=_finite_float, default=1.0, help="step-size constant")
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--iters", type=_positive_int, default=200)
     p.add_argument("--use-known-root", action="store_true",
                    help="newton: rate ratios against the corpus minimizer")
     p.add_argument("--dump", help="per-iteration CSV dump path")

@@ -20,9 +20,16 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .geometry import MatrixPolytope, Polytope, Subspace, as_rows, as_vector, row_norms
+from .geometry import (
+    EPS_ORTH,
+    MatrixPolytope,
+    Polytope,
+    Subspace,
+    as_rows,
+    as_vector,
+    row_norms,
+)
 
 EPS_CELL = 1e-10       # sign-vector zero declaration threshold
 EPS_EQ = 1e-9          # value-agreement tolerance (continuity, curves)
@@ -33,6 +40,10 @@ ROOT_SEED_INTERVALS = 1024
 ROOT_TOL = 1e-13
 REJECTION_CAP = 100_000
 SAMPLE_MARGIN = 1e-6   # sign margin when sampling cell interiors
+LP_BOX = 1e4           # |x|_inf bound that keeps the cell LP bounded
+LP_TOL = 1e-9          # smallest simplex pivot; phase-1 infeasibility margin
+LP_EPS = 1e-12         # reduced-cost and ratio-tie tolerance of the simplex
+LP_MAX_PIVOTS = 5000
 
 _SIGN_ORDER = {"-": 0, "0": 1, "+": 2}
 
@@ -245,6 +256,65 @@ class Hyperplane:
             abs(self.offset + other.offset) <= EPS_CELL
 
 
+def _pivot(tab: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    tab[r] /= tab[r, j]
+    col = tab[:, j].copy()
+    col[r] = 0.0
+    tab -= np.outer(col, tab[r])
+    basis[r] = j
+
+
+def _bland(tab: np.ndarray, basis: np.ndarray, cost_row: int, ncols: int) -> None:
+    """Pivot until no reduced cost in tab[cost_row, :ncols] is negative.
+    Bland's rule (lowest entering index, ties leave by lowest basic index)
+    cannot cycle (Bland 1977); the pivot cap guards against rounding."""
+    R = basis.size
+    for _ in range(LP_MAX_PIVOTS):
+        enter = np.flatnonzero(tab[cost_row, :ncols] < -LP_EPS)
+        if not enter.size:
+            return
+        j = enter[0]
+        col = tab[:R, j]
+        ok = col > LP_TOL
+        if not ok.any():
+            raise RuntimeError("cell LP is unbounded")
+        ratio = np.full(R, np.inf)
+        ratio[ok] = np.maximum(tab[:R, -1][ok], 0.0) / col[ok]
+        ties = np.flatnonzero(ratio <= ratio.min() + LP_EPS)
+        _pivot(tab, basis, ties[np.argmin(basis[ties])], j)
+    raise RuntimeError(f"cell LP: no optimum after {LP_MAX_PIVOTS} pivots")
+
+
+def _simplex_max(A: np.ndarray, h: np.ndarray, c: np.ndarray) -> np.ndarray | None:
+    """max c.y subject to A y <= h, y >= 0, for a bounded LP, by a dense
+    tableau simplex. Negative entries of h get a phase 1 with one
+    artificial column. Returns the optimal y, or None when infeasible."""
+    R, C = A.shape
+    art = C + R                        # columns: y, slacks, artificial, rhs
+    tab = np.zeros((R + 2, art + 2))
+    tab[:R, :C] = A
+    tab[:R, C:art] = np.eye(R)
+    tab[:R, art] = np.where(h < 0, -1.0, 0.0)
+    tab[:R, -1] = h
+    tab[R, :C] = -c                    # phase-2 reduced costs
+    tab[R + 1, art] = 1.0              # phase 1: max -artificial
+    basis = np.arange(C, art)
+    if h.min() < 0:
+        _pivot(tab, basis, int(np.argmin(h)), art)
+        _bland(tab, basis, R + 1, art + 1)
+        if tab[R + 1, -1] < -LP_TOL:
+            return None
+        at = np.flatnonzero(basis == art)
+        if at.size:                    # degenerate: drive it out at value 0
+            out = np.flatnonzero(np.abs(tab[at[0], :art]) > LP_TOL)
+            if out.size:
+                _pivot(tab, basis, at[0], out[0])
+    _bland(tab, basis, R, art)
+    y = np.zeros(art + 1)
+    y[basis] = tab[:R, -1]
+    return y[:C]
+
+
 @dataclass(frozen=True, eq=False)
 class Arrangement:
     """Ordered list of hyperplanes; order is part of identity since sign
@@ -301,34 +371,41 @@ class Arrangement:
         return "".join("-0+"[c] for c in self.sign_codes(x))
 
     def _solve_cell_lp(self, sign: str):
-        """Max-margin LP deciding nonemptiness; returns (margin, point)."""
-        n, k = self.ambient_dim, self.k
-        if k == 0:
-            return 1.0, np.zeros(n)
-        A_ub, b_ub, A_eq, b_eq = [], [], [], []
-        for i, c in enumerate(sign):
-            a, b = self._normals[i], self._offsets[i]
-            if c == "0":
-                A_eq.append(np.append(a, 0.0))
-                b_eq.append(b)
-            else:
-                s = 1.0 if c == "+" else -1.0
-                # s*(a.x - b) >= m  <=>  -s*a.x + m <= -s*b
-                A_ub.append(np.append(-s * a, 1.0))
-                b_ub.append(-s * b)
-        bound = 1e4
-        bounds = [(-bound, bound)] * n + [(None, 1.0)]
-        c_obj = np.zeros(n + 1)
-        c_obj[-1] = -1.0
-        res = linprog(c_obj,
-                      A_ub=np.array(A_ub) if A_ub else None,
-                      b_ub=np.array(b_ub) if b_ub else None,
-                      A_eq=np.array(A_eq) if A_eq else None,
-                      b_eq=np.array(b_eq) if b_eq else None,
-                      bounds=bounds, method="highs")
-        if not res.success:
+        """Max-margin LP deciding nonemptiness: max m subject to
+        s_i (a_i.x - b_i) >= m on the rows signed s_i = -1/+1, a_j.x = b_j on
+        the zero rows, |x|_inf <= LP_BOX and m <= 1. Returns (margin, point),
+        or (-inf, None) when the LP is infeasible."""
+        n = self.ambient_dim
+        codes = np.array([_SIGN_ORDER[c] - 1 for c in sign], dtype=float)
+        zero = codes == 0
+        # x = x0 + N z: x0 is the min-norm least-squares point of the zero
+        # rows, N an orthonormal basis of their null space
+        x0, N = np.zeros(n), np.eye(n)
+        if zero.any():
+            u, sv, vt = np.linalg.svd(self._normals[zero])
+            rank = int(np.sum(sv > EPS_ORTH * max(1.0, sv[0])))
+            x0 = vt[:rank].T @ (u[:, :rank].T @ self._offsets[zero] / sv[:rank])
+            N = vt[rank:].T
+        s = codes[~zero]
+        slack = s * self.residuals(x0)[~zero]
+        # m = m0 + mu: z = 0, mu = 0 is a feasible start when x0 is in the
+        # box; mu is split into mu+ - mu- since m* < m0 when it is not
+        m0 = min(1.0, slack.min(initial=1.0))
+        G = -s[:, None] * (self._normals[~zero] @ N)
+        d = N.shape[1]
+        mu = np.array([[1.0, -1.0]])
+        A = np.vstack([np.hstack([G, -G, np.repeat(mu, s.size, axis=0)]),
+                       np.hstack([N, -N, np.zeros((n, 2))]),
+                       np.hstack([-N, N, np.zeros((n, 2))]),
+                       np.hstack([np.zeros((1, 2 * d)), mu])])
+        h = np.concatenate([slack - m0, LP_BOX - x0, LP_BOX + x0, [1.0 - m0]])
+        y = _simplex_max(A, h, A[-1])   # the last row, mu <= 1 - m0, is max mu
+        if y is None:
             return -np.inf, None
-        return float(res.x[-1]), res.x[:-1].copy()
+        x = x0 + N @ (y[:d] - y[d:2 * d])
+        # the margin x attains, which equals the optimum up to rounding: a
+        # nonempty decision then rests on a point that is in the cell
+        return float(min(1.0, (s * self.residuals(x)[~zero]).min(initial=1.0))), x
 
     def cell_nonempty(self, sign: str) -> bool:
         if len(sign) != self.k:
@@ -336,7 +413,9 @@ class Arrangement:
         cached = self._nonempty_cache.get(sign)
         if cached is None:
             margin, point = self._solve_cell_lp(sign)
-            # HiGHS meets equality rows only within its own tolerance
+            # zero rows that share no point (distinct parallel hyperplanes)
+            # leave a least-squares witness off them; rejecting it keeps the
+            # decisions equal to HiGHS's (tests/test_cell_lp.py)
             zero = [c == "0" for c in sign]
             cached = (margin > 1e-9 and bool(np.all(
                 np.abs(self.residuals(point)[zero]) <= EPS_CELL)), point)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import conditions as cond
 from . import solvers
@@ -134,6 +133,10 @@ def member_sum_hull_lp(point, b_vertices, v_basis) -> bool:
     """Brute-force membership of point in conv(B) + span(V): an L1-slack LP
     (HiGHS) whose optimum is zero exactly for members. Raises RuntimeError
     when HiGHS does not solve the LP."""
+    # imported here: scipy.optimize takes about half a second to import,
+    # which no other command should pay
+    from scipy.optimize import linprog
+
     point = np.asarray(point, float)
     bv = np.atleast_2d(np.asarray(b_vertices, float))
     n = point.size

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -160,13 +163,55 @@ def test_solve_nonsquare_exit_one():
     (["solve", "subgrad", "--function", "abs1d", "--x0", "1", "--oracle", "wat"], "'wat'"),
     (["solve", "subgrad", "--function", "abs1d", "--x0", "0",
       "--oracle", "reflect:clarke"], "set-valued"),
+    (["solve", "subgrad", "--function", "abs1d", "--x0", "1", "--iters", "-3"],
+     "--iters: not a positive integer: '-3'"),
+    (["solve", "subgrad", "--function", "abs1d", "--x0", "1", "--iters", "0"],
+     "--iters: not a positive integer: '0'"),
+    (["check", "--function", "abs1d", "--oracle", "clarke", "--conditions", " , "],
+     "--conditions"),
 ], ids=["x0-nan", "x0-inf", "c-nan", "oracle-scale-nan", "oracle-scale-inf",
-        "jacobian-scale-nan", "subgrad-unknown-oracle", "subgrad-set-valued-oracle"])
+        "jacobian-scale-nan", "subgrad-unknown-oracle", "subgrad-set-valued-oracle",
+        "iters-negative", "iters-zero", "conditions-empty"])
 def test_bad_cli_values_exit_one_naming_them(capsys, argv, named):
-    # regression: each printed a traceback, or an error not naming the value
+    # regression: each printed a traceback, an error not naming the value,
+    # or (iters, conditions) ran and reported success
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err and named in err
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--output", ["check", "--function", "abs1d", "--oracle", "clarke",
+                  "--conditions", "1"]),
+    ("--csv", ["matrix", "--seed", "-1"]),
+    ("--dump", ["solve", "newton", "--function", "absplus", "--x0", "2"]),
+])
+def test_unwritable_path_exits_one_naming_it(tmp_path, capsys, flag, argv):
+    # regression: the OSError escaped main as a traceback
+    path = tmp_path / "missing" / "x.txt"
+    assert run(argv + [flag, str(path)]) == 1
+    assert f"error: cannot write {path}: " in capsys.readouterr().err
+
+
+def test_cli_commands_import_no_scipy():
+    # scipy.optimize alone was ~0.6 s of every CLI start; only selftest and
+    # the tests may import scipy
+    code = (
+        "import contextlib, io, sys\n"
+        "from stratacalc.cli import main\n"
+        "for argv in (['check', '--function', 'max2d', '--oracle', 'clarke'],\n"
+        "             ['matrix', '--seed', '7'],\n"
+        "             ['solve', 'newton', '--function', 'pwq2d', '--x0', '0.3,0.2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(argv)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,8 @@ def _sliver_check(gap: float):
 
 
 def test_two_parallel_hyperplanes_1e9_apart_share_no_point():
-    # HiGHS accepts both equality rows of '00' within its own tolerance and
-    # returns a witness 1e-9 off the second hyperplane: not a point of both
+    # the zero rows of '00' share no point: the LP's witness lies off one
+    # of them (HiGHS's by 1e-9, the least-squares one by 5e-10 off both)
     arr = Arrangement(1, (Hyperplane([1.0], 0.0), Hyperplane([1.0], 1e-9)))
     assert "00" not in arr.all_nonempty_signs()
 
