@@ -201,8 +201,7 @@ def cmd_selftest(args) -> int:
     if args.filter and args.filter not in available_groups():
         raise InputError(f"unknown selftest group {args.filter!r}; "
                          f"known: {', '.join(available_groups())}")
-    ctx = SelftestContext(eps_eq=args.inject_eps_eq, seed=args.seed,
-                          fast=args.fast)
+    ctx = SelftestContext(eps_eq=args.inject_eps_eq, seed=args.seed)
     results = run_selftest(ctx, group_filter=args.filter)
     _emit(rpt.render_selftest(results), args.output)
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
@@ -264,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", help="restrict to one group "
                                     "(geometry, piecewise, oracles, conditions, "
                                     "solvers, corpus)")
-    p.add_argument("--fast", action="store_true",
-                   help="trimmed sample counts (used by unit tests)")
     p.add_argument("--inject-eps-eq", type=float, default=1e-9,
                    help=argparse.SUPPRESS)   # harness-sanity injection hook
     p.set_defaults(fn=cmd_selftest)

@@ -10,11 +10,12 @@ the evidence to a verdict with a residual table and witnesses:
   4  D equals the directional derivative on stratum tangents
   5  D(x,u) lies in the row-wise Clarke-subdifferential box on tangents
 
-plus the directional-symmetry property implied by 3 and the scalar
-projection formula. The limit statements are operationalized by a two-sided
-pass rule: absolute threshold at the smallest radius OR a fitted log-log
-decay slope; "almost every t" skips samples within a tolerance of detected
-crossing times and requires a 99% pass fraction elsewhere.
+plus two sanity checks that selftest runs: the first-order expansion
+anchored at the base point and the scalar projection formula. The limit
+statements are operationalized by a two-sided pass rule: absolute threshold
+at the smallest radius OR a fitted log-log decay slope; "almost every t"
+skips samples within a tolerance of detected crossing times and requires a
+99% pass fraction elsewhere.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import diameters, hausdorffs, row_norms
+from .geometry import diameters, row_norms
 # re-exports: the benchmark tracer wraps them here
 from .geometry import hausdorff, linear_range_over_polytope, project  # noqa: F401
 from .oracles import GeneralizedDerivative
@@ -45,8 +46,6 @@ CONDITION_NAMES = {
     "3": "conservative",
     "4": "stratified derivative",
     "5": "stratified subdifferential",
-    "symmetry": "directional symmetry",
-    "projection_formula": "projection formula",
 }
 
 
@@ -58,13 +57,16 @@ AE_FRACTION = 0.99       # pass fraction required per curve
 CROSSING_TOL = 1e-10     # curve failures this close to a crossing are excused
 MAX_WITNESSES = 5
 
+N_UNIFORM_DIRECTIONS = 64   # uniform sweep directions per base point
+CURVE_SAMPLES = 512         # sampled times per curve
+CELL_POINTS = 20            # sampled points per cell
+TANGENT_COMBOS = 10         # random tangent combinations per cell point
+
 
 @dataclass(frozen=True)
 class VerifierConfig:
-    n_uniform_directions: int = 64
-    curve_samples: int = 512
-    cell_points: int = 20
-    tangent_combos: int = 10
+    """The rejection-sampling budget of a cell, shared by its CELL_POINTS
+    draws. Every check takes a config; only the per-cell checks read it."""
     rejection_cap: int = REJECTION_CAP
 
 
@@ -115,11 +117,12 @@ def _sweep_verdict(radii, residuals, scale):
 
 
 def _sweep_directions(F: PiecewiseFunction, x: np.ndarray,
-                      cfg: VerifierConfig, rng: np.random.Generator) -> np.ndarray:
-    """64 uniform directions plus +/- the tangent basis of the stratum
-    through x (so tangential approach directions are always exercised)."""
+                      rng: np.random.Generator) -> np.ndarray:
+    """N_UNIFORM_DIRECTIONS uniform directions plus +/- the tangent basis of
+    the stratum through x (so tangential approach directions are always
+    exercised)."""
     n = F.ambient_dim
-    dirs = [unit_directions(rng, n, cfg.n_uniform_directions)]
+    dirs = [unit_directions(rng, n, N_UNIFORM_DIRECTIONS)]
     sigma = F.arrangement.sign_vector(x)
     cell = F.arrangement.cell(sigma)
     if cell.tangent.dim:
@@ -128,7 +131,7 @@ def _sweep_directions(F: PiecewiseFunction, x: np.ndarray,
     return np.vstack(dirs)
 
 
-def _sweep(F: PiecewiseFunction, x: np.ndarray, cfg: VerifierConfig, rng,
+def _sweep(F: PiecewiseFunction, x: np.ndarray, rng,
            condition: str, residual) -> ConditionReport:
     """Shrinking-sphere sweep shared by conditions 1, 2 and the base-anchored
     check: residual(Y, r) at the rows y = x + r*d of Y for every radius r and
@@ -139,7 +142,7 @@ def _sweep(F: PiecewiseFunction, x: np.ndarray, cfg: VerifierConfig, rng,
     maximum at the last radius kept.
     """
     rng = rng or np.random.default_rng(0)
-    dirs = _sweep_directions(F, x, cfg, rng)
+    dirs = _sweep_directions(F, x, rng)
     lo, hi = F.box
     radii = np.array(RADII)
     ys = x + radii[:, None, None] * dirs
@@ -180,7 +183,7 @@ def check_semismooth_I(F: PiecewiseFunction, D: GeneralizedDerivative, x,
         diff = F.value_differences(Y, np.broadcast_to(x, Y.shape))
         return row_norms(diff[:, None, :] - D.batch(Y, Y - x)).max(axis=1) / r
 
-    return _sweep(F, x, cfg, rng, "1", residual)
+    return _sweep(F, x, rng, "1", residual)
 
 
 def check_semismooth_II(F: PiecewiseFunction, D: GeneralizedDerivative, x,
@@ -193,7 +196,7 @@ def check_semismooth_II(F: PiecewiseFunction, D: GeneralizedDerivative, x,
         diff = F.value_differences(Y, np.broadcast_to(x, Y.shape))
         return row_norms(diff[:, None, :] + D.batch(Y, x - Y)).max(axis=1) / r
 
-    return _sweep(F, x, cfg, rng, "2", residual)
+    return _sweep(F, x, rng, "2", residual)
 
 
 def check_base_anchored(F: PiecewiseFunction, x,
@@ -217,24 +220,36 @@ def check_base_anchored(F: PiecewiseFunction, x,
             pred = np.matmul(fixed_matrix, (Y - x)[..., None])[..., 0]
         return row_norms(F.value_differences(Y, X) - pred) / r
 
-    return _sweep(F, x, cfg, rng, "b_der", residual)
+    return _sweep(F, x, rng, "b_der", residual)
 
 
 # ---------------------------------------------------------------------------
-# curve-based checks (condition 3 and the directional-symmetry property)
+# curve-based check (condition 3)
 
-def _curve_check(F, curves, cfg, rng, condition: str, test) -> ConditionReport:
-    """Per-curve loop: test(X, V, comp, ts) -> (residuals, passed) for all
-    sampled times ts of a curve at once, X and V the curve's points and
-    velocities there and comp its exact composition with F."""
+def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
+                       curves, cfg: VerifierConfig = VerifierConfig(),
+                       rng: np.random.Generator | None = None) -> ConditionReport:
+    """Chain rule along curves: D(curve(t), velocity(t)) must be a singleton
+    equal to the exact derivative of the composition at almost every t.
+
+    All sampled times of a curve are evaluated in one call. Samples on
+    boundary subintervals (curve traveling inside a stratum) are tested like
+    any other: the velocity is tangent there and the composed derivative is
+    the tangential derivative. A failing sample within CROSSING_TOL of a
+    detected crossing time is excused as measure zero; any other failure is
+    genuine.
+    """
     rng = rng or np.random.default_rng(0)
     table, witnesses, notes = [], [], []
     all_ok = True
     for ci, curve in enumerate(curves):
         comp = compose_exact(F, curve)
-        ts = rng.uniform(0.0, 1.0, size=cfg.curve_samples)
+        ts = rng.uniform(0.0, 1.0, size=CURVE_SAMPLES)
         X, V = curve.value(ts), curve.velocity(ts)
-        res, passed = test(X, V, comp, ts)
+        img = D.batch(X, V)
+        miss = row_norms(img - comp.velocity(ts)[:, None, :]).max(axis=1)
+        res = np.maximum(diameters(img), miss)
+        passed = res <= EPS_EQ * (1.0 + row_norms(V))
         near = np.min(np.abs(comp.breakpoints[:, None] - ts), axis=0) <= CROSSING_TOL
         excused = ~passed & near
         genuine = ~passed & ~near
@@ -247,42 +262,10 @@ def _curve_check(F, curves, cfg, rng, condition: str, test) -> ConditionReport:
             all_ok = False
         if excused.any():
             notes.append(f"curve{ci}: {int(excused.sum())} samples excused at crossings")
-    return ConditionReport(condition=condition,
+    return ConditionReport(condition="3",
                            verdict="pass" if all_ok else "fail",
                            residual_table=tuple(table),
                            witnesses=tuple(witnesses), notes=tuple(notes))
-
-
-def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
-                       curves, cfg: VerifierConfig = VerifierConfig(),
-                       rng: np.random.Generator | None = None) -> ConditionReport:
-    """Chain rule along curves: D(curve(t), velocity(t)) must be a singleton
-    equal to the exact derivative of the composition at almost every t.
-
-    Samples on boundary subintervals (curve traveling inside a stratum) are
-    tested like any other: the velocity is tangent there and the composed
-    derivative is the tangential derivative. A failing sample within
-    CROSSING_TOL of a detected crossing time is excused as measure zero; any
-    other failure is genuine.
-    """
-    def test(X, V, comp, ts):
-        img = D.batch(X, V)
-        miss = row_norms(img - comp.velocity(ts)[:, None, :]).max(axis=1)
-        res = np.maximum(diameters(img), miss)
-        return res, res <= EPS_EQ * (1.0 + row_norms(V))
-
-    return _curve_check(F, curves, cfg, rng, "3", test)
-
-
-def check_directional_symmetry(F: PiecewiseFunction, D: GeneralizedDerivative,
-                               curves, cfg: VerifierConfig = VerifierConfig(),
-                               rng: np.random.Generator | None = None) -> ConditionReport:
-    """D(curve(t), v) = -D(curve(t), -v) at almost every curve time."""
-    def test(X, V, comp, ts):
-        res = hausdorffs(D.batch(X, V), -D.batch(X, -V))
-        return res, res <= EPS_EQ * (1.0 + row_norms(V))
-
-    return _curve_check(F, curves, cfg, rng, "symmetry", test)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +281,9 @@ def _cell_samples(F, partition: Arrangement, cfg, rng):
         if cell.dimension == 0:
             continue
         pts = []
-        for _ in range(cfg.cell_points):
+        for _ in range(CELL_POINTS):
             p = sample_cell_point(partition, sign, box, rng,
-                                  cap=cfg.rejection_cap // cfg.cell_points)
+                                  cap=cfg.rejection_cap // CELL_POINTS)
             if p is not None:
                 pts.append(p)
         if not pts:
@@ -310,12 +293,12 @@ def _cell_samples(F, partition: Arrangement, cfg, rng):
     return out, notes
 
 
-def _tangent_directions(cell, cfg, rng) -> list[np.ndarray]:
+def _tangent_directions(cell, rng) -> list[np.ndarray]:
     """+/- the tangent basis plus, from dimension 2 on, random unit
     combinations of it (on a line they would only repeat +/- the basis)."""
     basis = cell.tangent.basis
     dirs = [s * b for b in basis for s in (1.0, -1.0)]
-    for _ in range(cfg.tangent_combos if cell.dimension >= 2 else 0):
+    for _ in range(TANGENT_COMBOS if cell.dimension >= 2 else 0):
         c = rng.normal(size=cell.dimension)
         u = basis.T @ c
         nrm = float(np.linalg.norm(u))
@@ -342,7 +325,7 @@ def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
     X, U = [], []
     for cell, pts in samples:
         for x in pts:
-            dirs = _tangent_directions(cell, cfg, rng)
+            dirs = _tangent_directions(cell, rng)
             X += [x] * len(dirs)
             U += dirs
     X = np.array(X).reshape(-1, F.ambient_dim)

@@ -4,7 +4,8 @@ The declarative corpus format (versioned ``stratacalc-corpus/1``) stores
 arrangements as (normal, offset) pairs, pieces keyed by sign-vector strings,
 polynomials as (exponent tuple, coefficient) term lists, and curves as
 breakpointed coefficient lists. Serialization is JSON, which round-trips
-float coefficients bit-exactly.
+float coefficients bit-exactly. Loading rejects a malformed file with a
+PiecewiseError that names the function and the field.
 
 The shipped default corpus covers kinks at points, lines, and their
 intersections: abs1d, id1d, max2d, relukink, absplus, l1norm2d, maxreg2d,
@@ -17,9 +18,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .geometry import as_vector
 from .piecewise import (
     Arrangement,
     Curve,
@@ -80,8 +83,17 @@ def _poly_to_json(p: Polynomial):
     return [[list(e), c] for e, c in p.terms()]
 
 
+def _finite(values):
+    """float array of values; ValueError if any entry is nan or inf."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("numbers must be finite")
+    return arr
+
+
 def _poly_from_json(num_vars: int, data) -> Polynomial:
-    return Polynomial.from_terms(num_vars, [(tuple(e), c) for e, c in data])
+    return Polynomial.from_terms(num_vars,
+                                 [(tuple(e), float(_finite(c))) for e, c in data])
 
 
 def _hyperplanes_to_json(arr: Arrangement):
@@ -90,7 +102,8 @@ def _hyperplanes_to_json(arr: Arrangement):
 
 
 def _arrangement_from_json(n: int, data) -> Arrangement:
-    return Arrangement(n, tuple(Hyperplane(d["normal"], d["offset"]) for d in data))
+    return Arrangement(n, tuple(Hyperplane(d["normal"], float(_finite(d["offset"])))
+                                for d in data))
 
 
 def _curve_to_json(c: Curve):
@@ -100,8 +113,8 @@ def _curve_to_json(c: Curve):
 
 
 def _curve_from_json(data) -> Curve:
-    return Curve(np.array(data["breakpoints"], dtype=float),
-                 tuple(np.array(piece, dtype=float) for piece in data["pieces"]),
+    return Curve(_finite(data["breakpoints"]),
+                 tuple(_finite(piece) for piece in data["pieces"]),
                  tuple(data.get("boundary", ())))
 
 
@@ -130,35 +143,88 @@ def corpus_to_json(corpus: Corpus) -> str:
     return json.dumps(doc, indent=1)
 
 
+_REQUIRED = object()
+
+
+def _field(fd: dict, fid: str, name: str, parse, default=_REQUIRED):
+    """parse(fd[name]); a missing or malformed field raises a PiecewiseError
+    that names the function and the field."""
+    if name not in fd:
+        if default is _REQUIRED:
+            raise PiecewiseError(f"function {fid!r}: missing field {name!r}")
+        return default
+    try:
+        return parse(fd[name])
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise PiecewiseError(f"function {fid!r}: bad field {name!r}: {exc}") from None
+
+
+def _dim(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"expected a positive integer, got {value!r}")
+    return value
+
+
+def _positive(value) -> float:
+    if not float(_finite(value)) > 0:
+        raise ValueError(f"expected a positive number, got {value!r}")
+    return float(value)
+
+
+def _optional(parse):
+    return lambda value: None if value is None else parse(value)
+
+
+def _function_from_json(fid: str, fd: dict) -> CorpusFunction:
+    n = _field(fd, fid, "ambient_dim", _dim)
+    m = _field(fd, fid, "output_dim", _dim)
+    point = partial(as_vector, dim=n)
+    arr = _field(fd, fid, "hyperplanes", lambda d: _arrangement_from_json(n, d))
+    hint = _field(fd, fid, "lipschitz_hint", _optional(_positive), None)
+    box = _field(fd, fid, "box_halfwidth", _positive, 10.0)
+    func = _field(fd, fid, "pieces", lambda d: PiecewiseFunction(
+        arr, m, {sign: tuple(_poly_from_json(n, pj) for pj in polys)
+                 for sign, polys in d.items()},
+        lipschitz_hint=hint, box_halfwidth=box))
+    return CorpusFunction(
+        fid=fid,
+        func=func,
+        base_points=_field(fd, fid, "base_points", lambda d: tuple(map(point, d))),
+        curves=_field(fd, fid, "curves", lambda d: tuple(map(_curve_from_json, d))),
+        partition=_field(fd, fid, "partition", lambda d: _arrangement_from_json(n, d),
+                         Arrangement(n, ())),
+        minimizer=_field(fd, fid, "minimizer", _optional(point), None),
+        comment=_field(fd, fid, "comment", str, ""),
+    )
+
+
 def corpus_from_json(text: str) -> Corpus:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PiecewiseError(f"corpus is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise PiecewiseError(f"corpus must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != FORMAT_TAG:
         raise PiecewiseError(
             f"unsupported corpus format {doc.get('format')!r}, expected {FORMAT_TAG!r}")
+    fds = doc.get("functions", [])
+    if not isinstance(fds, list):
+        raise PiecewiseError("corpus field 'functions' must be a list")
     functions: dict[str, CorpusFunction] = {}
-    for fd in doc.get("functions", []):
-        n, m = int(fd["ambient_dim"]), int(fd["output_dim"])
-        arr = _arrangement_from_json(n, fd["hyperplanes"])
-        pieces = {sign: tuple(_poly_from_json(n, pj) for pj in polys)
-                  for sign, polys in fd["pieces"].items()}
-        func = PiecewiseFunction(arr, m, pieces,
-                                 lipschitz_hint=fd.get("lipschitz_hint"),
-                                 box_halfwidth=fd.get("box_halfwidth", 10.0))
-        functions[fd["id"]] = CorpusFunction(
-            fid=fd["id"],
-            func=func,
-            base_points=tuple(np.array(x, dtype=float) for x in fd["base_points"]),
-            curves=tuple(_curve_from_json(c) for c in fd["curves"]),
-            partition=_arrangement_from_json(n, fd.get("partition", [])),
-            minimizer=(None if fd.get("minimizer") is None
-                       else np.array(fd["minimizer"], dtype=float)),
-            comment=fd.get("comment", ""),
-        )
-    rows = tuple((fid, oid) for fid, oid in doc.get("matrix_rows", []))
-    return Corpus(functions=functions, matrix_rows=rows)
+    for i, fd in enumerate(fds):
+        if not isinstance(fd, dict) or not isinstance(fd.get("id"), str):
+            raise PiecewiseError(f"function {i}: expected an object with a string 'id'")
+        if fd["id"] in functions:
+            raise PiecewiseError(f"function {i}: duplicate id {fd['id']!r}")
+        functions[fd["id"]] = _function_from_json(fd["id"], fd)
+    rows = doc.get("matrix_rows", [])
+    if not (isinstance(rows, list)
+            and all(isinstance(r, list) and len(r) == 2
+                    and all(isinstance(v, str) for v in r) for r in rows)):
+        raise PiecewiseError(
+            "corpus field 'matrix_rows' must be a list of [function id, oracle id] pairs")
+    return Corpus(functions=functions, matrix_rows=tuple(map(tuple, rows)))
 
 
 def load_corpus(path) -> Corpus:

@@ -30,6 +30,7 @@ from .geometry import (
     as_vector,
     row_norms,
 )
+from .seeding import substream
 
 EPS_CELL = 1e-10       # sign-vector zero declaration threshold
 EPS_EQ = 1e-9          # value-agreement tolerance (continuity, curves)
@@ -785,12 +786,12 @@ class ContinuityReport:
     pairs_checked: int
 
 
-def validate_continuity(F: PiecewiseFunction, n_samples: int = N_FACET_SAMPLES,
-                        seed: int = 0) -> ContinuityReport:
-    """Sample shared facets of adjacent full-dimensional pieces and compare
-    the two piece values. Report-only; lists violating pairs with witnesses."""
+def validate_continuity(F: PiecewiseFunction, seed: int = 0) -> ContinuityReport:
+    """Sample N_FACET_SAMPLES points on each shared facet of adjacent
+    full-dimensional pieces and compare the two piece values. Report-only;
+    lists violating pairs with witnesses."""
     arr = F.arrangement
-    rng = np.random.default_rng(seed)
+    rng = substream(seed, "continuity")
     violations: list[ContinuityViolation] = []
     pairs = 0
     full = [s for s in arr.full_dim_signs() if s in F.pieces]
@@ -807,7 +808,7 @@ def validate_continuity(F: PiecewiseFunction, n_samples: int = N_FACET_SAMPLES,
                 continue
             pairs += 1
             pts = [sample_cell_point(arr, facet, F.box, rng, cap=2000)
-                   for _ in range(n_samples)]
+                   for _ in range(N_FACET_SAMPLES)]
             pts = np.array([p for p in pts if p is not None]).reshape(-1, arr.ambient_dim)
             gaps = row_norms(F._value_eval(sign)(pts) - F._value_eval(other)(pts))
             worst = int(np.argmax(gaps)) if len(gaps) else None

@@ -1,5 +1,6 @@
-"""Built-in invariant suite: every module's documented properties, runnable
-without pytest via the selftest command.
+"""Built-in invariant suite: the module properties that no acceptance
+criterion in tests/test_acceptance.py owns, runnable without pytest via the
+selftest command.
 
 Checks are registered per group (geometry / piecewise / oracles /
 conditions / solvers / corpus) and each returns pass/fail plus a one-line
@@ -18,35 +19,34 @@ from . import conditions as cond
 from . import solvers
 from .corpus import Corpus, corpus_from_json, corpus_to_json, default_corpus
 from .geometry import (
+    MatrixPolytope,
     Polytope,
     Subspace,
     dist_point_polytope,
     hausdorff,
     linear_image,
-    MatrixPolytope,
     project,
-    subset_mod_subspace,
 )
 from .oracles import (
     oracle_branch_selection,
     oracle_clarke_linear,
     oracle_exact_directional,
-    parse_oracle,
     reflect_oracle,
 )
-from .piecewise import EPS_EQ, Curve, compose_exact
-from .report import render_matrix_report
+from .piecewise import (
+    EPS_EQ,
+    Curve,
+    compose_exact,
+    sample_cell_point,
+    validate_continuity,
+)
 from .seeding import substream
-
-
-LP_MEMBER_TOL = 1e-9   # L1 slack below which member_sum_hull_lp reports membership
 
 
 @dataclass
 class SelftestContext:
     eps_eq: float = EPS_EQ
     seed: int = 0
-    fast: bool = False   # trims sample counts for unit-test use
     corpus: Corpus = field(init=False, repr=False, default_factory=default_corpus)
 
 
@@ -94,7 +94,7 @@ def run_selftest(ctx: SelftestContext | None = None,
 def _g_project(ctx):
     rng = substream(ctx.seed, "g-project")
     worst = 0.0
-    for _ in range(20 if ctx.fast else 100):
+    for _ in range(100):
         n = int(rng.integers(1, 6))
         k = int(rng.integers(0, n + 1))
         V = Subspace.from_spanning(rng.normal(size=(k, n)), n) if k else Subspace.zero(n)
@@ -109,7 +109,7 @@ def _g_project(ctx):
 @_check("geometry", "hausdorff is a metric that separates sets")
 def _g_metric(ctx):
     rng = substream(ctx.seed, "g-metric")
-    for _ in range(10 if ctx.fast else 40):
+    for _ in range(40):
         n = int(rng.integers(1, 4))
         polys = [Polytope(rng.normal(size=(int(rng.integers(1, 5)), n)))
                  for _ in range(3)]
@@ -129,58 +129,10 @@ def _g_metric(ctx):
     return True, "symmetry, triangle inequality, separation hold"
 
 
-def member_sum_hull_lp(point, b_vertices, v_basis) -> bool:
-    """Brute-force membership of point in conv(B) + span(V): an L1-slack LP
-    (HiGHS) whose optimum is zero exactly for members. Raises RuntimeError
-    when HiGHS does not solve the LP."""
-    # imported here: scipy.optimize takes about half a second to import,
-    # which no other command should pay
-    from scipy.optimize import linprog
-
-    point = np.asarray(point, float)
-    bv = np.atleast_2d(np.asarray(b_vertices, float))
-    n = point.size
-    kb, kv = bv.shape[0], v_basis.shape[0]
-    # variables: lam (>=0), mu (free), e+ (>=0), e- (>=0)
-    blocks = [bv.T]
-    if kv:
-        blocks.append(v_basis.T)
-    blocks += [np.eye(n), -np.eye(n)]
-    A_eq = np.vstack([np.hstack(blocks),
-                      np.concatenate([np.ones(kb), np.zeros(kv + 2 * n)])])
-    b_eq = np.append(point, 1.0)
-    c = np.concatenate([np.zeros(kb + kv), np.ones(2 * n)])
-    bounds = [(0, None)] * kb + [(None, None)] * kv + [(0, None)] * (2 * n)
-    res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"membership LP not solved: {res.message}")
-    return bool(res.fun <= LP_MEMBER_TOL)
-
-
-@_check("geometry", "subset-mod-subspace agrees with direct membership")
-def _g_subset(ctx):
-    rng = substream(ctx.seed, "g-subset")
-    trials = 25 if ctx.fast else 100
-    for _ in range(trials):
-        n = int(rng.integers(2, 5))
-        A = Polytope(rng.normal(size=(int(rng.integers(1, 4)), n)))
-        B = Polytope(rng.normal(size=(int(rng.integers(1, 4)), n)))
-        kv = int(rng.integers(0, n))
-        V = Subspace.from_spanning(rng.normal(size=(kv, n)), n) if kv else Subspace.zero(n)
-        got = subset_mod_subspace(A, B, V)
-        samples = list(A.vertices)
-        w = rng.dirichlet(np.ones(A.n_vertices), size=100)
-        samples.extend(list(w @ A.vertices))
-        want = all(member_sum_hull_lp(s, B.vertices, V.basis) for s in samples)
-        if got != want:
-            return False, f"disagreement on an instance in dim {n}"
-    return True, f"{trials} random instances, zero disagreements"
-
-
 @_check("geometry", "linear image commutes with convex combination")
 def _g_linear_image(ctx):
     rng = substream(ctx.seed, "g-image")
-    for _ in range(10 if ctx.fast else 30):
+    for _ in range(30):
         m, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         A1, A2 = rng.normal(size=(m, n)), rng.normal(size=(m, n))
         u = rng.normal(size=n)
@@ -220,7 +172,7 @@ def univariate_gap(functions, rng: np.random.Generator, n_curves: int) -> float:
 @_check("piecewise", "one-sided velocity equals derivative limit at 0")
 def _p_univariate(ctx):
     worst = univariate_gap([cf.func for _, cf in _corpus_items(ctx)],
-                           substream(ctx.seed, "p-uni"), 5 if ctx.fast else 20)
+                           substream(ctx.seed, "p-uni"), 20)
     return worst <= 1e-8, f"max gap {worst:.2e} over corpus curves"
 
 
@@ -252,10 +204,9 @@ def forward_difference_slope_ok(F, x, u, ts=(1e-3, 1e-4, 1e-5),
 @_check("piecewise", "directional derivative matches forward differences")
 def _p_fd(ctx):
     rng = substream(ctx.seed, "p-fd")
-    samples = 20 if ctx.fast else 100
     for fid, cf in _corpus_items(ctx):
         F = cf.func
-        for _ in range(samples):
+        for _ in range(100):
             x = rng.uniform(-5, 5, size=F.ambient_dim)
             u = rng.normal(size=F.ambient_dim)
             ok, slope = forward_difference_slope_ok(F, x, u)
@@ -303,7 +254,6 @@ def _p_smooth(ctx):
         for sign in F.arrangement.full_dim_signs():
             if sign not in F.pieces:
                 return False, f"{fid}: missing piece {sign!r}"
-            from .piecewise import sample_cell_point
             pt = sample_cell_point(F.arrangement, sign, F.box,
                                    rng, cap=5000)
             if pt is None:
@@ -315,10 +265,8 @@ def _p_smooth(ctx):
 
 @_check("piecewise", "continuity validation passes on the corpus")
 def _p_continuity(ctx):
-    from .piecewise import validate_continuity
     for fid, cf in _corpus_items(ctx):
-        rep = validate_continuity(cf.func, n_samples=10 if ctx.fast else 50,
-                                  seed=ctx.seed)
+        rep = validate_continuity(cf.func, seed=ctx.seed)
         if not rep.ok:
             return False, f"{fid}: {len(rep.violations)} facet violations"
     return True, "all corpus functions facet-continuous"
@@ -351,7 +299,7 @@ def _o_inclusion(ctx):
     for fid, cf in _corpus_items(ctx):
         F = cf.func
         E, C = oracle_exact_directional(F), oracle_clarke_linear(F)
-        for _ in range(5 if ctx.fast else 15):
+        for _ in range(15):
             x = rng.uniform(-5, 5, size=F.ambient_dim)
             u = rng.normal(size=F.ambient_dim)
             d = dist_point_polytope(E(x, u).vertices[0], C(x, u))
@@ -398,85 +346,17 @@ def _o_coincide(ctx):
 # ---------------------------------------------------------------------------
 # conditions
 
-def _matrix_entries(ctx, rows):
-    entries = []
-    for fid, oid in rows:
-        cf = ctx.corpus.function(fid)
-        entries.append(cond.MatrixEntry(f"{fid}:{oid}", cf.func,
-                                        parse_oracle(oid, cf.func),
-                                        cf.base_points, cf.curves, cf.partition))
-    return entries
-
-
-def _fast_cfg(ctx):
-    if not ctx.fast:
-        return cond.VerifierConfig()
-    return cond.VerifierConfig(n_uniform_directions=16, curve_samples=64,
-                               cell_points=5, tangent_combos=3)
-
-
-@_check("conditions", "clarke oracle is semismooth on the whole corpus")
-def _c_clarke_semismooth(ctx):
-    cfg = _fast_cfg(ctx)
-    for fid, cf in _corpus_items(ctx):
-        F = cf.func
-        D = oracle_clarke_linear(F)
-        for i, x in enumerate(cf.base_points):
-            rep = cond.check_semismooth_I(F, D, x, cfg,
-                                          substream(ctx.seed, fid, "cor", i))
-            if rep.verdict != "pass":
-                return False, f"{fid} base point {i}: verdict {rep.verdict}"
-    return True, "semismooth I passes at every base point incl. kinks"
-
-
-@_check("conditions", "equivalence matrix is consistent; 3 implies 1 and 2")
-def _c_matrix(ctx):
-    rows = ctx.corpus.matrix_rows if not ctx.fast else ctx.corpus.matrix_rows[:4]
-    rep = cond.equivalence_matrix(_matrix_entries(ctx, rows), _fast_cfg(ctx),
-                                  seed=ctx.seed)
-    for row in rep.rows:
-        v = row.verdicts
-        if v["3"] == "pass" and ("fail" in (v["1"], v["2"])):
-            return False, f"{row.entry_id}: condition 3 passed but 1/2 failed"
-    if not rep.all_consistent:
-        bad = [r.entry_id for r in rep.rows if not r.consistent]
-        return False, f"inconsistent rows: {bad}"
-    return True, f"{len(rep.rows)} rows, all consistent"
-
-
-@_check("conditions", "reflection duality of the semismooth sweeps")
-def _c_duality(ctx):
-    cfg = _fast_cfg(ctx)
-    cases = [("abs1d", "clarke"), ("max2d", "exact"), ("id1d", "scale:2")]
-    for fid, oid in cases:
-        cf = ctx.corpus.function(fid)
-        D = parse_oracle(oid, cf.func)
-        x = cf.base_points[0]
-        r1 = cond.check_semismooth_I(cf.func, D, x, cfg,
-                                     substream(ctx.seed, fid, "dual"))
-        r2 = cond.check_semismooth_II(cf.func, reflect_oracle(D), x, cfg,
-                                      substream(ctx.seed, fid, "dual"))
-        a = np.array(r1.sample_residuals, dtype=float)
-        b = np.array(r2.sample_residuals, dtype=float)
-        mask = ~(np.isnan(a) | np.isnan(b))
-        if r1.verdict != r2.verdict or not np.allclose(a[mask], b[mask], atol=ctx.eps_eq):
-            return False, f"{fid}:{oid}: duality mismatch"
-    return True, "I(D) matches II(reflect D) sample-for-sample"
-
-
 @_check("conditions", "first-order expansion anchored at the base point")
 def _c_bder(ctx):
-    cfg = _fast_cfg(ctx)
     for fid, cf in _corpus_items(ctx):
         for i, x in enumerate(cf.base_points):
-            rep = cond.check_base_anchored(cf.func, x, cfg,
-                                           substream(ctx.seed, fid, "bder", i))
+            rep = cond.check_base_anchored(cf.func, x,
+                                           rng=substream(ctx.seed, fid, "bder", i))
             if rep.verdict != "pass":
                 return False, f"{fid} base point {i}: expansion residual persists"
     # fixed wrong branch at the kink of |x| must fail
     absf = ctx.corpus.function("abs1d").func
-    rep = cond.check_base_anchored(absf, [0.0], cfg,
-                                   substream(ctx.seed, "bder-neg"),
+    rep = cond.check_base_anchored(absf, [0.0], rng=substream(ctx.seed, "bder-neg"),
                                    fixed_matrix=np.array([[-1.0]]))
     if rep.verdict != "fail":
         return False, "wrong-branch control unexpectedly passed"
@@ -485,11 +365,10 @@ def _c_bder(ctx):
 
 @_check("conditions", "projection formula on the corpus partitions")
 def _c_projection(ctx):
-    cfg = _fast_cfg(ctx)
     for fid, cf in _corpus_items(ctx):
         part = cond.refine(cf.func.arrangement, cf.partition)
-        rep = cond.check_projection_formula(cf.func, part, cfg,
-                                            substream(ctx.seed, fid, "proj"))
+        rep = cond.check_projection_formula(cf.func, part,
+                                            rng=substream(ctx.seed, fid, "proj"))
         if rep.verdict != "pass":
             return False, f"{fid}: projection formula verdict {rep.verdict}"
     return True, "tangential Clarke intervals are degenerate everywhere"
@@ -510,25 +389,10 @@ def _s_linear(ctx):
     return True, "exact-zero residual within the cell count"
 
 
-@_check("solvers", "scale:2 control converges linearly at rate 1/2")
-def _s_rate(ctx):
-    F = ctx.corpus.function("id1d").func
-    D = parse_oracle("scale:2", F)
-    trace = solvers.semismooth_newton(F, D, [1.0])
-    ratios = solvers.newton_rate_estimate(trace, root=[0.0])
-    if not ratios:
-        return False, "no ratios recorded"
-    if any(abs(r - 0.5) > 1e-6 for r in ratios):
-        return False, "ratios deviate from 1/2"
-    return True, f"{len(ratios)} ratios all equal to 1/2"
-
-
 @_check("solvers", "subgradient descent reaches the grid minimum")
 def _s_subgrad(ctx):
     cf = ctx.corpus.function("maxreg2d")
-    res = 5e-3 if ctx.fast else 1e-3
-    best_pt, best_val = solvers.grid_minimize(cf.func, [-1.0, -1.0], [0.0, 0.0],
-                                              resolution=res)
+    _, best_val = solvers.grid_minimize(cf.func, [-1.0, -1.0], [0.0, 0.0])
     trace = solvers.subgradient_descent(cf.func, "clarke", [1.0, 1.0],
                                         rule="c_over_sqrt_k", c=0.5, iters=400)
     gap = trace.best_value - best_val
@@ -547,17 +411,3 @@ def _r_roundtrip(ctx):
     if t1 != t2:
         return False, "serialized forms differ"
     return True, f"{len(t1)} bytes stable under load/serialize/load"
-
-
-@_check("corpus", "matrix reports are byte-identical across runs")
-def _r_determinism(ctx):
-    rows = ctx.corpus.matrix_rows[:3]
-    cfg = _fast_cfg(ctx)
-    texts = []
-    for _ in range(2):
-        rep = cond.equivalence_matrix(_matrix_entries(ctx, rows), cfg,
-                                      seed=ctx.seed)
-        texts.append(render_matrix_report(rep, seed=ctx.seed))
-    if texts[0] != texts[1]:
-        return False, "two identical runs rendered different bytes"
-    return True, f"{len(texts[0])} bytes, identical on rerun"

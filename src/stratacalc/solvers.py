@@ -26,6 +26,7 @@ DET_TOL = 1e-12
 DAMP_INIT = 1e-8
 DAMP_MAX = 1e-2
 STEP_MAX = 1e6   # damped steps beyond this are a stall, not progress
+GRID_RESOLUTION = 1e-3   # node spacing of grid_minimize
 GRID_CHUNK = 200_000   # grid nodes evaluated per call in grid_minimize
 
 
@@ -194,18 +195,17 @@ def subgradient_descent(f: PiecewiseFunction, grad_source, x0,
                             tuple(steps))
 
 
-def grid_minimize(f: PiecewiseFunction, lo, hi,
-                  resolution: float = 1e-3) -> tuple[np.ndarray, float]:
+def grid_minimize(f: PiecewiseFunction, lo, hi) -> tuple[np.ndarray, float]:
     """Brute-force grid search for the minimizer of a scalar objective.
 
     Independent of the descent path: evaluates every grid node of the box
-    at the given resolution (piece selected per node by sign compatibility).
+    at spacing GRID_RESOLUTION (piece selected per node by sign compatibility).
     """
     if f.output_dim != 1:
         raise ValueError("grid search needs a scalar objective")
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    axes = [np.arange(l, h + resolution / 2, resolution) for l, h in zip(lo, hi)]
+    axes = [np.arange(l, h + GRID_RESOLUTION / 2, GRID_RESOLUTION) for l, h in zip(lo, hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
     best_val, best_pt = np.inf, None

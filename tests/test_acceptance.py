@@ -28,8 +28,10 @@ from stratacalc.oracles import (
 )
 from stratacalc.piecewise import Curve
 from stratacalc.seeding import substream
-from stratacalc.selftest import forward_difference_slope_ok, member_sum_hull_lp, univariate_gap
+from stratacalc.selftest import forward_difference_slope_ok, univariate_gap
 from stratacalc.solvers import newton_rate_estimate, semismooth_newton
+
+from membership_lp import member_sum_hull_lp
 
 CFG = VerifierConfig()
 SEED = 7

@@ -250,9 +250,9 @@ def test_row_norms_and_diameters_equal_numpy_per_row():
         assert np.array_equal(diameters(padded), diameters(V))
 
 
-def test_empty_batches(functions):
+def test_empty_batches(functions, monkeypatch):
     # zero rows are a valid batch: a check with no samples passes vacuously
-    from stratacalc import VerifierConfig, check_conservative
+    from stratacalc import VerifierConfig, check_conservative, conditions
     F = functions[0]
     none = np.zeros((0, F.ambient_dim))
     assert F.values(none).shape == (0, F.output_dim)
@@ -260,8 +260,9 @@ def test_empty_batches(functions):
     assert F.component_ranges(none, none)[0].shape == (0, F.output_dim)
     assert parse_oracle("clarke", F).batch(none, none).shape == (0, 1, F.output_dim)
     cf = default_corpus().function("max2d")
+    monkeypatch.setattr(conditions, "CURVE_SAMPLES", 0)
     rep = check_conservative(cf.func, parse_oracle("clarke", cf.func), cf.curves,
-                             VerifierConfig(curve_samples=0), np.random.default_rng(0))
+                             VerifierConfig(), np.random.default_rng(0))
     assert rep.verdict == "pass"
 
 

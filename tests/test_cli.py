@@ -48,6 +48,18 @@ def test_check_negative_control_exits_two(tmp_path):
     assert "overall: fail" in out.read_text()
 
 
+def test_check_negative_seed_runs(tmp_path):
+    # regression: continuity validation raised ValueError on a negative
+    # seed. The verdict is not asserted: at this seed max2d's sweeps meet
+    # the known EPS_CELL false fail, as matrix seed 2 does.
+    out = tmp_path / "r.txt"
+    code = run(["check", "--function", "max2d", "--oracle", "clarke",
+                "--seed", "-1", "--output", str(out)])
+    assert code != 1
+    text = out.read_text()
+    assert "continuity: pass (1 facet pairs)" in text and "overall: " in text
+
+
 def test_check_unknown_ids_exit_one(capsys):
     assert run(["check", "--function", "ghost", "--oracle", "clarke"]) == 1
     assert run(["check", "--function", "abs1d", "--oracle", "wat"]) == 1
@@ -194,14 +206,15 @@ def test_unwritable_path_exits_one_naming_it(tmp_path, capsys, flag, argv):
 
 
 def test_cli_commands_import_no_scipy():
-    # scipy.optimize alone was ~0.6 s of every CLI start; only selftest and
-    # the tests may import scipy
+    # scipy.optimize alone was ~0.6 s of every CLI start; only the tests may
+    # import scipy
     code = (
         "import contextlib, io, sys\n"
         "from stratacalc.cli import main\n"
         "for argv in (['check', '--function', 'max2d', '--oracle', 'clarke'],\n"
         "             ['matrix', '--seed', '7'],\n"
-        "             ['solve', 'newton', '--function', 'pwq2d', '--x0', '0.3,0.2']):\n"
+        "             ['solve', 'newton', '--function', 'pwq2d', '--x0', '0.3,0.2'],\n"
+        "             ['selftest', '--filter', 'geometry']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        main(argv)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
@@ -219,15 +232,14 @@ def test_cli_commands_import_no_scipy():
 
 def test_selftest_fast_passes(tmp_path):
     out = tmp_path / "s.txt"
-    code = run(["selftest", "--fast", "--output", str(out)])
+    code = run(["selftest", "--output", str(out)])
     assert code == 0
     assert "checks passed" in out.read_text()
 
 
 def test_selftest_filter_geometry(tmp_path):
     out = tmp_path / "s.txt"
-    code = run(["selftest", "--fast", "--filter", "geometry",
-                "--output", str(out)])
+    code = run(["selftest", "--filter", "geometry", "--output", str(out)])
     assert code == 0
     text = out.read_text()
     assert "geometry/" in text
@@ -240,13 +252,18 @@ def test_selftest_unknown_filter():
 
 def test_selftest_has_no_corpus_flag(tmp_path):
     # selftest always checks the built-in corpus; the flag was silently ignored
-    assert run(["selftest", "--fast", "--filter", "corpus",
+    assert run(["selftest", "--filter", "corpus",
                 "--corpus", str(tmp_path / "missing.json")]) == 1
+
+
+def test_selftest_has_no_fast_flag():
+    # selftest runs the one verifier configuration that check and matrix use
+    assert run(["selftest", "--fast", "--filter", "corpus"]) == 1
 
 
 def test_selftest_corrupted_tolerance_exits_two(tmp_path):
     out = tmp_path / "s.txt"
-    code = run(["selftest", "--fast", "--filter", "geometry",
+    code = run(["selftest", "--filter", "geometry",
                 "--inject-eps-eq", "1e3", "--output", str(out)])
     assert code == 2
     assert "FAIL" in out.read_text()

@@ -7,7 +7,6 @@ from stratacalc.conditions import (
     VerifierConfig,
     check_base_anchored,
     check_conservative,
-    check_directional_symmetry,
     check_projection_formula,
     check_semismooth_I,
     check_semismooth_II,
@@ -140,7 +139,7 @@ def test_base_anchored_first_order(abs1d):
 
 
 # ---------------------------------------------------------------------------
-# conservative / symmetry along curves
+# conservative along curves
 
 def test_conservative_abs_clarke_passes(abs1d):
     D = oracle_clarke_linear(abs1d)
@@ -164,31 +163,6 @@ def test_conservative_scaled_identity_fails_everywhere(id1d):
     rep = check_conservative(id1d, D, [gamma], CFG, substream(0, "c3"))
     assert rep.verdict == "fail"
     assert rep.witnesses
-
-
-def test_symmetry_clarke_passes(abs1d, max2d):
-    for F in (abs1d, max2d):
-        D = oracle_clarke_linear(F)
-        coeffs = [[-1.0, 2.0]] * F.ambient_dim
-        rep = check_directional_symmetry(F, D, [Curve.from_coeffs(coeffs)],
-                                         CFG, substream(0, "s1"))
-        assert rep.verdict == "pass"
-
-
-def test_symmetry_exact_abs_passes_off_kink(abs1d):
-    D = oracle_exact_directional(abs1d)
-    gamma = Curve.from_coeffs([[-0.5, 1.0]])   # crosses the kink at t=0.5
-    rep = check_directional_symmetry(abs1d, D, [gamma], CFG, substream(0, "s2"))
-    assert rep.verdict == "pass"
-
-
-def test_symmetry_handcrafted_violator_fails(id1d):
-    # D returns {|u|} regardless of the direction sign
-    D = GeneralizedDerivative("oneway", "handcrafted", 1, 1,
-                              lambda x, u: Polytope([[abs(float(u[0]))]]))
-    gamma = Curve.from_coeffs([[0.0, 1.0]])
-    rep = check_directional_symmetry(id1d, D, [gamma], CFG, substream(0, "s3"))
-    assert rep.verdict == "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +245,7 @@ def test_one_dimensional_cell_directions_are_plus_minus_basis():
     from stratacalc.conditions import _tangent_directions
     cell = make_max2d().arrangement.cell("0")
     rng = np.random.default_rng(0)
-    dirs = _tangent_directions(cell, CFG, rng)
+    dirs = _tangent_directions(cell, rng)
     basis = cell.tangent.basis
     assert np.array_equal(np.array(dirs), np.vstack([basis, -basis]))
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state

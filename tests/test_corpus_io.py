@@ -138,3 +138,80 @@ def test_pwq2d_continuity_and_kinks(corpus):
     J = F.clarke_jacobian([-1.0, 0.3])
     assert J.n_vertices == 2
     assert not np.allclose(J.vertices[0], J.vertices[1])
+
+
+# ---------------------------------------------------------------------------
+# malformed corpus files: a PiecewiseError naming the function and the field
+
+def _abs1d_doc():
+    doc = json.loads(corpus_to_json(default_corpus()))
+    doc["functions"] = [fd for fd in doc["functions"] if fd["id"] == "abs1d"]
+    doc["matrix_rows"] = [["abs1d", "clarke"]]
+    return doc
+
+
+def _edit(fn):
+    """A document maker: the abs1d document after fn(doc, its function)."""
+    def make():
+        doc = _abs1d_doc()
+        fn(doc, doc["functions"][0])
+        return doc
+    return make
+
+
+def _set(**fields):
+    return _edit(lambda doc, fd: fd.update(fields))
+
+
+MALFORMED = {
+    "top-level list": (lambda: [], r"JSON object"),
+    "functions not a list": (_edit(lambda doc, fd: doc.update(functions={})),
+                             r"'functions'"),
+    "function not an object": (_edit(lambda doc, fd: doc.update(functions=[3])),
+                               r"function 0"),
+    "missing ambient_dim": (_edit(lambda doc, fd: fd.pop("ambient_dim")),
+                            r"'abs1d'.*'ambient_dim'"),
+    "offset not a number": (_set(hyperplanes=[{"normal": [1.0], "offset": "abc"}]),
+                            r"'abs1d'.*'hyperplanes'"),
+    "infinite offset": (_set(hyperplanes=[{"normal": [1.0], "offset": 1e999}]),
+                        r"'abs1d'.*'hyperplanes'"),
+    "nan curve coefficient": (_set(curves=[{"breakpoints": [0.0, 1.0],
+                                            "pieces": [[[float("nan"), 1.0]]]}]),
+                              r"'abs1d'.*'curves'"),
+    "nan piece coefficient": (_set(pieces={"-": [[[[1], float("nan")]]],
+                                           "+": [[[[1], 1.0]]]}),
+                              r"'abs1d'.*'pieces'"),
+    "negative exponent": (_set(pieces={"-": [[[[-1], -1.0]]], "+": [[[[1], 1.0]]]}),
+                          r"'abs1d'.*'pieces'"),
+    "breakpoints short of 1": (_set(curves=[{"breakpoints": [0.0, 0.5],
+                                             "pieces": [[[0.0, 1.0]]]}]),
+                               r"'abs1d'.*'curves'"),
+    "2-D base point of a 1-D function": (_set(base_points=[[0.0, 1.0]]),
+                                         r"'abs1d'.*'base_points'"),
+    "infinite base point": (_set(base_points=[[1e999]]),
+                            r"'abs1d'.*'base_points'"),
+    "nan minimizer": (_set(minimizer=[float("nan")]), r"'abs1d'.*'minimizer'"),
+    "2-D minimizer of a 1-D function": (_set(minimizer=[0.0, 0.0]),
+                                        r"'abs1d'.*'minimizer'"),
+    "duplicate function id": (_edit(lambda doc, fd: doc["functions"].append(fd)),
+                              r"duplicate id 'abs1d'"),
+    "matrix row not a pair": (_edit(lambda doc, fd: doc.update(matrix_rows=[["abs1d"]])),
+                              r"'matrix_rows'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_corpus_raises_piecewise_error_naming_field(case):
+    make, named = MALFORMED[case]
+    with pytest.raises(PiecewiseError, match=named):
+        corpus_from_json(json.dumps(make()))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_corpus_file_exits_one(tmp_path, capsys, case):
+    # regression: each of these ended in a traceback (or, for 1e999, exit 0)
+    from stratacalc.cli import main
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED[case][0]()))
+    assert main(["matrix", "--corpus", str(path)]) == 1
+    assert "error: cannot load corpus" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stratacalc import conditions
 from stratacalc.conditions import VerifierConfig, check_stratified_derivative
 from stratacalc.oracles import oracle_clarke_linear
 from stratacalc.piecewise import (
@@ -60,7 +61,7 @@ def test_sample_cell_point_cap_exhaustion():
     assert pt is None
 
 
-def _sliver_check(gap: float):
+def _sliver_check(monkeypatch, gap: float):
     """Condition 4 on x over two parallel hyperplanes `gap` apart."""
     arr = Arrangement(1, (Hyperplane([1.0], 0.0), Hyperplane([1.0], gap)))
     x = Polynomial.coordinate(1, 0)
@@ -68,8 +69,9 @@ def _sliver_check(gap: float):
         "--": (x,), "+-": (x,), "++": (x,),
     })
     D = oracle_clarke_linear(F)
-    cfg = VerifierConfig(cell_points=3, tangent_combos=2,
-                         rejection_cap=300)
+    monkeypatch.setattr(conditions, "CELL_POINTS", 3)
+    monkeypatch.setattr(conditions, "TANGENT_COMBOS", 2)
+    cfg = VerifierConfig(rejection_cap=300)
     return check_stratified_derivative(F, D, arr, cfg, np.random.default_rng(1))
 
 
@@ -80,11 +82,11 @@ def test_two_parallel_hyperplanes_1e9_apart_share_no_point():
     assert "00" not in arr.all_nonempty_signs()
 
 
-def test_stratified_check_skips_unsamplable_cells_with_note():
+def test_stratified_check_skips_unsamplable_cells_with_note(monkeypatch):
     # hyperplanes 1e-8 apart: the sliver full-dim cell is nonempty for the
     # LP (margin 5e-9 > 1e-9) but defeats rejection sampling at the default
     # margin, so it must be skipped and logged
-    rep = _sliver_check(1e-8)
+    rep = _sliver_check(monkeypatch, 1e-8)
     assert rep.verdict == "pass"
     assert any("skipped" in n for n in rep.notes)
 
@@ -93,10 +95,10 @@ def test_stratified_check_skips_unsamplable_cells_with_note():
     "Arrangement.cell_nonempty judges the real sliver cells '0-', '+-', '+0' "
     "empty at an absolute 1e-9 margin, so the unsamplable sliver is never "
     "reached and no note is written"))
-def test_stratified_check_skips_sliver_cell_1e9_apart_with_note():
+def test_stratified_check_skips_sliver_cell_1e9_apart_with_note(monkeypatch):
     # the same check with the hyperplanes 1e-9 apart: the sliver '+-' is a
     # real cell, so it must be skipped and logged as well
-    rep = _sliver_check(1e-9)
+    rep = _sliver_check(monkeypatch, 1e-9)
     assert rep.verdict == "pass"
     assert any("skipped" in n for n in rep.notes)
 

@@ -281,6 +281,9 @@ def test_component_clarke():
 def test_validate_continuity_pass():
     assert validate_continuity(make_abs1d()).ok
     assert validate_continuity(make_max2d()).ok
+    # regression: the facet points came from np.random.default_rng(seed),
+    # which refuses negative seeds
+    assert validate_continuity(make_max2d(), seed=-1).ok
 
 
 def test_validate_continuity_fail_jump():

@@ -173,7 +173,7 @@ def test_subgradient_oracle_source():
 
 def test_subgradient_maxreg_approaches_grid_minimum():
     F = make_maxreg2d()
-    best_pt, best_val = grid_minimize(F, [-1.0, -1.0], [0.0, 0.0], resolution=1e-3)
+    best_pt, best_val = grid_minimize(F, [-1.0, -1.0], [0.0, 0.0])
     # brute-force grid locates the known minimizer (-0.5, -0.5), f* = -0.25
     assert np.allclose(best_pt, [-0.5, -0.5], atol=2e-3)
     assert best_val == pytest.approx(-0.25, abs=1e-5)
