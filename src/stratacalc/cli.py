@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import report as rpt
-from .conditions import MatrixEntry, VerifierConfig, equivalence_matrix, run_entry_conditions
+from .conditions import MatrixEntry, equivalence_matrix, run_entry_conditions
 from .corpus import Corpus, default_corpus, load_corpus
 from .oracles import check_assumption, parse_oracle
 from .piecewise import PiecewiseError, validate_continuity
@@ -121,10 +121,10 @@ def cmd_check(args) -> int:
     if not set(requested) <= known:
         raise InputError(f"unknown condition ids in {args.conditions!r}")
 
-    continuity = validate_continuity(entry.F, seed=args.seed)
+    continuity = validate_continuity(entry.F)
     assumption = check_assumption(entry.D, entry.F, entry.base_points,
                                   seed=args.seed)
-    reports = run_entry_conditions(entry, VerifierConfig(), args.seed, requested)
+    reports = run_entry_conditions(entry, args.seed, requested)
 
     verdicts = [r.verdict for r in reports.values()]
     verdicts.append("pass" if continuity.ok else "fail")
@@ -146,7 +146,7 @@ def cmd_matrix(args) -> int:
     if not corpus.matrix_rows:
         raise InputError("corpus declares no matrix rows")
     entries = [_build_entry(corpus, fid, oid) for fid, oid in corpus.matrix_rows]
-    matrix = equivalence_matrix(entries, VerifierConfig(), seed=args.seed)
+    matrix = equivalence_matrix(entries, seed=args.seed)
     text = rpt.render_matrix_report(matrix, seed=args.seed)
     _emit(text, args.output)
     if args.csv:
@@ -201,8 +201,7 @@ def cmd_selftest(args) -> int:
     if args.filter and args.filter not in available_groups():
         raise InputError(f"unknown selftest group {args.filter!r}; "
                          f"known: {', '.join(available_groups())}")
-    ctx = SelftestContext(eps_eq=args.inject_eps_eq, seed=args.seed)
-    results = run_selftest(ctx, group_filter=args.filter)
+    results = run_selftest(SelftestContext(seed=args.seed), group_filter=args.filter)
     _emit(rpt.render_selftest(results), args.output)
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
@@ -263,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", help="restrict to one group "
                                     "(geometry, piecewise, oracles, conditions, "
                                     "solvers, corpus)")
-    p.add_argument("--inject-eps-eq", type=float, default=1e-9,
-                   help=argparse.SUPPRESS)   # harness-sanity injection hook
     p.set_defaults(fn=cmd_selftest)
     return parser
 

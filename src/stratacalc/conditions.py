@@ -66,7 +66,8 @@ TANGENT_COMBOS = 10         # random tangent combinations per cell point
 @dataclass(frozen=True)
 class VerifierConfig:
     """The rejection-sampling budget of a cell, shared by its CELL_POINTS
-    draws. Every check takes a config; only the per-cell checks read it."""
+    draws. Only the per-cell checks (conditions 4, 5 and the projection
+    formula) take a config."""
     rejection_cap: int = REJECTION_CAP
 
 
@@ -167,7 +168,6 @@ def _sweep(F: PiecewiseFunction, x: np.ndarray, rng,
 
 
 def check_semismooth_I(F: PiecewiseFunction, D: GeneralizedDerivative, x,
-                       cfg: VerifierConfig = VerifierConfig(),
                        rng: np.random.Generator | None = None) -> ConditionReport:
     """Residual sweep for F(y) - F(x) - D(y, y-x) over shrinking spheres.
 
@@ -187,7 +187,6 @@ def check_semismooth_I(F: PiecewiseFunction, D: GeneralizedDerivative, x,
 
 
 def check_semismooth_II(F: PiecewiseFunction, D: GeneralizedDerivative, x,
-                        cfg: VerifierConfig = VerifierConfig(),
                         rng: np.random.Generator | None = None) -> ConditionReport:
     """Residual sweep for F(y) - F(x) + D(y, x-y); the mirror of check I."""
     x = np.asarray(x, dtype=float)
@@ -200,7 +199,6 @@ def check_semismooth_II(F: PiecewiseFunction, D: GeneralizedDerivative, x,
 
 
 def check_base_anchored(F: PiecewiseFunction, x,
-                        cfg: VerifierConfig = VerifierConfig(),
                         rng: np.random.Generator | None = None,
                         fixed_matrix: np.ndarray | None = None) -> ConditionReport:
     """Sanity sweep for the plain first-order expansion anchored at x.
@@ -227,8 +225,7 @@ def check_base_anchored(F: PiecewiseFunction, x,
 # curve-based check (condition 3)
 
 def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
-                       curves, cfg: VerifierConfig = VerifierConfig(),
-                       rng: np.random.Generator | None = None) -> ConditionReport:
+                       curves, rng: np.random.Generator | None = None) -> ConditionReport:
     """Chain rule along curves: D(curve(t), velocity(t)) must be a singleton
     equal to the exact derivative of the composition at almost every t.
 
@@ -448,8 +445,8 @@ class MatrixReport:
         return all(r.consistent for r in self.rows)
 
 
-def run_entry_conditions(entry: MatrixEntry, cfg: VerifierConfig,
-                         seed: int, conditions: tuple[str, ...] = ("1", "2", "3", "4", "5"),
+def run_entry_conditions(entry: MatrixEntry, seed: int,
+                         conditions: tuple[str, ...] = ("1", "2", "3", "4", "5"),
                          ) -> dict[str, ConditionReport]:
     """Run the requested condition checks for one (F, D) binding.
 
@@ -460,36 +457,35 @@ def run_entry_conditions(entry: MatrixEntry, cfg: VerifierConfig,
     F, D = entry.F, entry.D
     out: dict[str, ConditionReport] = {}
     if "1" in conditions:
-        reps = [check_semismooth_I(F, D, x, cfg,
+        reps = [check_semismooth_I(F, D, x,
                                    substream(seed, entry.entry_id, "semismooth", i))
                 for i, x in enumerate(entry.base_points)]
         out["1"] = merge_reports("1", reps)
     if "2" in conditions:
-        reps = [check_semismooth_II(F, D, x, cfg,
+        reps = [check_semismooth_II(F, D, x,
                                     substream(seed, entry.entry_id, "semismooth", i))
                 for i, x in enumerate(entry.base_points)]
         out["2"] = merge_reports("2", reps)
     if "3" in conditions:
-        out["3"] = check_conservative(F, D, entry.curves, cfg,
+        out["3"] = check_conservative(F, D, entry.curves,
                                       substream(seed, entry.entry_id, "3"))
     refined = refine(F.arrangement, entry.partition)
     if "4" in conditions:
-        out["4"] = check_stratified_derivative(F, D, refined, cfg,
-                                               substream(seed, entry.entry_id, "4"))
+        out["4"] = check_stratified_derivative(F, D, refined,
+                                               rng=substream(seed, entry.entry_id, "4"))
     if "5" in conditions:
-        out["5"] = check_stratified_subdifferential(F, D, refined, cfg,
-                                                    substream(seed, entry.entry_id, "5"))
+        out["5"] = check_stratified_subdifferential(F, D, refined,
+                                                    rng=substream(seed, entry.entry_id, "5"))
     return out
 
 
-def equivalence_matrix(entries, cfg: VerifierConfig = VerifierConfig(),
-                       seed: int = 0) -> MatrixReport:
+def equivalence_matrix(entries, seed: int = 0) -> MatrixReport:
     """Run conditions 1-5 for every (F, D) entry and flag row consistency.
 
     The theory predicts all five verdicts agree per row; the consistency
     flag records exactly that, with inconclusive verdicts excluded."""
     rows = []
     for entry in entries:
-        reports = run_entry_conditions(entry, cfg, seed)
+        reports = run_entry_conditions(entry, seed)
         rows.append(MatrixRow(entry_id=entry.entry_id, reports=reports))
     return MatrixReport(rows=tuple(rows))

@@ -60,12 +60,17 @@ class Corpus:
 
     def validate(self) -> None:
         """Structural validation: pieces cover all nonempty full cells,
-        matrix rows reference known functions, curves live in the boxes."""
+        matrix rows reference known functions, base points and curves live
+        in the boxes."""
         for fid, cf in self.functions.items():
             try:
                 cf.func.validate()
             except PiecewiseError as exc:
                 raise PiecewiseError(f"function {fid!r}: {exc}") from None
+            for x in cf.base_points:
+                if np.max(np.abs(x)) > cf.func.box_halfwidth:
+                    raise PiecewiseError(f"function {fid!r}: base point {x.tolist()} "
+                                         "lies outside the bounding box")
             for curve in cf.curves:
                 if curve.dim != cf.func.ambient_dim:
                     raise PiecewiseError(f"function {fid!r}: curve dimension mismatch")
@@ -91,9 +96,16 @@ def _finite(values):
     return arr
 
 
+def _exponent(value) -> int:
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float)
+                                       and value.is_integer()):
+        raise ValueError(f"exponents must be integers, got {value!r}")
+    return int(value)
+
+
 def _poly_from_json(num_vars: int, data) -> Polynomial:
-    return Polynomial.from_terms(num_vars,
-                                 [(tuple(e), float(_finite(c))) for e, c in data])
+    return Polynomial.from_terms(num_vars, [(tuple(map(_exponent, e)), float(_finite(c)))
+                                            for e, c in data])
 
 
 def _hyperplanes_to_json(arr: Arrangement):
@@ -155,7 +167,8 @@ def _field(fd: dict, fid: str, name: str, parse, default=_REQUIRED):
         return default
     try:
         return parse(fd[name])
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError,
+            OverflowError) as exc:
         raise PiecewiseError(f"function {fid!r}: bad field {name!r}: {exc}") from None
 
 

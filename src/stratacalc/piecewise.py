@@ -30,12 +30,10 @@ from .geometry import (
     as_vector,
     row_norms,
 )
-from .seeding import substream
 
 EPS_CELL = 1e-10       # sign-vector zero declaration threshold
 EPS_EQ = 1e-9          # value-agreement tolerance (continuity, curves)
 MAX_DEGREE = 6         # maximum total degree of a piece polynomial
-N_FACET_SAMPLES = 50   # facet points for continuity validation
 DEFAULT_BOX_HALFWIDTH = 10.0
 ROOT_SEED_INTERVALS = 1024
 ROOT_TOL = 1e-13
@@ -787,11 +785,24 @@ class ContinuityReport:
 
 
 def validate_continuity(F: PiecewiseFunction, seed: int = 0) -> ContinuityReport:
-    """Sample N_FACET_SAMPLES points on each shared facet of adjacent
-    full-dimensional pieces and compare the two piece values. Report-only;
-    lists violating pairs with witnesses."""
-    arr = F.arrangement
-    rng = substream(seed, "continuity")
+    """Decide whether adjacent full-dimensional pieces agree on their shared
+    facets. Report-only; lists violating pairs with witnesses.
+
+    Two pieces agree on a nonempty facet exactly when they agree on its
+    hyperplane {a.x = b}, and polynomials of degree <= MAX_DEGREE agree there
+    exactly when they agree on the principal lattice b*a + sum_k alpha_k v_k,
+    |alpha| <= MAX_DEGREE, with v an orthonormal basis of a's complement:
+    that lattice is unisolvent (Chung & Yao 1977). A lattice point fails when
+    the gap between the two values exceeds EPS_EQ plus 1e-13 times the sum of
+    |monomial| values of both pieces there, which bounds the rounding. A
+    violation's witness is the point with the largest gap-to-tolerance ratio;
+    it lies on the facet's hyperplane, not necessarily on the facet. No
+    sampling is involved, so `seed` has no effect.
+    """
+    arr, n = F.arrangement, F.arrangement.ambient_dim
+    alphas = [a for a in itertools.product(range(MAX_DEGREE + 1), repeat=n - 1)
+              if sum(a) <= MAX_DEGREE]
+    alphas = np.array(alphas, dtype=float).reshape(len(alphas), n - 1)
     violations: list[ContinuityViolation] = []
     pairs = 0
     full = [s for s in arr.full_dim_signs() if s in F.pieces]
@@ -807,12 +818,14 @@ def validate_continuity(F: PiecewiseFunction, seed: int = 0) -> ContinuityReport
             if not arr.cell_nonempty(facet):
                 continue
             pairs += 1
-            pts = [sample_cell_point(arr, facet, F.box, rng, cap=2000)
-                   for _ in range(N_FACET_SAMPLES)]
-            pts = np.array([p for p in pts if p is not None]).reshape(-1, arr.ambient_dim)
-            gaps = row_norms(F._value_eval(sign)(pts) - F._value_eval(other)(pts))
-            worst = int(np.argmax(gaps)) if len(gaps) else None
-            if worst is not None and gaps[worst] > EPS_EQ:
+            a = arr.normals[i]
+            pts = arr.offsets[i] * a + alphas @ Subspace.null_space_of(a, n).basis
+            ev_a, ev_b = F._value_eval(sign), F._value_eval(other)
+            gaps = row_norms(ev_a(pts) - ev_b(pts))
+            tols = EPS_EQ + 1e-13 * (np.abs(ev_a.terms(pts)).sum(axis=1)
+                                     + np.abs(ev_b.terms(pts)).sum(axis=1))
+            worst = int(np.argmax(gaps / tols))
+            if gaps[worst] > tols[worst]:
                 violations.append(ContinuityViolation(sign, other, pts[worst],
                                                       float(gaps[worst])))
     return ContinuityReport(ok=not violations, violations=tuple(violations),

@@ -13,7 +13,6 @@ import pytest
 from stratacalc.cli import main as cli_main
 from stratacalc.conditions import (
     MatrixEntry,
-    VerifierConfig,
     check_conservative,
     check_semismooth_I,
     check_semismooth_II,
@@ -28,12 +27,11 @@ from stratacalc.oracles import (
 )
 from stratacalc.piecewise import Curve
 from stratacalc.seeding import substream
-from stratacalc.selftest import forward_difference_slope_ok, univariate_gap
 from stratacalc.solvers import newton_rate_estimate, semismooth_newton
 
+from derivative_checks import forward_difference_slope_ok, univariate_gap
 from membership_lp import member_sum_hull_lp
 
-CFG = VerifierConfig()
 SEED = 7
 DATA = Path(__file__).parent / "data"
 
@@ -60,7 +58,7 @@ def matrix_result(corpus):
                                    parse_oracle(oid, cf.func),
                                    cf.base_points, cf.curves, cf.partition))
     t0 = time.perf_counter()
-    rep = equivalence_matrix(entries, CFG, seed=SEED)
+    rep = equivalence_matrix(entries, seed=SEED)
     elapsed = time.perf_counter() - t0
     return rep, elapsed
 
@@ -84,7 +82,7 @@ def test_criterion_2_clarke_semismoothness(corpus):
     for fid, cf in sorted(corpus.functions.items()):
         D = oracle_clarke_linear(cf.func)
         for i, x in enumerate(cf.base_points):
-            rep = check_semismooth_I(cf.func, D, x, CFG,
+            rep = check_semismooth_I(cf.func, D, x,
                                      substream(SEED, fid, "acc2", i))
             if rep.verdict != "pass":
                 ok = False
@@ -115,9 +113,9 @@ def test_criterion_4_reflection_duality(corpus):
         cf = corpus.function(fid)
         D = parse_oracle(oid, cf.func)
         for i, x in enumerate(cf.base_points):
-            r1 = check_semismooth_I(cf.func, D, x, CFG,
+            r1 = check_semismooth_I(cf.func, D, x,
                                     substream(SEED, fid, "acc4", i))
-            r2 = check_semismooth_II(cf.func, reflect_oracle(D), x, CFG,
+            r2 = check_semismooth_II(cf.func, reflect_oracle(D), x,
                                      substream(SEED, fid, "acc4", i))
             a = np.array(r1.sample_residuals, dtype=float)
             b = np.array(r2.sample_residuals, dtype=float)
@@ -159,7 +157,7 @@ def test_criterion_6_chain_rule_exactness(corpus):
     rng = substream(SEED, "acc6-curves")
     curves = [Curve.from_coeffs(rng.uniform(-2, 2, size=(1, 4)))
               for _ in range(20)]
-    rep = check_conservative(cf.func, D, curves, CFG, substream(SEED, "acc6"))
+    rep = check_conservative(cf.func, D, curves, substream(SEED, "acc6"))
     # the verdict rule is exactly the criterion: >=99% retained passes per
     # curve and every failure within 1e-10 of a detected crossing time
     _report("6 chain-rule exactness", rep.verdict == "pass",

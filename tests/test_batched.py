@@ -252,7 +252,7 @@ def test_row_norms_and_diameters_equal_numpy_per_row():
 
 def test_empty_batches(functions, monkeypatch):
     # zero rows are a valid batch: a check with no samples passes vacuously
-    from stratacalc import VerifierConfig, check_conservative, conditions
+    from stratacalc import check_conservative, conditions
     F = functions[0]
     none = np.zeros((0, F.ambient_dim))
     assert F.values(none).shape == (0, F.output_dim)
@@ -262,7 +262,7 @@ def test_empty_batches(functions, monkeypatch):
     cf = default_corpus().function("max2d")
     monkeypatch.setattr(conditions, "CURVE_SAMPLES", 0)
     rep = check_conservative(cf.func, parse_oracle("clarke", cf.func), cf.curves,
-                             VerifierConfig(), np.random.default_rng(0))
+                             np.random.default_rng(0))
     assert rep.verdict == "pass"
 
 

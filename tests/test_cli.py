@@ -261,9 +261,9 @@ def test_selftest_has_no_fast_flag():
     assert run(["selftest", "--fast", "--filter", "corpus"]) == 1
 
 
-def test_selftest_corrupted_tolerance_exits_two(tmp_path):
+def test_selftest_corrupted_tolerance_exits_two(tmp_path, monkeypatch):
+    monkeypatch.setattr("stratacalc.selftest.EPS_EQ", 1e3)
     out = tmp_path / "s.txt"
-    code = run(["selftest", "--filter", "geometry",
-                "--inject-eps-eq", "1e3", "--output", str(out)])
+    code = run(["selftest", "--filter", "geometry", "--output", str(out)])
     assert code == 2
     assert "FAIL" in out.read_text()

@@ -68,7 +68,7 @@ def id1d():
 
 def test_semismooth_I_abs_clarke_zero_residuals(abs1d):
     D = oracle_clarke_linear(abs1d)
-    rep = check_semismooth_I(abs1d, D, [0.0], CFG, substream(0, "t1"))
+    rep = check_semismooth_I(abs1d, D, [0.0], substream(0, "t1"))
     assert rep.verdict == "pass"
     # |y| - 0 - (sign y)(y - 0) = 0 exactly on both sides of the kink
     assert all(v <= 1e-12 for _, v in rep.residual_table)
@@ -76,7 +76,7 @@ def test_semismooth_I_abs_clarke_zero_residuals(abs1d):
 
 def test_semismooth_I_scaled_identity_fails(id1d):
     D = parse_oracle("scale:2", id1d)
-    rep = check_semismooth_I(id1d, D, [0.0], CFG, substream(0, "t2"))
+    rep = check_semismooth_I(id1d, D, [0.0], substream(0, "t2"))
     assert rep.verdict == "fail"
     # F(y) - 2y = -y: unit residual at every radius
     assert all(v == pytest.approx(1.0, abs=1e-9) for _, v in rep.residual_table)
@@ -86,28 +86,28 @@ def test_semismooth_I_scaled_identity_fails(id1d):
 def test_semismooth_I_smooth_slope_one():
     F = make_square1d()
     D = oracle_exact_directional(F)
-    rep = check_semismooth_I(F, D, [1.0], CFG, substream(0, "t3"))
+    rep = check_semismooth_I(F, D, [1.0], substream(0, "t3"))
     assert rep.verdict == "pass"
     assert rep.slope == pytest.approx(1.0, abs=0.05)
 
 
 def test_semismooth_II_abs_clarke(abs1d):
     D = oracle_clarke_linear(abs1d)
-    rep = check_semismooth_II(abs1d, D, [0.0], CFG, substream(0, "t4"))
+    rep = check_semismooth_II(abs1d, D, [0.0], substream(0, "t4"))
     assert rep.verdict == "pass"
     assert all(v <= 1e-12 for _, v in rep.residual_table)
 
 
 def test_semismooth_II_scaled_fails(id1d):
     D = parse_oracle("scale:2", id1d)
-    rep = check_semismooth_II(id1d, D, [0.0], CFG, substream(0, "t5"))
+    rep = check_semismooth_II(id1d, D, [0.0], substream(0, "t5"))
     assert rep.verdict == "fail"
     assert all(v == pytest.approx(1.0, abs=1e-9) for _, v in rep.residual_table)
 
 
 def test_semismooth_II_exact_smooth_point(abs1d):
     D = oracle_exact_directional(abs1d)
-    rep = check_semismooth_II(abs1d, D, [1.5], CFG, substream(0, "t6"))
+    rep = check_semismooth_II(abs1d, D, [1.5], substream(0, "t6"))
     assert rep.verdict == "pass"
 
 
@@ -117,8 +117,8 @@ def test_reflection_duality_sample_for_sample(abs1d, max2d, id1d):
              (max2d, oracle_exact_directional(max2d), [0.0, 0.0]),
              (id1d, parse_oracle("scale:2", id1d), [0.5])]
     for F, D, x in cases:
-        r1 = check_semismooth_I(F, D, x, CFG, substream(7, "dual", F.ambient_dim))
-        r2 = check_semismooth_II(F, reflect_oracle(D), x, CFG,
+        r1 = check_semismooth_I(F, D, x, substream(7, "dual", F.ambient_dim))
+        r2 = check_semismooth_II(F, reflect_oracle(D), x,
                                  substream(7, "dual", F.ambient_dim))
         assert r1.verdict == r2.verdict
         a = np.array(r1.sample_residuals, dtype=float)
@@ -130,10 +130,10 @@ def test_reflection_duality_sample_for_sample(abs1d, max2d, id1d):
 
 def test_base_anchored_first_order(abs1d):
     # the plain expansion anchored at x holds with the true derivative ...
-    rep = check_base_anchored(abs1d, [0.0], CFG, substream(0, "t7"))
+    rep = check_base_anchored(abs1d, [0.0], substream(0, "t7"))
     assert rep.verdict == "pass"
     # ... and fails with a fixed wrong-branch matrix at the kink
-    rep2 = check_base_anchored(abs1d, [0.0], CFG, substream(0, "t7"),
+    rep2 = check_base_anchored(abs1d, [0.0], substream(0, "t7"),
                                fixed_matrix=np.array([[-1.0]]))
     assert rep2.verdict == "fail"
 
@@ -144,7 +144,7 @@ def test_base_anchored_first_order(abs1d):
 def test_conservative_abs_clarke_passes(abs1d):
     D = oracle_clarke_linear(abs1d)
     gamma = Curve.from_coeffs([[-1.0, 2.0]])
-    rep = check_conservative(abs1d, D, [gamma], CFG, substream(0, "c1"))
+    rep = check_conservative(abs1d, D, [gamma], substream(0, "c1"))
     assert rep.verdict == "pass"
 
 
@@ -153,14 +153,14 @@ def test_conservative_max_diagonal_boundary_passes(max2d):
     # under (1,1) is the singleton {1}, matching d/dt t = 1
     D = oracle_clarke_linear(max2d)
     gamma = Curve.from_coeffs([[-1.0, 2.0], [-1.0, 2.0]])
-    rep = check_conservative(max2d, D, [gamma], CFG, substream(0, "c2"))
+    rep = check_conservative(max2d, D, [gamma], substream(0, "c2"))
     assert rep.verdict == "pass"
 
 
 def test_conservative_scaled_identity_fails_everywhere(id1d):
     D = parse_oracle("scale:2", id1d)
     gamma = Curve.from_coeffs([[0.0, 1.0]])
-    rep = check_conservative(id1d, D, [gamma], CFG, substream(0, "c3"))
+    rep = check_conservative(id1d, D, [gamma], substream(0, "c3"))
     assert rep.verdict == "fail"
     assert rep.witnesses
 
@@ -294,7 +294,7 @@ def _run_all_five(F, D, base_points, curves, partition, seed=11):
                         tuple(curves), partition)
     from stratacalc.conditions import run_entry_conditions
     return {k: r.verdict for k, r in
-            run_entry_conditions(entry, CFG, seed).items()}
+            run_entry_conditions(entry, seed).items()}
 
 
 def test_corruption_at_point_stratum_passes_all_five(abs1d):
@@ -346,7 +346,7 @@ def test_equivalence_matrix_two_rows(abs1d, id1d):
                     (Curve.from_coeffs([[0.0, 1.0]]),),
                     Arrangement(1, ())),
     ]
-    report = equivalence_matrix(entries, CFG, seed=3)
+    report = equivalence_matrix(entries, seed=3)
     row0, row1 = report.rows
     assert row0.verdicts == {k: "pass" for k in "12345"}
     assert row1.verdicts == {k: "fail" for k in "12345"}

@@ -114,6 +114,28 @@ def test_validation_curve_outside_box():
         out.validate()
 
 
+def test_validation_base_point_outside_box():
+    cf = default_corpus().function("abs1d")
+    for x, ok in (([50.0], False), ([10.0], True), ([-10.0], True)):
+        c = Corpus(functions={"abs1d": CorpusFunction(
+            "abs1d", cf.func, (np.array(x),), cf.curves, cf.partition)})
+        if ok:
+            c.validate()      # the box boundary belongs to the box
+        else:
+            with pytest.raises(PiecewiseError, match=r"'abs1d'.*base point.*50"):
+                c.validate()
+
+
+def test_base_point_outside_box_exits_one(tmp_path, capsys):
+    # regression: every sweep sample around it was dropped, exit 3
+    from stratacalc.cli import main
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(_set(base_points=[[50.0]])()))
+    assert main(["check", "--corpus", str(path), "--function", "abs1d",
+                 "--oracle", "clarke", "--conditions", "1"]) == 1
+    assert "base point" in capsys.readouterr().err
+
+
 def test_matrix_row_unknown_function():
     arr = Arrangement(1, ())
     F = PiecewiseFunction(arr, 1, {"": (Polynomial.coordinate(1, 0),)})
@@ -183,6 +205,10 @@ MALFORMED = {
                               r"'abs1d'.*'pieces'"),
     "negative exponent": (_set(pieces={"-": [[[[-1], -1.0]]], "+": [[[[1], 1.0]]]}),
                           r"'abs1d'.*'pieces'"),
+    "fractional exponent": (_set(pieces={"-": [[[[1], -1.0]]], "+": [[[[1.5], 1.0]]]}),
+                            r"'abs1d'.*'pieces'.*1\.5"),
+    "huge exponent": (_set(pieces={"-": [[[[1], -1.0]]], "+": [[[[10**400], 1.0]]]}),
+                      r"'abs1d'.*'pieces'"),
     "breakpoints short of 1": (_set(curves=[{"breakpoints": [0.0, 0.5],
                                              "pieces": [[[0.0, 1.0]]]}]),
                                r"'abs1d'.*'curves'"),

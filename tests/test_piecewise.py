@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,69 @@ def test_validate_continuity_fail_jump():
     assert not rep.ok
     v = rep.violations[0]
     assert abs(v.point[0]) <= 1e-9 and v.gap == pytest.approx(1.0, abs=1e-9)
+
+
+def _constants(arr, ones):
+    """Scalar map over arr: 1 on the full cells in `ones`, 0 on the others."""
+    return PiecewiseFunction(arr, 1, {
+        s: (P(arr.ambient_dim, [((0,) * arr.ambient_dim, float(s in ones))]),)
+        for s in arr.full_dim_signs()})
+
+
+@pytest.mark.parametrize("F, pair, pairs", [
+    # the facet x = 20 lies outside the +/-10 box
+    (_constants(Arrangement(1, (Hyperplane([1.0], 20.0),)), {"+"}), {"-", "+"}, 1),
+    # a bump on the sliver 0 < x < 1e-7, y > 0, which no box sample reaches
+    (_constants(Arrangement(2, (Hyperplane([1.0, 0.0], 0.0),
+                                Hyperplane([1.0, 0.0], 1e-7),
+                                Hyperplane([0.0, 1.0], 0.0))), {"+-+"}),
+     {"+-+", "+--"}, 7),
+], ids=["facet-outside-box", "sliver"])
+def test_validate_continuity_catches_unsampled_jumps(F, pair, pairs):
+    # regression: facet sampling never reached these facets and passed them
+    rep = validate_continuity(F)
+    assert not rep.ok and rep.pairs_checked == pairs
+    hit = [v for v in rep.violations if {v.sign_a, v.sign_b} == pair]
+    assert hit and hit[0].gap == 1.0
+
+
+def test_validate_continuity_draws_no_samples(monkeypatch):
+    from stratacalc import piecewise
+    from stratacalc.corpus import default_corpus
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from gencorpus import generate_corpus
+    from workloads import GENERATED_CORPUS_SEED, GENERATED_SHAPES
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("continuity drew a cell sample")
+
+    monkeypatch.setattr(piecewise, "sample_cell_point", refuse)
+    shipped = default_corpus().functions
+    generated = generate_corpus(GENERATED_CORPUS_SEED, GENERATED_SHAPES).functions
+    funcs = [shipped["max2d"].func, shipped["pwq2d"].func] + \
+        [cf.func for cf in generated.values()]
+    assert len(funcs) == 4
+    for F in funcs:
+        rep = validate_continuity(F)
+        assert rep.ok and rep.pairs_checked > 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_validate_continuity_passes_degree6_far_from_origin(n):
+    # pieces p and p + h*g agree exactly on h = 0, a hyperplane at offset
+    # 500 where degree-6 monomials reach ~1e16: rounding must not fail it
+    rng = np.random.default_rng(n)
+    normal = rng.normal(size=n)
+    plane = Hyperplane(normal, 500.0 * np.linalg.norm(normal))
+    exps = [e for e in np.ndindex(*(7,) * n) if sum(e) <= 6]
+    p = P(n, [(e, rng.normal()) for e in exps])
+    g = P(n, [(e, rng.normal()) for e in exps if sum(e) <= 5])
+    h = P(n, [(tuple(row), a) for row, a in zip(np.eye(n, dtype=int), plane.normal)]
+          + [((0,) * n, -plane.offset)])
+    F = PiecewiseFunction(Arrangement(n, (plane,)), 1,
+                          {"-": (p,), "+": (p + h * g,)})
+    rep = validate_continuity(F)
+    assert rep.ok and rep.pairs_checked == 1
 
 
 # ---------------------------------------------------------------------------

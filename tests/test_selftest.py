@@ -29,9 +29,9 @@ def test_group_filter():
     assert results and all(r.group == "oracles" for r in results)
 
 
-def test_corrupted_tolerance_detected():
-    results = run_selftest(SelftestContext(eps_eq=1e3),
-                           group_filter="geometry")
+def test_corrupted_tolerance_detected(monkeypatch):
+    monkeypatch.setattr("stratacalc.selftest.EPS_EQ", 1e3)
+    results = run_selftest(SelftestContext(), group_filter="geometry")
     names = {r.name: r.passed for r in results}
     assert names["hausdorff is a metric that separates sets"] is False
 
