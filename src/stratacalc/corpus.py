@@ -96,16 +96,9 @@ def _finite(values):
     return arr
 
 
-def _exponent(value) -> int:
-    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float)
-                                       and value.is_integer()):
-        raise ValueError(f"exponents must be integers, got {value!r}")
-    return int(value)
-
-
 def _poly_from_json(num_vars: int, data) -> Polynomial:
-    return Polynomial.from_terms(num_vars, [(tuple(map(_exponent, e)), float(_finite(c)))
-                                            for e, c in data])
+    return Polynomial.from_terms(num_vars,
+                                 [(tuple(e), float(_finite(c))) for e, c in data])
 
 
 def _hyperplanes_to_json(arr: Arrangement):

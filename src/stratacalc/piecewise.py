@@ -33,6 +33,7 @@ from .geometry import (
 
 EPS_CELL = 1e-10       # sign-vector zero declaration threshold
 EPS_EQ = 1e-9          # value-agreement tolerance (continuity, curves)
+EPS_ROUND = 1e-13      # continuity rounding allowance per unit of sum |monomial|
 MAX_DEGREE = 6         # maximum total degree of a piece polynomial
 DEFAULT_BOX_HALFWIDTH = 10.0
 ROOT_SEED_INTERVALS = 1024
@@ -72,10 +73,13 @@ class Polynomial:
     coeffs: np.ndarray     # (T,)
 
     def __post_init__(self):
-        exps = np.asarray(self.exponents, dtype=int).reshape(-1, self.num_vars)
+        raw = np.asarray(self.exponents).reshape(-1, self.num_vars)
+        exps = raw.astype(int)
         cfs = np.asarray(self.coeffs, dtype=float).reshape(-1)
         if exps.shape[0] != cfs.shape[0]:
             raise ValueError("exponent rows and coefficients disagree")
+        if not np.array_equal(raw, exps):
+            raise ValueError(f"exponents must be integers, got {raw[raw != exps][0]}")
         if exps.size and exps.min() < 0:
             raise ValueError("exponents must be nonnegative")
         if exps.size and int(exps.sum(axis=1).max()) > MAX_DEGREE:
@@ -97,7 +101,7 @@ class Polynomial:
         if not terms:
             return cls(num_vars, np.zeros((0, num_vars), dtype=int), np.zeros(0))
         return cls(num_vars,
-                   np.array([t[0] for t in terms], dtype=int),
+                   np.array([t[0] for t in terms]),
                    np.array([t[1] for t in terms], dtype=float))
 
     @classmethod
@@ -788,21 +792,32 @@ def validate_continuity(F: PiecewiseFunction, seed: int = 0) -> ContinuityReport
     """Decide whether adjacent full-dimensional pieces agree on their shared
     facets. Report-only; lists violating pairs with witnesses.
 
-    Two pieces agree on a nonempty facet exactly when they agree on its
-    hyperplane {a.x = b}, and polynomials of degree <= MAX_DEGREE agree there
-    exactly when they agree on the principal lattice b*a + sum_k alpha_k v_k,
-    |alpha| <= MAX_DEGREE, with v an orthonormal basis of a's complement:
-    that lattice is unisolvent (Chung & Yao 1977). A lattice point fails when
-    the gap between the two values exceeds EPS_EQ plus 1e-13 times the sum of
-    |monomial| values of both pieces there, which bounds the rounding. A
-    violation's witness is the point with the largest gap-to-tolerance ratio;
-    it lies on the facet's hyperplane, not necessarily on the facet. No
-    sampling is involved, so `seed` has no effect.
+    The pieces' difference restricted to a facet's hyperplane {a.x = b} is a
+    polynomial of degree <= MAX_DEGREE in the coordinates of an orthonormal
+    basis v of a's complement, so it is fixed by its values on a principal
+    lattice of that degree, which is unisolvent (Chung & Yao 1977). The
+    lattice here is c + h*sum_k alpha_k v_k, |alpha| <= MAX_DEGREE, with
+    corner c = b*a - R*sum_k v_k and step h = R*(m + sqrt(m))/MAX_DEGREE for
+    m = n - 1 and R the box's circumradius: its simplex holds every point of
+    the hyperplane within R of b*a, hence the hyperplane's part of the box.
+    A lattice point fails when the gap between the two values exceeds EPS_EQ
+    plus EPS_ROUND times the sum of |monomial| values of both pieces there,
+    which bounds the rounding. Because the difference interpolates its
+    lattice values, a pass bounds the gap anywhere on the simplex by the
+    lattice's Lebesgue constant (about 4.5 for n = 2 and 8.7 for n = 3) times
+    the tolerance. A facet outside the box is checked on the same simplex
+    around b*a. A violation's witness is the point with the largest
+    gap-to-tolerance ratio; it lies on the facet's hyperplane, not
+    necessarily on the facet. No sampling is involved, so `seed` has no
+    effect.
     """
     arr, n = F.arrangement, F.arrangement.ambient_dim
-    alphas = [a for a in itertools.product(range(MAX_DEGREE + 1), repeat=n - 1)
+    m = n - 1
+    alphas = [a for a in itertools.product(range(MAX_DEGREE + 1), repeat=m)
               if sum(a) <= MAX_DEGREE]
-    alphas = np.array(alphas, dtype=float).reshape(len(alphas), n - 1)
+    radius = F.box_halfwidth * np.sqrt(n)
+    step = radius * (m + np.sqrt(m)) / MAX_DEGREE
+    coords = step * np.array(alphas, dtype=float).reshape(len(alphas), m) - radius
     violations: list[ContinuityViolation] = []
     pairs = 0
     full = [s for s in arr.full_dim_signs() if s in F.pieces]
@@ -819,11 +834,11 @@ def validate_continuity(F: PiecewiseFunction, seed: int = 0) -> ContinuityReport
                 continue
             pairs += 1
             a = arr.normals[i]
-            pts = arr.offsets[i] * a + alphas @ Subspace.null_space_of(a, n).basis
+            pts = arr.offsets[i] * a + coords @ Subspace.null_space_of(a, n).basis
             ev_a, ev_b = F._value_eval(sign), F._value_eval(other)
             gaps = row_norms(ev_a(pts) - ev_b(pts))
-            tols = EPS_EQ + 1e-13 * (np.abs(ev_a.terms(pts)).sum(axis=1)
-                                     + np.abs(ev_b.terms(pts)).sum(axis=1))
+            tols = EPS_EQ + EPS_ROUND * (np.abs(ev_a.terms(pts)).sum(axis=1)
+                                         + np.abs(ev_b.terms(pts)).sum(axis=1))
             worst = int(np.argmax(gaps / tols))
             if gaps[worst] > tols[worst]:
                 violations.append(ContinuityViolation(sign, other, pts[worst],
