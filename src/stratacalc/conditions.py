@@ -65,10 +65,17 @@ TANGENT_COMBOS = 10         # random tangent combinations per cell point
 
 @dataclass(frozen=True)
 class VerifierConfig:
-    """The rejection-sampling budget of a cell, shared by its CELL_POINTS
-    draws. Only the per-cell checks (conditions 4, 5 and the projection
-    formula) take a config."""
+    """The rejection-sampling budget of a cell: each of its CELL_POINTS
+    points gets a window of rejection_cap // CELL_POINTS box draws, so a cap
+    below CELL_POINTS (every window empty, every cell skipped) is refused.
+    Only the per-cell checks (conditions 4, 5 and the projection formula)
+    take a config."""
     rejection_cap: int = REJECTION_CAP
+
+    def __post_init__(self):
+        if self.rejection_cap < CELL_POINTS:
+            raise ValueError(f"rejection_cap {self.rejection_cap} is below CELL_POINTS "
+                             f"({CELL_POINTS}): no cell point would get a draw")
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,39 +276,41 @@ def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
 # stratified checks (conditions 4, 5, projection formula)
 
 def _cell_samples(F, partition: Arrangement, cfg, rng):
-    """Sample points from every nonempty cell of positive dimension;
-    skipped cells become notes."""
+    """Sample CELL_POINTS points from every nonempty cell of positive
+    dimension; cells where no point was found become notes."""
     out, notes = [], []
-    box = F.box
     for sign in partition.all_nonempty_signs():
         cell = partition.cell(sign)
         if cell.dimension == 0:
             continue
-        pts = []
-        for _ in range(CELL_POINTS):
-            p = sample_cell_point(partition, sign, box, rng,
-                                  cap=cfg.rejection_cap // CELL_POINTS)
-            if p is not None:
-                pts.append(p)
-        if not pts:
+        pts = sample_cell_point(partition, sign, F.box, rng, CELL_POINTS,
+                                cap=cfg.rejection_cap // CELL_POINTS)
+        if pts is None:
             notes.append(f"cell {sign!r}: sampling failed, skipped")
             continue
         out.append((cell, pts))
     return out, notes
 
 
-def _tangent_directions(cell, rng) -> list[np.ndarray]:
-    """+/- the tangent basis plus, from dimension 2 on, random unit
-    combinations of it (on a line they would only repeat +/- the basis)."""
+def _tangent_directions(cell, pts: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (x, u) for each of the cell's points x, in point order: +/- the
+    tangent basis plus, from dimension 2 on, TANGENT_COMBOS random unit
+    combinations of it (on a line they would only repeat +/- the basis).
+    A combination of norm at most 1e-12 is dropped."""
     basis = cell.tangent.basis
-    dirs = [s * b for b in basis for s in (1.0, -1.0)]
-    for _ in range(TANGENT_COMBOS if cell.dimension >= 2 else 0):
-        c = rng.normal(size=cell.dimension)
-        u = basis.T @ c
-        nrm = float(np.linalg.norm(u))
-        if nrm > 1e-12:
-            dirs.append(u / nrm)
-    return dirs
+    P, n = pts.shape
+    U = np.broadcast_to(np.stack([basis, -basis], axis=1).reshape(-1, n),
+                        (P, 2 * cell.dimension, n))
+    keep = np.ones(U.shape[:2], dtype=bool)
+    if cell.dimension >= 2:
+        C = rng.normal(size=(P, TANGENT_COMBOS, cell.dimension))
+        V = np.matmul(basis.T, C[..., None])[..., 0]
+        nrm = row_norms(V)
+        big = nrm > 1e-12
+        U = np.concatenate([U, V / np.where(big, nrm, 1.0)[..., None]], axis=1)
+        keep = np.concatenate([keep, big], axis=1)
+    keep = keep.ravel()
+    return np.repeat(pts, U.shape[1], axis=0)[keep], U.reshape(-1, n)[keep]
 
 
 def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
@@ -319,14 +328,10 @@ def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
     """
     rng = rng or np.random.default_rng(0)
     samples, notes = _cell_samples(F, partition, cfg, rng)
-    X, U = [], []
-    for cell, pts in samples:
-        for x in pts:
-            dirs = _tangent_directions(cell, rng)
-            X += [x] * len(dirs)
-            U += dirs
-    X = np.array(X).reshape(-1, F.ambient_dim)
-    U = np.array(U).reshape(-1, F.ambient_dim)
+    rows = [_tangent_directions(cell, pts, rng) for cell, pts in samples]
+    empty = np.empty((0, F.ambient_dim))
+    X = np.concatenate([empty] + [x for x, _ in rows])
+    U = np.concatenate([empty] + [u for _, u in rows])
     res = residual(X, U)
     fails = np.flatnonzero(res > EPS_EQ * (1.0 + row_norms(U)))
     return ConditionReport(condition=condition,

@@ -39,6 +39,7 @@ DEFAULT_BOX_HALFWIDTH = 10.0
 ROOT_SEED_INTERVALS = 1024
 ROOT_TOL = 1e-13
 REJECTION_CAP = 100_000
+SAMPLE_BLOCK = 4096    # most box draws one block of cell rejection sampling holds
 SAMPLE_MARGIN = 1e-6   # sign margin when sampling cell interiors
 LP_BOX = 1e4           # |x|_inf bound that keeps the cell LP bounded
 LP_TOL = 1e-9          # smallest simplex pivot; phase-1 infeasibility margin
@@ -487,32 +488,58 @@ def refine(a1: Arrangement, a2: Arrangement) -> Arrangement:
 
 
 def sample_cell_point(arr: Arrangement, sign: str, box: np.ndarray,
-                      rng: np.random.Generator,
+                      rng: np.random.Generator, count: int,
                       cap: int = REJECTION_CAP) -> np.ndarray | None:
-    """Rejection-sample a point of the cell inside the box.
+    """Rejection-sample up to `count` points of the cell inside the box.
 
     Box draws are projected onto the affine hull of the cell's zero
     constraints, then the strict signs are checked with a safety margin.
-    Returns None when the cap is exhausted (caller logs and skips).
+    Point p takes the first accepted draw in its own window of `cap` draws,
+    which starts right after point p-1's accepted draw or exhausted window.
+    Draws are tested in blocks, and the generator ends as many draws past
+    its start as the windows used, so neither the points nor the stream
+    depend on the blocking (README "Batch evaluation"). Returns the (k, n)
+    points found, or None when k = 0 (caller logs and skips).
     """
-    zeros = [i for i, c in enumerate(sign) if c == "0"]
-    if zeros:
-        A = arr._normals[zeros]
-        b = arr._offsets[zeros]
-        pinv = np.linalg.pinv(A)
+    zero = np.array([c == "0" for c in sign], dtype=bool)
+    A, b = arr._normals[zero], arr._offsets[zero]
+    pinv = np.linalg.pinv(A) if zero.any() else None
+    rlo, rhi = np.array([{"0": (-EPS_CELL, EPS_CELL), "+": (SAMPLE_MARGIN, np.inf),
+                          "-": (-np.inf, -SAMPLE_MARGIN)}[c] for c in sign]).reshape(-1, 2).T
     lo, hi = box
-    accept = [{"0": (-EPS_CELL, EPS_CELL), "+": (SAMPLE_MARGIN, np.inf),
-               "-": (-np.inf, -SAMPLE_MARGIN)}[c] for c in sign]
-    for _ in range(cap):
-        x = rng.uniform(lo, hi)
-        if zeros:
-            x = x - pinv @ (A @ x - b)
-            if np.any(x < lo) or np.any(x > hi):
-                continue
-        r = arr.residuals(x).tolist()
-        if all(rlo <= v <= rhi for v, (rlo, rhi) in zip(r, accept)):
-            return x
-    return None
+    chunks = []
+    p = start = drawn = 0      # windows settled, first row of window p, rows drawn
+    size = count
+    while p < count:
+        size = min(size, SAMPLE_BLOCK, start + (count - p) * cap - drawn)
+        state, first = rng.bit_generator.state, drawn
+        X = rng.uniform(lo, hi, size=(size, len(lo)))
+        drawn += size
+        ok = np.ones(size, dtype=bool)
+        if pinv is not None:
+            X = X - np.matmul(pinv, np.matmul(A, X[:, :, None]) - b[:, None])[:, :, 0]
+            ok = ~((X < lo) | (X > hi)).any(axis=1)
+        r = arr.residuals(X)
+        hits = first + np.flatnonzero(ok & ((r >= rlo) & (r <= rhi)).all(axis=1))
+        taken, j = [], 0
+        while p < count:
+            end = start + cap
+            if j < len(hits) and hits[j] < end:
+                taken.append(hits[j] - first)
+                start = hits[j] + 1
+                j += 1
+            elif end <= drawn:
+                start = end
+            else:
+                break
+            p += 1
+        chunks.append(X[taken])
+        size *= 2
+    if drawn > start:      # rewind to the last block and redraw what was used of it
+        rng.bit_generator.state = state
+        rng.uniform(lo, hi, size=(start - first, len(lo)))
+    points = np.concatenate(chunks) if chunks else np.empty((0, len(lo)))
+    return points if len(points) else None
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ the scalar formulas they replaced, which stay here as the reference.
 Inputs cover random points, points on hyperplanes (with tangent directions,
 which exercise the directional tie-break), vertices of the arrangement,
 rows with u = 0, and a handcrafted pointwise oracle. The assumption checker
-is compared with the one-row loop it replaced, report field by field.
+is compared with the one-row loop it replaced, report field by field. Cell
+sampling and tangent directions are compared with the one-point loops they
+replaced: same points, same directions, and the generator left in the same
+state.
 """
 
 import dataclasses
@@ -22,6 +25,7 @@ from stratacalc.geometry import (
     row_norms,
 )
 from stratacalc import oracles
+from stratacalc.conditions import TANGENT_COMBOS, _tangent_directions
 from stratacalc.oracles import (
     EPS_HOM,
     HOM_T_FACTORS,
@@ -31,7 +35,13 @@ from stratacalc.oracles import (
     AssumptionReport,
     check_assumption,
 )
-from stratacalc.piecewise import EPS_CELL
+from stratacalc.piecewise import (
+    EPS_CELL,
+    SAMPLE_MARGIN,
+    Arrangement,
+    Hyperplane,
+    sample_cell_point,
+)
 from stratacalc.seeding import substream
 
 ORACLES = ("exact", "clarke", "branch", "scale:2", "scale:-0.5", "reflect:clarke",
@@ -341,3 +351,136 @@ def test_check_assumption_degenerate_configs(monkeypatch, cfg, probes):
     for D in [parse_oracle("clarke", F)] + _handcrafted_oracles():
         _assert_same_report(check_assumption(D, F, probes, seed=2),
                             _scalar_assumption(D, probes, seed=2))
+
+
+# ---------------------------------------------------------------------------
+# cell sampling and tangent directions against the one-point loops
+
+def _one_point_sample(arr, sign, box, rng, cap):
+    """One point by the rejection loop that sample_cell_point replaced."""
+    zeros = [i for i, c in enumerate(sign) if c == "0"]
+    if zeros:
+        A = arr.normals[zeros]
+        b = arr.offsets[zeros]
+        pinv = np.linalg.pinv(A)
+    lo, hi = box
+    accept = [{"0": (-EPS_CELL, EPS_CELL), "+": (SAMPLE_MARGIN, np.inf),
+               "-": (-np.inf, -SAMPLE_MARGIN)}[c] for c in sign]
+    for _ in range(cap):
+        x = rng.uniform(lo, hi)
+        if zeros:
+            x = x - pinv @ (A @ x - b)
+            if np.any(x < lo) or np.any(x > hi):
+                continue
+        r = arr.residuals(x).tolist()
+        if all(rlo <= v <= rhi for v, (rlo, rhi) in zip(r, accept)):
+            return x
+    return None
+
+
+def _one_point_tangent_directions(cell, rng):
+    """One point's directions by the loop that _tangent_directions replaced."""
+    basis = cell.tangent.basis
+    dirs = [s * b for b in basis for s in (1.0, -1.0)]
+    for _ in range(TANGENT_COMBOS if cell.dimension >= 2 else 0):
+        c = rng.normal(size=cell.dimension)
+        u = basis.T @ c
+        nrm = float(np.linalg.norm(u))
+        if nrm > 1e-12:
+            dirs.append(u / nrm)
+    return dirs
+
+
+def _random_arrangements(seed=5):
+    """One arrangement for each n <= 3 and k <= 4, redrawn until every
+    vertex lies inside [-8, 8]^n, so that each cell meets the box
+    [-10, 10]^n: a cell the box misses exhausts all its windows, which
+    costs the one-point loop count * cap draws."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in (1, 2, 3):
+        for k in (1, 2, 3, 4):
+            while True:
+                arr = Arrangement(n, tuple(Hyperplane(rng.normal(size=n), rng.uniform(-3, 3))
+                                           for _ in range(k)))
+                cells = [arr.cell(s) for s in arr.all_nonempty_signs()]
+                if all(np.abs(c.point).max() < 8 for c in cells if c.dimension == 0):
+                    break
+            out.append(arr)
+    return out
+
+
+def _assert_same_sampling(arr, sign, box, seed, count, cap):
+    """sample_cell_point against `count` one-point loops on equal streams;
+    returns the one-point results (None for an exhausted window)."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_cell_point(arr, sign, box, rng, count, cap=cap)
+    want = [_one_point_sample(arr, sign, box, ref_rng, cap) for _ in range(count)]
+    found = [x for x in want if x is not None]
+    assert (got is None) == (not found)
+    if found:
+        assert np.array_equal(got, np.array(found))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return want
+
+
+@pytest.mark.parametrize("cap", [50, 5000])
+def test_sample_cell_point_equals_one_point_loop(cap):
+    for i, arr in enumerate(_random_arrangements()):
+        box = np.array([[-10.0] * arr.ambient_dim, [10.0] * arr.ambient_dim])
+        for j, sign in enumerate(arr.all_nonempty_signs()):
+            if arr.cell(sign).dimension > 0:
+                _assert_same_sampling(arr, sign, box, 100 * i + j, 20, cap)
+
+
+@pytest.mark.parametrize("gap", [1e-8, 0.4])
+def test_sample_cell_point_windows_exhausted_mid_cell(gap):
+    # the slab between two parallel hyperplanes: at 1e-8 (under the sampling
+    # margin) every window of 50 draws runs out; at 0.4 about a third do, in
+    # the middle of the cell's points
+    arr = Arrangement(1, (Hyperplane([1.0], 0.0), Hyperplane([1.0], gap)))
+    box = np.array([[-10.0], [10.0]])
+    want = _assert_same_sampling(arr, "+-", box, 3, 20, 50)
+    exhausted = [x is None for x in want]
+    assert all(exhausted) if gap < 1e-6 else 0 < sum(exhausted[1:-1]) < 18
+
+
+def test_tangent_directions_equal_per_point_loop():
+    for i, arr in enumerate(_random_arrangements()):
+        for sign in arr.all_nonempty_signs():
+            cell = arr.cell(sign)
+            if cell.dimension == 0:
+                continue
+            pts = np.random.default_rng(i).uniform(-5, 5, size=(7, arr.ambient_dim))
+            rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
+            X, U = _tangent_directions(cell, pts, rng)
+            want = [(x, u) for x in pts for u in _one_point_tangent_directions(cell, ref_rng)]
+            assert np.array_equal(X, np.array([x for x, _ in want]))
+            assert np.array_equal(U, np.array([u for _, u in want]))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _Replay:
+    """Serves normal draws from a fixed sequence, whatever shape is asked."""
+
+    def __init__(self, values):
+        self.values, self.used = values, 0
+
+    def normal(self, size):
+        k = int(np.prod(size))
+        out = self.values[self.used:self.used + k].reshape(size)
+        self.used += k
+        return out
+
+
+def test_tangent_directions_drop_null_combinations_like_per_point_loop():
+    arr = Arrangement(3, (Hyperplane([1.0, 1.0, 0.0], 0.5),))
+    cell = arr.cell("0")
+    pts = np.zeros((4, 3))
+    C = np.random.default_rng(0).normal(size=(4, TANGENT_COMBOS, cell.dimension))
+    C[0, 3] = C[2, 0] = C[2, -1] = 0.0
+    X, U = _tangent_directions(cell, pts, _Replay(C.ravel()))
+    ref = _Replay(C.ravel())
+    want = [u for _ in pts for u in _one_point_tangent_directions(cell, ref)]
+    assert len(want) == 4 * (2 * cell.dimension + TANGENT_COMBOS) - 3
+    assert np.array_equal(U, np.array(want)) and len(X) == len(want)

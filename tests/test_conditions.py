@@ -190,6 +190,21 @@ def test_stratified_derivative_scaled_fails(id1d):
     assert rep.witnesses
 
 
+def test_stratified_derivative_scaled_max2d_fails_at_default_cap(max2d):
+    D = parse_oracle("scale:2", max2d)
+    rep = check_stratified_derivative(max2d, D, max2d.arrangement, VerifierConfig(),
+                                      substream(0, "d4"))
+    assert rep.verdict == "fail"
+
+
+@pytest.mark.parametrize("cap", [0, 19, -5])
+def test_rejection_cap_below_cell_points_is_rejected(cap):
+    # a cap below CELL_POINTS gives every point an empty window: every cell
+    # would be skipped and a wrong oracle would pass
+    with pytest.raises(ValueError, match=rf"rejection_cap {cap}\b"):
+        VerifierConfig(rejection_cap=cap)
+
+
 def test_stratified_subdifferential_cases(abs1d, max2d, id1d):
     assert check_stratified_subdifferential(
         abs1d, oracle_clarke_linear(abs1d), abs1d.arrangement, CFG,
@@ -245,7 +260,7 @@ def test_one_dimensional_cell_directions_are_plus_minus_basis():
     from stratacalc.conditions import _tangent_directions
     cell = make_max2d().arrangement.cell("0")
     rng = np.random.default_rng(0)
-    dirs = _tangent_directions(cell, rng)
+    _, dirs = _tangent_directions(cell, cell.point[None, :], rng)
     basis = cell.tangent.basis
     assert np.array_equal(np.array(dirs), np.vstack([basis, -basis]))
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state

@@ -57,7 +57,7 @@ def test_sample_cell_point_cap_exhaustion():
     arr = Arrangement(1, (Hyperplane([1.0], 0.0), Hyperplane([1.0], 1e-9)))
     rng = np.random.default_rng(0)
     box = np.array([[-10.0], [10.0]])
-    pt = sample_cell_point(arr, "+-", box, rng, cap=50)
+    pt = sample_cell_point(arr, "+-", box, rng, 1, cap=50)
     assert pt is None
 
 

@@ -151,8 +151,9 @@ def test_sample_cell_point_respects_signs():
     arr = Arrangement(2, (Hyperplane([1, 0], 0.0), Hyperplane([0, 1], 0.0)))
     rng = np.random.default_rng(3)
     box = np.array([[-10.0, -10.0], [10.0, 10.0]])
-    pt = sample_cell_point(arr, "0+", box, rng)
-    assert pt is not None
+    pts = sample_cell_point(arr, "0+", box, rng, 1)
+    assert pts is not None
+    (pt,) = pts
     assert abs(pt[0]) <= 1e-10 and pt[1] > 0
 
 
@@ -414,12 +415,10 @@ def test_refine_compatibility_sampling():
     r = refine(a, b)
     box = np.array([[-10.0, -10.0], [10.0, 10.0]])
     for sign in r.full_dim_signs():
-        seen_a, seen_b = set(), set()
-        for _ in range(100):
-            pt = sample_cell_point(r, sign, box, rng)
-            assert pt is not None
-            seen_a.add(a.sign_vector(pt))
-            seen_b.add(b.sign_vector(pt))
+        pts = sample_cell_point(r, sign, box, rng, 100)
+        assert pts is not None and len(pts) == 100
+        seen_a = {a.sign_vector(pt) for pt in pts}
+        seen_b = {b.sign_vector(pt) for pt in pts}
         assert len(seen_a) == 1 and len(seen_b) == 1
 
 
