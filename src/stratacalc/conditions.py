@@ -65,17 +65,17 @@ TANGENT_COMBOS = 10         # random tangent combinations per cell point
 
 @dataclass(frozen=True)
 class VerifierConfig:
-    """The rejection-sampling budget of a cell: each of its CELL_POINTS
-    points gets a window of rejection_cap // CELL_POINTS box draws, so a cap
-    below CELL_POINTS (every window empty, every cell skipped) is refused.
-    Only the per-cell checks (conditions 4, 5 and the projection formula)
-    take a config."""
+    """The rejection-sampling budget of a cell: at most rejection_cap box
+    draws per cell. A cap below CELL_POINTS is refused, since such a budget
+    can never give a cell its points. Only the per-cell checks (conditions
+    4, 5 and the projection formula) take a config."""
     rejection_cap: int = REJECTION_CAP
 
     def __post_init__(self):
         if self.rejection_cap < CELL_POINTS:
             raise ValueError(f"rejection_cap {self.rejection_cap} is below CELL_POINTS "
-                             f"({CELL_POINTS}): no cell point would get a draw")
+                             f"({CELL_POINTS}): such a budget can never give a cell "
+                             f"its points")
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +241,8 @@ def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
     any other: the velocity is tangent there and the composed derivative is
     the tangential derivative. A failing sample within CROSSING_TOL of a
     detected crossing time is excused as measure zero; any other failure is
-    genuine.
+    genuine. Without curves there is no evidence, and the verdict is
+    inconclusive.
     """
     rng = rng or np.random.default_rng(0)
     table, witnesses, notes = [], [], []
@@ -266,31 +267,17 @@ def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
             all_ok = False
         if excused.any():
             notes.append(f"curve{ci}: {int(excused.sum())} samples excused at crossings")
-    return ConditionReport(condition="3",
-                           verdict="pass" if all_ok else "fail",
+    verdict = "pass" if all_ok else "fail"
+    if not table:
+        verdict = "inconclusive"
+        notes.append("no curves to follow")
+    return ConditionReport(condition="3", verdict=verdict,
                            residual_table=tuple(table),
                            witnesses=tuple(witnesses), notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
 # stratified checks (conditions 4, 5, projection formula)
-
-def _cell_samples(F, partition: Arrangement, cfg, rng):
-    """Sample CELL_POINTS points from every nonempty cell of positive
-    dimension; cells where no point was found become notes."""
-    out, notes = [], []
-    for sign in partition.all_nonempty_signs():
-        cell = partition.cell(sign)
-        if cell.dimension == 0:
-            continue
-        pts = sample_cell_point(partition, sign, F.box, rng, CELL_POINTS,
-                                cap=cfg.rejection_cap // CELL_POINTS)
-        if pts is None:
-            notes.append(f"cell {sign!r}: sampling failed, skipped")
-            continue
-        out.append((cell, pts))
-    return out, notes
-
 
 def _tangent_directions(cell, pts: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """Rows (x, u) for each of the cell's points x, in point order: +/- the
@@ -317,18 +304,28 @@ def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
                       cfg: VerifierConfig, rng, condition: str,
                       residual) -> ConditionReport:
     """Per-cell loop shared by conditions 4, 5 and the projection formula:
-    residual(X, U) at sampled points x of every cell, for directions u
-    tangent to the cell. All points and directions are drawn first, then
-    evaluated in one call. A direction fails when its residual exceeds
-    EPS_EQ * (1 + |u|).
+    residual(X, U) at CELL_POINTS sampled points x of every cell of positive
+    dimension, for directions u tangent to the cell. Each cell's points are
+    drawn, then its tangent combinations; a cell where no point was found
+    becomes a note. All rows are then evaluated in one call. A direction
+    fails when its residual exceeds EPS_EQ * (1 + |u|).
 
     Zero-dimensional cells are not sampled: their only tangent direction is
     u = 0, where D(x, 0) = {0} by the GeneralizedDerivative contract and
     F'(x, 0) = 0, so every oracle would pass there.
     """
     rng = rng or np.random.default_rng(0)
-    samples, notes = _cell_samples(F, partition, cfg, rng)
-    rows = [_tangent_directions(cell, pts, rng) for cell, pts in samples]
+    rows, notes = [], []
+    for sign in partition.all_nonempty_signs():
+        cell = partition.cell(sign)
+        if cell.dimension == 0:
+            continue
+        pts = sample_cell_point(partition, sign, F.box, rng, CELL_POINTS,
+                                cap=cfg.rejection_cap)
+        if pts is None:
+            notes.append(f"cell {sign!r}: sampling failed, skipped")
+            continue
+        rows.append(_tangent_directions(cell, pts, rng))
     empty = np.empty((0, F.ambient_dim))
     X = np.concatenate([empty] + [x for x, _ in rows])
     U = np.concatenate([empty] + [u for _, u in rows])
@@ -393,7 +390,11 @@ def check_projection_formula(F: PiecewiseFunction, partition: Arrangement,
 # aggregation and the equivalence matrix
 
 def merge_reports(condition: str, reports: list[ConditionReport]) -> ConditionReport:
-    """Combine per-base-point reports: fail dominates, then inconclusive."""
+    """Combine per-base-point reports: fail dominates, then inconclusive.
+    No reports at all (no base points) is inconclusive."""
+    if not reports:
+        return ConditionReport(condition=condition, verdict="inconclusive",
+                               residual_table=(), notes=("no base points to sweep",))
     verdict = "pass"
     if any(r.verdict == "fail" for r in reports):
         verdict = "fail"
@@ -457,7 +458,8 @@ def run_entry_conditions(entry: MatrixEntry, seed: int,
 
     Substreams are keyed by (entry id, condition id), except that the two
     semismooth sweeps share per-point direction streams so their residuals
-    are comparable sample-for-sample (reflection duality).
+    are comparable sample-for-sample (reflection duality), and conditions 4
+    and 5 share one "strata" stream, so both judge the same (x, u) rows.
     """
     F, D = entry.F, entry.D
     out: dict[str, ConditionReport] = {}
@@ -476,11 +478,11 @@ def run_entry_conditions(entry: MatrixEntry, seed: int,
                                       substream(seed, entry.entry_id, "3"))
     refined = refine(F.arrangement, entry.partition)
     if "4" in conditions:
-        out["4"] = check_stratified_derivative(F, D, refined,
-                                               rng=substream(seed, entry.entry_id, "4"))
+        out["4"] = check_stratified_derivative(
+            F, D, refined, rng=substream(seed, entry.entry_id, "strata"))
     if "5" in conditions:
-        out["5"] = check_stratified_subdifferential(F, D, refined,
-                                                    rng=substream(seed, entry.entry_id, "5"))
+        out["5"] = check_stratified_subdifferential(
+            F, D, refined, rng=substream(seed, entry.entry_id, "strata"))
     return out
 
 

@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .geometry import as_vector
+from .geometry import MAX_DIM, as_vector
 from .piecewise import (
     Arrangement,
     Curve,
@@ -166,8 +166,8 @@ def _field(fd: dict, fid: str, name: str, parse, default=_REQUIRED):
 
 
 def _dim(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"expected a positive integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_DIM:
+        raise ValueError(f"expected an integer in 1..{MAX_DIM}, got {value!r}")
     return value
 
 

@@ -38,7 +38,7 @@ MAX_DEGREE = 6         # maximum total degree of a piece polynomial
 DEFAULT_BOX_HALFWIDTH = 10.0
 ROOT_SEED_INTERVALS = 1024
 ROOT_TOL = 1e-13
-REJECTION_CAP = 100_000
+REJECTION_CAP = 100_000  # box draws per cell in rejection sampling
 SAMPLE_BLOCK = 4096    # most box draws one block of cell rejection sampling holds
 SAMPLE_MARGIN = 1e-6   # sign margin when sampling cell interiors
 LP_BOX = 1e4           # |x|_inf bound that keeps the cell LP bounded
@@ -494,12 +494,10 @@ def sample_cell_point(arr: Arrangement, sign: str, box: np.ndarray,
 
     Box draws are projected onto the affine hull of the cell's zero
     constraints, then the strict signs are checked with a safety margin.
-    Point p takes the first accepted draw in its own window of `cap` draws,
-    which starts right after point p-1's accepted draw or exhausted window.
-    Draws are tested in blocks, and the generator ends as many draws past
-    its start as the windows used, so neither the points nor the stream
-    depend on the blocking (README "Batch evaluation"). Returns the (k, n)
-    points found, or None when k = 0 (caller logs and skips).
+    At most `cap` box draws are made, in blocks that start at `count` rows
+    and double up to SAMPLE_BLOCK rows. Returns the first `count` accepted
+    draws in draw order, or None when none was accepted (caller logs and
+    skips).
     """
     zero = np.array([c == "0" for c in sign], dtype=bool)
     A, b = arr._normals[zero], arr._offsets[zero]
@@ -507,12 +505,11 @@ def sample_cell_point(arr: Arrangement, sign: str, box: np.ndarray,
     rlo, rhi = np.array([{"0": (-EPS_CELL, EPS_CELL), "+": (SAMPLE_MARGIN, np.inf),
                           "-": (-np.inf, -SAMPLE_MARGIN)}[c] for c in sign]).reshape(-1, 2).T
     lo, hi = box
-    chunks = []
-    p = start = drawn = 0      # windows settled, first row of window p, rows drawn
+    chunks = [np.empty((0, len(lo)))]
+    found = drawn = 0
     size = count
-    while p < count:
-        size = min(size, SAMPLE_BLOCK, start + (count - p) * cap - drawn)
-        state, first = rng.bit_generator.state, drawn
+    while found < count and drawn < cap:
+        size = min(size, SAMPLE_BLOCK, cap - drawn)
         X = rng.uniform(lo, hi, size=(size, len(lo)))
         drawn += size
         ok = np.ones(size, dtype=bool)
@@ -520,25 +517,10 @@ def sample_cell_point(arr: Arrangement, sign: str, box: np.ndarray,
             X = X - np.matmul(pinv, np.matmul(A, X[:, :, None]) - b[:, None])[:, :, 0]
             ok = ~((X < lo) | (X > hi)).any(axis=1)
         r = arr.residuals(X)
-        hits = first + np.flatnonzero(ok & ((r >= rlo) & (r <= rhi)).all(axis=1))
-        taken, j = [], 0
-        while p < count:
-            end = start + cap
-            if j < len(hits) and hits[j] < end:
-                taken.append(hits[j] - first)
-                start = hits[j] + 1
-                j += 1
-            elif end <= drawn:
-                start = end
-            else:
-                break
-            p += 1
-        chunks.append(X[taken])
+        chunks.append(X[ok & ((r >= rlo) & (r <= rhi)).all(axis=1)])
+        found += len(chunks[-1])
         size *= 2
-    if drawn > start:      # rewind to the last block and redraw what was used of it
-        rng.bit_generator.state = state
-        rng.uniform(lo, hi, size=(start - first, len(lo)))
-    points = np.concatenate(chunks) if chunks else np.empty((0, len(lo)))
+    points = np.concatenate(chunks)[:count]
     return points if len(points) else None
 
 

@@ -4,10 +4,11 @@ the scalar formulas they replaced, which stay here as the reference.
 Inputs cover random points, points on hyperplanes (with tangent directions,
 which exercise the directional tie-break), vertices of the arrangement,
 rows with u = 0, and a handcrafted pointwise oracle. The assumption checker
-is compared with the one-row loop it replaced, report field by field. Cell
-sampling and tangent directions are compared with the one-point loops they
-replaced: same points, same directions, and the generator left in the same
-state.
+is compared with the one-row loop it replaced, report field by field.
+Tangent directions are compared with the one-point loop they replaced: same
+directions, and the generator left in the same state. Cell sampling, a
+plain blocked rejection loop, is tested for its properties: points of the
+cell inside the box, independent of the block size, and within the budget.
 """
 
 import dataclasses
@@ -35,9 +36,9 @@ from stratacalc.oracles import (
     AssumptionReport,
     check_assumption,
 )
+from stratacalc import piecewise
 from stratacalc.piecewise import (
     EPS_CELL,
-    SAMPLE_MARGIN,
     Arrangement,
     Hyperplane,
     sample_cell_point,
@@ -354,29 +355,7 @@ def test_check_assumption_degenerate_configs(monkeypatch, cfg, probes):
 
 
 # ---------------------------------------------------------------------------
-# cell sampling and tangent directions against the one-point loops
-
-def _one_point_sample(arr, sign, box, rng, cap):
-    """One point by the rejection loop that sample_cell_point replaced."""
-    zeros = [i for i, c in enumerate(sign) if c == "0"]
-    if zeros:
-        A = arr.normals[zeros]
-        b = arr.offsets[zeros]
-        pinv = np.linalg.pinv(A)
-    lo, hi = box
-    accept = [{"0": (-EPS_CELL, EPS_CELL), "+": (SAMPLE_MARGIN, np.inf),
-               "-": (-np.inf, -SAMPLE_MARGIN)}[c] for c in sign]
-    for _ in range(cap):
-        x = rng.uniform(lo, hi)
-        if zeros:
-            x = x - pinv @ (A @ x - b)
-            if np.any(x < lo) or np.any(x > hi):
-                continue
-        r = arr.residuals(x).tolist()
-        if all(rlo <= v <= rhi for v, (rlo, rhi) in zip(r, accept)):
-            return x
-    return None
-
+# cell sampling, and tangent directions against the one-point loop
 
 def _one_point_tangent_directions(cell, rng):
     """One point's directions by the loop that _tangent_directions replaced."""
@@ -394,8 +373,7 @@ def _one_point_tangent_directions(cell, rng):
 def _random_arrangements(seed=5):
     """One arrangement for each n <= 3 and k <= 4, redrawn until every
     vertex lies inside [-8, 8]^n, so that each cell meets the box
-    [-10, 10]^n: a cell the box misses exhausts all its windows, which
-    costs the one-point loop count * cap draws."""
+    [-10, 10]^n."""
     rng = np.random.default_rng(seed)
     out = []
     for n in (1, 2, 3):
@@ -410,39 +388,76 @@ def _random_arrangements(seed=5):
     return out
 
 
-def _assert_same_sampling(arr, sign, box, seed, count, cap):
-    """sample_cell_point against `count` one-point loops on equal streams;
-    returns the one-point results (None for an exhausted window)."""
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = sample_cell_point(arr, sign, box, rng, count, cap=cap)
-    want = [_one_point_sample(arr, sign, box, ref_rng, cap) for _ in range(count)]
-    found = [x for x in want if x is not None]
-    assert (got is None) == (not found)
-    if found:
-        assert np.array_equal(got, np.array(found))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    return want
-
-
-@pytest.mark.parametrize("cap", [50, 5000])
-def test_sample_cell_point_equals_one_point_loop(cap):
-    for i, arr in enumerate(_random_arrangements()):
+def _sampled_cells():
+    """(arrangement, sign, box) for every cell of positive dimension."""
+    for arr in _random_arrangements():
         box = np.array([[-10.0] * arr.ambient_dim, [10.0] * arr.ambient_dim])
-        for j, sign in enumerate(arr.all_nonempty_signs()):
+        for sign in arr.all_nonempty_signs():
             if arr.cell(sign).dimension > 0:
-                _assert_same_sampling(arr, sign, box, 100 * i + j, 20, cap)
+                yield arr, sign, box
 
 
-@pytest.mark.parametrize("gap", [1e-8, 0.4])
-def test_sample_cell_point_windows_exhausted_mid_cell(gap):
-    # the slab between two parallel hyperplanes: at 1e-8 (under the sampling
-    # margin) every window of 50 draws runs out; at 0.4 about a third do, in
-    # the middle of the cell's points
-    arr = Arrangement(1, (Hyperplane([1.0], 0.0), Hyperplane([1.0], gap)))
-    box = np.array([[-10.0], [10.0]])
-    want = _assert_same_sampling(arr, "+-", box, 3, 20, 50)
-    exhausted = [x is None for x in want]
-    assert all(exhausted) if gap < 1e-6 else 0 < sum(exhausted[1:-1]) < 18
+class _CountingRng:
+    """A generator that counts the box rows drawn through it."""
+
+    def __init__(self, seed):
+        self.rng, self.rows = np.random.default_rng(seed), 0
+
+    def uniform(self, lo, hi, size):
+        self.rows += size[0]
+        return self.rng.uniform(lo, hi, size=size)
+
+
+def _slab(gap):
+    """Two parallel hyperplanes `gap` apart on the line, and the box."""
+    return (Arrangement(1, (Hyperplane([1.0], 0.0), Hyperplane([1.0], gap))),
+            np.array([[-10.0], [10.0]]))
+
+
+def test_sample_cell_point_carries_the_cell_sign_inside_the_box():
+    for i, (arr, sign, box) in enumerate(_sampled_cells()):
+        pts = sample_cell_point(arr, sign, box, np.random.default_rng(i), 20)
+        assert pts is not None and 0 < len(pts) <= 20    # short edges get fewer
+        assert [arr.sign_vector(x) for x in pts] == [sign] * len(pts)
+        assert np.all((pts >= box[0]) & (pts <= box[1]))
+
+
+def test_sample_cell_point_does_not_depend_on_the_blocking(monkeypatch):
+    # the first accepted draws in draw order, whatever the block size; the
+    # 0.4 slab runs out of its 200 draws before its 20 points
+    slab, line = _slab(0.4)
+    cases = list(_sampled_cells())[::3] + [(slab, "+-", line)]
+    for i, (arr, sign, box) in enumerate(cases):
+        want = sample_cell_point(arr, sign, box, np.random.default_rng(i), 20, cap=200)
+        with monkeypatch.context() as m:
+            m.setattr(piecewise, "SAMPLE_BLOCK", 1)
+            got = sample_cell_point(arr, sign, box, np.random.default_rng(i), 20, cap=200)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+    assert 0 < len(want) < 20
+
+
+@pytest.mark.parametrize("cap", [1, 19, 20, 50, 5000, 10_000])
+def test_sample_cell_point_draws_at_most_cap_rows(cap):
+    arr, box = _slab(1e-8)
+    rng = _CountingRng(0)
+    assert sample_cell_point(arr, "+-", box, rng, 20, cap=cap) is None
+    assert rng.rows == cap              # the slab rejects every draw
+    for i, (arr, sign, box) in enumerate(list(_sampled_cells())[::4]):
+        rng = _CountingRng(i)
+        pts = sample_cell_point(arr, sign, box, rng, 20, cap=cap)
+        assert rng.rows <= cap
+        assert pts is None or len(pts) <= min(20, cap)
+
+
+def test_sample_cell_point_returns_none_without_points():
+    arr, box = _slab(1e-8)      # thinner than twice the sampling margin
+    assert sample_cell_point(arr, "+-", box, np.random.default_rng(0), 20) is None
+    wide, box = _slab(5.0)
+    for cap in (0, -5):
+        assert sample_cell_point(wide, "+-", box, np.random.default_rng(0), 20,
+                                 cap=cap) is None
 
 
 def test_tangent_directions_equal_per_point_loop():

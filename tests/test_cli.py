@@ -85,6 +85,54 @@ def test_check_malformed_corpus_names_sign_vector(tmp_path, capsys):
     assert "'-'" in err
 
 
+def test_check_without_base_points_or_curves_is_inconclusive(tmp_path):
+    # regression: with no evidence the sweeps and the curve check read pass,
+    # so a wrong oracle passed conditions 1-3 with exit 0
+    import json
+    doc = json.loads(corpus_to_json(default_corpus()))
+    for fd in doc["functions"]:
+        if fd["id"] == "abs1d":
+            fd.update(base_points=[], curves=[])
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.txt"
+    code = run(["check", "--corpus", str(path), "--function", "abs1d",
+                "--oracle", "scale:2", "--conditions", "1,2,3",
+                "--output", str(out)])
+    assert code == 3
+    text = out.read_text()
+    for cid in ("1 (semismooth I)", "2 (semismooth II)", "3 (conservative)"):
+        assert f"condition {cid}: inconclusive" in text
+    assert text.count("note: no base points") == 2
+    assert "note: no curves" in text
+
+
+def test_dimensions_above_max_dim_exit_one_naming_the_field(tmp_path, capsys):
+    # regression: both ended in a DimensionMismatchError traceback
+    import json
+
+    def corpus(n, m):
+        e0 = [1] + [0] * (n - 1)
+        return {"format": "stratacalc-corpus/1", "matrix_rows": [["wide", "clarke"]],
+                "functions": [{
+                    "id": "wide", "ambient_dim": n, "output_dim": m,
+                    "hyperplanes": [{"normal": [1.0] + [0.0] * (n - 1), "offset": 0.0}],
+                    "pieces": {s: [[[e0, c * (k + 1)]] for k in range(m)]
+                               for s, c in (("-", -1.0), ("+", 1.0))},
+                    "base_points": [[0.0] * n], "curves": [], "partition": []}]}
+
+    for n, m, field, commands in ((9, 1, "ambient_dim", ("check", "matrix")),
+                                  (1, 9, "output_dim", ("check",))):
+        path = tmp_path / f"wide{n}{m}.json"
+        path.write_text(json.dumps(corpus(n, m)))
+        for cmd in commands:
+            argv = [cmd, "--corpus", str(path)]
+            if cmd == "check":
+                argv += ["--function", "wide", "--oracle", "clarke"]
+            assert run(argv) == 1
+            assert f"'wide': bad field '{field}'" in capsys.readouterr().err
+
+
 def test_check_bad_flags_exit_one():
     assert run(["check", "--function", "abs1d"]) == 1  # missing --oracle
 

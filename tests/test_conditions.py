@@ -199,8 +199,8 @@ def test_stratified_derivative_scaled_max2d_fails_at_default_cap(max2d):
 
 @pytest.mark.parametrize("cap", [0, 19, -5])
 def test_rejection_cap_below_cell_points_is_rejected(cap):
-    # a cap below CELL_POINTS gives every point an empty window: every cell
-    # would be skipped and a wrong oracle would pass
+    # a budget of fewer than CELL_POINTS draws can never give a cell its
+    # points; at 0 every cell would be skipped and a wrong oracle would pass
     with pytest.raises(ValueError, match=rf"rejection_cap {cap}\b"):
         VerifierConfig(rejection_cap=cap)
 
@@ -302,6 +302,13 @@ def test_merge_reports_worst_verdict():
     assert merge_reports("1", [a, c]).verdict == "inconclusive"
     merged = merge_reports("1", [a, b])
     assert dict(merged.residual_table)["1e-01"] == 0.7
+    empty = merge_reports("1", [])
+    assert empty.verdict == "inconclusive" and empty.notes == ("no base points to sweep",)
+
+
+def test_conservative_without_curves_is_inconclusive(abs1d):
+    rep = check_conservative(abs1d, parse_oracle("scale:2", abs1d), [], substream(0, "c0"))
+    assert rep.verdict == "inconclusive" and rep.notes == ("no curves to follow",)
 
 
 def _run_all_five(F, D, base_points, curves, partition, seed=11):
@@ -348,6 +355,21 @@ def test_corruption_on_line_stratum_fails_all_five(max2d):
     verdicts = _run_all_five(max2d, D, [[0.0, 0.0], [1.5, 1.5]],
                              [diag, crossing], Arrangement(2, ()))
     assert verdicts == {k: "fail" for k in "12345"}
+
+
+def test_stratified_conditions_share_their_sample_rows():
+    # conditions 4 and 5 draw the same (x, u) rows, so a wrong oracle is
+    # caught at the same witnesses by both
+    from stratacalc.conditions import run_entry_conditions
+    from stratacalc.corpus import default_corpus
+    cf = default_corpus().function("max2d")
+    entry = MatrixEntry("max2d:zero-strata:clarke", cf.func,
+                        parse_oracle("zero-strata:clarke", cf.func),
+                        cf.base_points, cf.curves, cf.partition)
+    reps = run_entry_conditions(entry, 7, ("4", "5"))
+    w4, w5 = ([(w.point, w.direction) for w in reps[c].witnesses] for c in "45")
+    assert reps["4"].verdict == reps["5"].verdict == "fail"
+    assert w4 and w4 == w5
 
 
 def test_equivalence_matrix_two_rows(abs1d, id1d):

@@ -12,6 +12,7 @@ from stratacalc.piecewise import (
     PiecewiseError,
     PiecewiseFunction,
     Polynomial,
+    REJECTION_CAP,
     compose_exact,
     refine,
     sample_cell_point,
@@ -415,7 +416,7 @@ def test_refine_compatibility_sampling():
     r = refine(a, b)
     box = np.array([[-10.0, -10.0], [10.0, 10.0]])
     for sign in r.full_dim_signs():
-        pts = sample_cell_point(r, sign, box, rng, 100)
+        pts = sample_cell_point(r, sign, box, rng, 100, cap=100 * REJECTION_CAP)
         assert pts is not None and len(pts) == 100
         seen_a = {a.sign_vector(pt) for pt in pts}
         seen_b = {b.sign_vector(pt) for pt in pts}
