@@ -126,9 +126,9 @@ def cmd_check(args) -> int:
                                   seed=args.seed)
     reports = run_entry_conditions(entry, args.seed, requested)
 
-    verdicts = [r.verdict for r in reports.values()]
-    verdicts.append("pass" if continuity.ok else "fail")
-    verdicts.append("pass" if assumption.ok else "fail")
+    verdicts = [r.verdict for r in reports.values()] + [   # "fail (probe ...)" -> "fail"
+        "pass" if continuity.ok else "fail", assumption.full_domain.split()[0],
+        assumption.homogeneity, assumption.lipschitz]
     overall = ("fail" if "fail" in verdicts
                else "inconclusive" if "inconclusive" in verdicts else "pass")
     text = rpt.render_check_report(args.function, args.oracle, args.seed,

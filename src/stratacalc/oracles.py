@@ -206,6 +206,8 @@ def check_assumption(D: GeneralizedDerivative, F: PiecewiseFunction,
     one `D.batch` call per check. Full domain fails, naming the first such
     probe, when a row evaluated for a probe has a non-finite vertex; such rows
     are left out of the Hausdorff distances, so the report is still written.
+    Without probe points nothing is evaluated, and all three lines read
+    inconclusive.
     """
     probes = [np.asarray(p, dtype=float) for p in probe_points]
     n, m = D.input_dim, D.output_dim
@@ -262,6 +264,8 @@ def check_assumption(D: GeneralizedDerivative, F: PiecewiseFunction,
             witnesses.append((tuple(p), None, L))
 
     full_domain = "pass"
+    if not probes:
+        full_domain = homogeneity = lipschitz = "inconclusive"
     if undefined:
         pi = min(undefined)
         full_domain = (f"fail (probe {pi} at {tuple(map(float, probes[pi]))} "

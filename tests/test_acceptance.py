@@ -157,9 +157,10 @@ def test_criterion_6_chain_rule_exactness(corpus):
     rng = substream(SEED, "acc6-curves")
     curves = [Curve.from_coeffs(rng.uniform(-2, 2, size=(1, 4)))
               for _ in range(20)]
-    rep = check_conservative(cf.func, D, curves, substream(SEED, "acc6"))
-    # the verdict rule is exactly the criterion: >=99% retained passes per
-    # curve and every failure within 1e-10 of a detected crossing time
+    rep = check_conservative(cf.func, D, curves)
+    # the verdict rule is exactly the criterion: the chain rule holds at
+    # every Chebyshev node of every composed subinterval, which decides it
+    # on the whole subinterval, hence at almost every time
     _report("6 chain-rule exactness", rep.verdict == "pass",
             f"verdict {rep.verdict} over 20 random curves "
             f"({len(rep.witnesses)} genuine failures)")

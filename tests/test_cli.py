@@ -107,6 +107,27 @@ def test_check_without_base_points_or_curves_is_inconclusive(tmp_path):
     assert "note: no curves" in text
 
 
+def test_check_without_base_points_reads_assumptions_inconclusive(tmp_path):
+    # regression: the assumption lines read pass with no probe point, so a
+    # check whose requested conditions passed exited 0 on no evidence
+    import json
+    doc = json.loads(corpus_to_json(default_corpus()))
+    for fd in doc["functions"]:
+        if fd["id"] == "abs1d":
+            fd.update(base_points=[])
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.txt"
+    code = run(["check", "--corpus", str(path), "--function", "abs1d",
+                "--oracle", "clarke", "--conditions", "3", "--output", str(out)])
+    assert code == 3
+    text = out.read_text()
+    for line in ("full_domain", "homogeneity", "lipschitz"):
+        assert f"assumption {line}: inconclusive" in text
+    assert "condition 3 (conservative): pass" in text
+    assert "overall: inconclusive" in text
+
+
 def test_dimensions_above_max_dim_exit_one_naming_the_field(tmp_path, capsys):
     # regression: both ended in a DimensionMismatchError traceback
     import json
@@ -166,6 +187,30 @@ def test_matrix_with_corpus_file(tmp_path):
 
 # ---------------------------------------------------------------------------
 # solve
+
+def _condition_3_blocks(text):
+    """The condition 3 block of each entry of a matrix report."""
+    blocks, entry, block = {}, None, None
+    for line in text.splitlines():
+        if line.startswith("--- entry "):
+            entry, block = line, None
+        elif line.startswith("  condition "):
+            block = blocks.setdefault(entry, []) if line.startswith("  condition 3 ") else None
+        if block is not None:
+            block.append(line)
+    return blocks
+
+
+def test_matrix_condition_3_does_not_depend_on_the_seed(tmp_path):
+    # condition 3 is decided on fixed nodes of each composed subinterval
+    blocks = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"m{seed}.txt"
+        run(["matrix", "--seed", seed, "--output", str(out)])
+        blocks.append(_condition_3_blocks(out.read_text()))
+    assert len(blocks[0]) == len(default_corpus().matrix_rows)
+    assert blocks[0] == blocks[1]
+
 
 def test_solve_newton_absplus(tmp_path):
     out = tmp_path / "t.txt"

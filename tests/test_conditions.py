@@ -144,7 +144,7 @@ def test_base_anchored_first_order(abs1d):
 def test_conservative_abs_clarke_passes(abs1d):
     D = oracle_clarke_linear(abs1d)
     gamma = Curve.from_coeffs([[-1.0, 2.0]])
-    rep = check_conservative(abs1d, D, [gamma], substream(0, "c1"))
+    rep = check_conservative(abs1d, D, [gamma])
     assert rep.verdict == "pass"
 
 
@@ -153,16 +153,30 @@ def test_conservative_max_diagonal_boundary_passes(max2d):
     # under (1,1) is the singleton {1}, matching d/dt t = 1
     D = oracle_clarke_linear(max2d)
     gamma = Curve.from_coeffs([[-1.0, 2.0], [-1.0, 2.0]])
-    rep = check_conservative(max2d, D, [gamma], substream(0, "c2"))
+    rep = check_conservative(max2d, D, [gamma])
     assert rep.verdict == "pass"
 
 
 def test_conservative_scaled_identity_fails_everywhere(id1d):
     D = parse_oracle("scale:2", id1d)
     gamma = Curve.from_coeffs([[0.0, 1.0]])
-    rep = check_conservative(id1d, D, [gamma], substream(0, "c3"))
+    rep = check_conservative(id1d, D, [gamma])
     assert rep.verdict == "fail"
     assert rep.witnesses
+
+
+def test_conservative_fails_on_a_short_stretch_along_the_kink(max2d):
+    # regression: the curve runs on the kink x = y of max(x, y) for 1e-4 of
+    # its time, where the zeroed oracle gives {0} but (F o c)' = 1. Uniform
+    # sample times missed that stretch on most seeds.
+    D = parse_oracle("zero-strata:clarke", max2d)
+    gamma = Curve(np.array([0.0, 0.5, 0.5 + 1e-4, 1.0]),
+                  (np.array([[-1.0, 2.0], [0.0, 0.0]]),     # (-1, 0) to the origin
+                   np.array([[-0.5, 1.0], [-0.5, 1.0]]),    # diagonal to (1e-4, 1e-4)
+                   np.array([[-0.5, 1.0], [1e-4, 0.0]])))   # along y = 1e-4
+    rep = check_conservative(max2d, D, [gamma])
+    assert rep.verdict == "fail"
+    assert rep.witnesses and all(w.point[0] == w.point[1] for w in rep.witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +321,7 @@ def test_merge_reports_worst_verdict():
 
 
 def test_conservative_without_curves_is_inconclusive(abs1d):
-    rep = check_conservative(abs1d, parse_oracle("scale:2", abs1d), [], substream(0, "c0"))
+    rep = check_conservative(abs1d, parse_oracle("scale:2", abs1d), [])
     assert rep.verdict == "inconclusive" and rep.notes == ("no curves to follow",)
 
 

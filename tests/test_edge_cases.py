@@ -43,6 +43,23 @@ def test_compose_crossing_at_existing_breakpoint():
     assert np.all(np.diff(comp.breakpoints) > 1e-9)
 
 
+def test_compose_two_crossings_around_a_grid_point():
+    # (t - 0.5)^2 - 1e-8 crosses the kink of |x| at 0.5 -+ 1e-4, on either
+    # side of a point of the root-isolation grid
+    comp = compose_exact(make_abs1d(), Curve.from_coeffs([[0.25 - 1e-8, -1.0, 1.0]]))
+    assert len(comp.pieces) == 3
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "compose_exact isolates crossings by sign changes on a 1024-interval grid, "
+    "so two crossings inside one grid interval make no sign change and no cut"))
+def test_compose_two_crossings_inside_one_grid_interval():
+    # (t - 0.3)^2 - 1e-8 crosses the kink at 0.3 -+ 1e-4, both inside the
+    # grid interval [307/1024, 308/1024]
+    comp = compose_exact(make_abs1d(), Curve.from_coeffs([[0.09 - 1e-8, -0.6, 1.0]]))
+    assert len(comp.pieces) == 3
+
+
 def test_compose_curve_constant_at_kink():
     F = make_abs1d()
     comp = compose_exact(F, Curve.from_coeffs([[0.0]]))

@@ -175,6 +175,14 @@ def test_assumption_clarke_abs_passes(abs1d, fast_assumption):
     assert rep.lipschitz_constants[0] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_assumption_without_probes_is_inconclusive(abs1d):
+    # regression: with no probe points all three lines read pass, though no
+    # probe was evaluated
+    rep = check_assumption(oracle_clarke_linear(abs1d), abs1d, [], seed=0)
+    assert (rep.full_domain, rep.homogeneity, rep.lipschitz) == ("inconclusive",) * 3
+    assert not rep.ok
+
+
 def test_assumption_quadratic_direction_fails(fast_assumption):
     # handcrafted D(x,u) = {||u||^2}: positively homogeneous it is not
     F = make_abs1d()
