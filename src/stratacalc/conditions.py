@@ -231,7 +231,8 @@ def check_base_anchored(F: PiecewiseFunction, x,
 def _node_times(F: PiecewiseFunction, curve: Curve, comp: Curve) -> np.ndarray:
     """deg F * deg c + 1 Chebyshev nodes of the first kind strictly inside
     each subinterval of comp = compose_exact(F, curve): deg F is the largest
-    total degree of F's pieces, deg c (at least 1) that of the curve's piece."""
+    total degree of F's pieces, deg c (at least 1) that of the curve's piece.
+    The nodes of one subinterval lie in one cell: see check_conservative."""
     deg_f = max((int(p.exponents.sum(axis=1).max(initial=0))
                  for polys in F.pieces.values() for p in polys), default=0)
     times = []
@@ -249,13 +250,14 @@ def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
     equal to the exact derivative of the composition at almost every t.
 
     On each subinterval of compose_exact the curve is polynomial and stays
-    in one cell, so (F o c)' and each vertex of a built-in oracle are
-    polynomials in t of degree below deg F * deg c + 1, decided by their
+    in one cell (decided with exact signs, up to crossings closer together
+    than its 1e-12 merge), so (F o c)' and each vertex of a built-in oracle
+    are polynomials in t of degree below deg F * deg c + 1, decided by their
     values at `_node_times` (one D.batch per curve). A node fails when its
     residual exceeds EPS_EQ * (1 + |velocity|); any failing node fails the
-    curve. The rule is exact only for the built-in kernels: a pointwise `fn`
-    oracle is judged at the same nodes but need not be polynomial on cells.
-    Without curves there is no evidence, and the verdict is inconclusive.
+    curve. The rule is exact for the built-in kernels, whose vertices are
+    polynomial on each cell; a handcrafted kernel need not be. Without
+    curves there is no evidence, and the verdict is inconclusive.
     """
     table, witnesses = [], []
     for ci, curve in enumerate(curves):

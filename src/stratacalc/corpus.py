@@ -61,7 +61,7 @@ class Corpus:
     def validate(self) -> None:
         """Structural validation: pieces cover all nonempty full cells,
         matrix rows reference known functions, base points and curves live
-        in the boxes."""
+        in the boxes (curves with exact signs, by `Curve.leaves_box`)."""
         for fid, cf in self.functions.items():
             try:
                 cf.func.validate()
@@ -74,7 +74,7 @@ class Corpus:
             for curve in cf.curves:
                 if curve.dim != cf.func.ambient_dim:
                     raise PiecewiseError(f"function {fid!r}: curve dimension mismatch")
-                if np.max(np.abs(curve.value(np.linspace(0, 1, 33)))) > cf.func.box_halfwidth:
+                if curve.leaves_box(cf.func.box_halfwidth):
                     raise PiecewiseError(f"function {fid!r}: curve leaves the bounding box")
         for fid, _oracle in self.matrix_rows:
             if fid not in self.functions:

@@ -11,7 +11,6 @@ lower-dimensional strata) on top of any base oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -33,31 +32,22 @@ LIPSCHITZ_BLOWUP = 1e6
 
 @dataclass(frozen=True, eq=False)
 class GeneralizedDerivative:
-    """Set-valued first-order model (x, u) -> polytope in R^m.
+    """Set-valued first-order model (x, u) -> polytope in R^m, backed by an
+    array `kernel(X, U)` that returns an (N, V, m) vertex stack.
 
-    `batch(X, U)` evaluates rows of points and directions at once and
-    returns an (N, V, m) vertex stack; a row with fewer than V vertices
-    repeats its own vertex 0, so max, min and diameter reductions need no
-    mask. The zero direction is short-circuited to {0}: positive homogeneity
-    at u=0 is asserted per row rather than trusted to the backing map; the
-    assumption checker calls the unasserted `kernel` directly.
-
-    The built-in oracles pass an array `kernel`; a pointwise `fn`
-    (x, u) -> Polytope is run row by row instead.
+    `batch(X, U)` evaluates rows of points and directions at once; a row
+    with fewer than V vertices repeats its own vertex 0, so max, min and
+    diameter reductions need no mask. The zero direction is short-circuited
+    to {0}: positive homogeneity at u=0 is asserted per row rather than
+    trusted to the kernel; the assumption checker calls the unasserted
+    `kernel` directly.
     """
 
     name: str
     provenance: str
     input_dim: int
     output_dim: int
-    fn: Callable[[np.ndarray, np.ndarray], Polytope] | None = None
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.kernel is None:
-            if self.fn is None:
-                raise ValueError("an oracle needs a pointwise fn or an array kernel")
-            object.__setattr__(self, "kernel", partial(_row_loop, self.fn))
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def batch(self, X, U) -> np.ndarray:
         X, U = as_rows(X, self.input_dim), as_rows(U, self.input_dim)
@@ -66,13 +56,6 @@ class GeneralizedDerivative:
     def __call__(self, x, u) -> Polytope:
         return Polytope(self.batch(np.asarray(x, dtype=float)[None],
                                    np.asarray(u, dtype=float)[None])[0])
-
-
-def _row_loop(fn, X, U) -> np.ndarray:
-    """Array form of a pointwise oracle: one call per row, padded stack."""
-    rows = [fn(x, u).vertices for x, u in zip(X, U)]
-    width = max(len(r) for r in rows)
-    return np.array([np.concatenate([r] + [r[:1]] * (width - len(r))) for r in rows])
 
 
 def _on_rows(keep: np.ndarray, kernel, X, U, m: int) -> np.ndarray:

@@ -9,7 +9,7 @@ exactly the Clarke construction over the set of differentiability points.
 Everything is exact: directional derivatives are piece Jacobians times the
 direction, Clarke Jacobians are finite vertex lists of adjacent piece
 Jacobians, and curve composition substitutes the curve into the active piece
-after isolating all hyperplane crossing times.
+after isolating all hyperplane crossing times with exact integer signs.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ EPS_EQ = 1e-9          # value-agreement tolerance (continuity, curves)
 EPS_ROUND = 1e-13      # continuity rounding allowance per unit of sum |monomial|
 MAX_DEGREE = 6         # maximum total degree of a piece polynomial
 DEFAULT_BOX_HALFWIDTH = 10.0
-ROOT_SEED_INTERVALS = 1024
-ROOT_TOL = 1e-13
 REJECTION_CAP = 100_000  # box draws per cell in rejection sampling
 SAMPLE_BLOCK = 4096    # most box draws one block of cell rejection sampling holds
 SAMPLE_MARGIN = 1e-6   # sign margin when sampling cell interiors
@@ -936,6 +934,16 @@ class Curve:
             out[idx == j] = _upolyval(piece, flat[idx == j])
         return out if tt.ndim else out[0]
 
+    def leaves_box(self, halfwidth: float) -> bool:
+        """Whether a coordinate exceeds halfwidth in absolute value, decided
+        with exact signs: h = +-c_j - halfwidth peaks on each piece at one of
+        its `_monotone_points`, or between two adjacent doubles."""
+        normals = np.vstack([np.eye(self.dim), -np.eye(self.dim)])
+        return any(_sign_at(H, t) > 0
+                   for j, piece in enumerate(self.pieces)
+                   for H in (_int_coeffs(a, halfwidth, piece) for a in normals)
+                   for t in _monotone_points(H, *self.breakpoints[j:j + 2].tolist()))
+
     def value(self, t) -> np.ndarray:
         return self._at(t, False)
 
@@ -961,63 +969,80 @@ def _upolyder(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
 
 
-def _isolate_roots(coeffs: np.ndarray, t_lo: float, t_hi: float) -> list[float]:
-    """Roots of a univariate polynomial in (t_lo, t_hi) by sign-change
-    bisection over a seed grid. Even-order touch points produce no sign
-    change and are intentionally not subdivision points: the active piece is
-    identical on both sides."""
-    grid = np.linspace(t_lo, t_hi, ROOT_SEED_INTERVALS + 1)
-    vals = _upolyval(coeffs[None], grid)[:, 0]
-    roots = []
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    for i in range(ROOT_SEED_INTERVALS):
-        a, b = float(grid[i]), float(grid[i + 1])
-        va, vb = float(vals[i]), float(vals[i + 1])
-        if abs(va) <= 1e-14 * scale:
-            roots.append(a)
-            continue
-        if va * vb < 0:
-            while b - a > ROOT_TOL:
-                m = 0.5 * (a + b)
-                vm = float(_upolyval(coeffs[None], m)[0])
-                if va * vm <= 0:
-                    b = m
-                else:
-                    a, va = m, vm
-            roots.append(0.5 * (a + b))
-    if abs(vals[-1]) <= 1e-14 * scale:
-        roots.append(float(grid[-1]))
-    return [r for r in roots if t_lo < r < t_hi]
+def _int_coeffs(normal, offset, piece) -> list[int]:
+    """Integer coefficients, low to high, of a positive multiple of
+    <normal, piece(t)> - offset, computed exactly: every double is p / 2**s,
+    so all terms go over the largest power-of-two denominator."""
+    a = [float(x).as_integer_ratio() for x in normal]
+    c = [[float(x).as_integer_ratio() for x in row] for row in piece]
+    pb, qb = float(offset).as_integer_ratio()
+    den = max(max(q for _, q in a) * max(q for row in c for _, q in row), qb)
+    out = [sum(pa * pc * (den // (qa * qc)) for (pa, qa), (pc, qc) in zip(a, col))
+           for col in zip(*c)]
+    out[0] -= pb * (den // qb)
+    return out
+
+
+def _sign_at(H: list[int], t: float) -> int:
+    """Exact sign of the integer polynomial H (low to high) at the double t."""
+    p, q = float(t).as_integer_ratio()
+    v, qk = 0, 1
+    for c in reversed(H):  # Horner on q**deg * H(p / q)
+        v, qk = v * p + c * qk, qk * q
+    return (v > 0) - (v < 0)
+
+
+def _monotone_points(H: list[int], lo: float, hi: float) -> list[float]:
+    """lo, hi and both ends of every sign-change bracket of H' between them,
+    in order: H is monotone between consecutive points."""
+    dH = [k * c for k, c in enumerate(H)][1:]
+    return [lo, *sorted({t for ab in _sign_changes(dH, lo, hi) for t in ab} - {lo, hi}), hi]
+
+
+def _sign_changes(H: list[int], lo: float, hi: float) -> list[tuple[float, float]]:
+    """Brackets (a, b) of the sign changes of H strictly inside (lo, hi), in
+    order: a root at a double a == b, or adjacent doubles a < b at which H
+    has opposite exact signs. Even-order touch points give no bracket."""
+    if len(H) < 2:
+        return []
+    signed = [(t, s) for t in _monotone_points(H, lo, hi) if (s := _sign_at(H, t))]
+    out = []
+    for (a, sa), (b, sb) in zip(signed, signed[1:]):
+        if sa != sb:  # one root between, found by exact-sign bisection
+            while a < (m := 0.5 * (a + b)) < b:
+                sm = _sign_at(H, m)
+                a, b = (m, m) if sm == 0 else (a, m) if sm == sb else (m, b)
+            out.append((a, b))
+    return out
 
 
 def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
     """Exact composition F(curve(t)) as a piecewise-polynomial curve in R^m.
 
-    [0,1] is subdivided at the curve's own breakpoints and at every
-    transversal hyperplane-crossing time (isolated by bisection). On each
-    subinterval, the curve is substituted into the piece of a sign-compatible
-    full-dimensional cell; continuity makes the result independent of the
-    choice. Subintervals on which the curve travels inside some hyperplane
-    are flagged as boundary rather than rejected.
+    [0,1] is subdivided at the curve's own breakpoints and at every crossing
+    of h_i(t) = <a_i, curve(t)> - b_i, isolated by exact-sign bisection, so
+    the curve stays in one cell on each subinterval unless two crossings are
+    closer together than the 1e-12 merge of cut times. There, the curve is
+    substituted into the piece of a full-dimensional cell compatible with
+    the exact signs of the h_i at the midpoint; continuity makes the result
+    independent of the choice. Subintervals on which the curve travels
+    inside some hyperplane are flagged as boundary rather than rejected.
     """
     if curve.dim != F.ambient_dim:
         raise PiecewiseError("curve dimension does not match the map")
     arr = F.arrangement
     times = set(float(t) for t in curve.breakpoints)
-    zero_flags: list[np.ndarray] = []
+    exact: list[list] = []
     for j, piece in enumerate(curve.pieces):
-        t_lo, t_hi = float(curve.breakpoints[j]), float(curve.breakpoints[j + 1])
-        flags = np.zeros(arr.k, dtype=bool)
-        for i in range(arr.k):
-            # h_i(t) = <a_i, curve(t)> - b_i restricted to this piece
-            h = arr._normals[i] @ piece
-            h[0] -= arr._offsets[i]
-            hscale = max(1.0, float(np.max(np.abs(piece))))
-            if np.max(np.abs(h)) <= 1e-12 * hscale:
-                flags[i] = True  # curve lies inside the hyperplane here
-                continue
-            times.update(_isolate_roots(h, t_lo, t_hi))
-        zero_flags.append(flags)
+        h = arr._normals @ piece
+        h[:, 0] -= arr._offsets
+        inside = np.max(np.abs(h), axis=1) <= 1e-12 * max(1.0, float(np.max(np.abs(piece))))
+        # each h_i exactly, or None where the curve lies inside hyperplane i
+        polys = [_int_coeffs(a, b, piece) for a, b in zip(arr._normals, arr._offsets)]
+        polys = [H if any(H) and not flat else None for H, flat in zip(polys, inside)]
+        for H in filter(None, polys):
+            times.update(a for a, _ in _sign_changes(H, *curve.breakpoints[j:j + 2].tolist()))
+        exact.append(polys)
 
     cuts = sorted(times)
     merged = [cuts[0]]
@@ -1032,31 +1057,20 @@ def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
         t_lo, t_hi = merged[j], merged[j + 1]
         t_mid = 0.5 * (t_lo + t_hi)
         src = curve.interval_index(t_mid)
-        piece = curve.pieces[src]
-        boundary = bool(np.any(zero_flags[src]))
-        # Classify the interval's side of each hyperplane from the max-|h|
-        # probe: h has constant sign on the open subinterval except at
-        # even-order touch points, where both sides agree anyway.
-        probes = np.linspace(t_lo, t_hi, max(4, piece.shape[1] + 2))[1:-1]
         sigma = []
-        for i in range(arr.k):
-            if zero_flags[src][i]:
-                sigma.append("0")
-                continue
-            h = arr._normals[i] @ piece
-            h[0] -= arr._offsets[i]
-            vals = _upolyval(h[None], probes)[:, 0]
-            v = vals[int(np.argmax(np.abs(vals)))]
-            sigma.append("0" if v == 0.0 else ("+" if v > 0 else "-"))
+        for H in exact[src]:
+            # h_i's exact sign at the midpoint, or after it at a touch point
+            s, t = 0, t_mid
+            while H is not None and s == 0 and t < t_hi:
+                s, t = _sign_at(H, t), math.nextafter(t, t_hi)
+            sigma.append("-0+"[s + 1])
         candidates = [s for s in arr.compatible_full_signs("".join(sigma))
                       if s in F.pieces]
         if not candidates:
             raise PiecewiseError(
                 f"no piece adjacent to the curve on [{t_lo}, {t_hi}]")
-        chosen = candidates[0]
-        coord_polys = [piece[c] for c in range(curve.dim)]
-        rows = [F.pieces[chosen][i].compose_univariate(coord_polys)
-                for i in range(F.output_dim)]
+        rows = [p.compose_univariate(list(curve.pieces[src]))
+                for p in F.pieces[candidates[0]]]
         out_pieces.append(Curve.from_coeffs(rows).pieces[0])
-        out_boundary.append(boundary)
+        out_boundary.append(None in exact[src])
     return Curve(np.array(merged), tuple(out_pieces), tuple(out_boundary))

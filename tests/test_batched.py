@@ -3,8 +3,8 @@ the scalar formulas they replaced, which stay here as the reference.
 
 Inputs cover random points, points on hyperplanes (with tangent directions,
 which exercise the directional tie-break), vertices of the arrangement,
-rows with u = 0, and a handcrafted pointwise oracle. The assumption checker
-is compared with the one-row loop it replaced, report field by field.
+and rows with u = 0. The assumption checker is compared with the one-row
+loop it replaced, report field by field, also on handcrafted oracles.
 Tangent directions are compared with the one-point loop they replaced: same
 directions, and the generator left in the same state. Cell sampling, a
 plain blocked rejection loop, is tested for its properties: points of the
@@ -207,25 +207,6 @@ def test_oracle_batch_rows_equal_one_row_calls(functions, oracle_id):
                 assert np.array_equal(V, _scalar_oracle(F, oracle_id, x, u))
 
 
-def test_pointwise_oracle_goes_through_the_row_loop(functions):
-    F = functions[0]
-    calls = []
-
-    def fn(x, u):   # one vertex left of 0, two on the right: ragged rows
-        calls.append(1)
-        v = float(u[0])
-        return Polytope([[v]] if x[0] < 0 else [[v], [2 * v]])
-
-    D = GeneralizedDerivative("ragged", "handcrafted", 1, 1, fn)
-    X = np.array([[-1.0], [1.0], [2.0], [-3.0]])
-    U = np.array([[1.0], [0.0], [-1.0], [2.0]])
-    B = D.batch(X, U)
-    assert len(calls) == 3                       # the u = 0 row never reaches fn
-    assert B.shape == (4, 2, 1)
-    assert np.array_equal(B[:, :, 0], [[1, 1], [0, 0], [-1, -2], [2, 2]])
-    assert np.array_equal(D(X[2], U[2]).vertices, [[-1.0], [-2.0]])
-
-
 def test_piecewise_array_forms_equal_one_row_forms(functions):
     for F in functions:
         X, U = _inputs(F, seed=1)
@@ -309,10 +290,10 @@ def _handcrafted_oracles():
     return [
         # not positively homogeneous: exercises the witness scan and its ties
         GeneralizedDerivative("quad", "handcrafted", 1, 1,
-                              lambda x, u: Polytope([[float(u @ u)]])),
+                              kernel=lambda X, U: np.sum(U * U, axis=1)[:, None, None]),
         # {1} at u = 0 on the unasserted map, an interval elsewhere
         GeneralizedDerivative("shift", "handcrafted", 1, 1,
-                              lambda x, u: Polytope([[1.0], [1.0 + float(u[0])]])),
+                              kernel=lambda X, U: np.stack([np.ones_like(U), 1.0 + U], axis=1)),
     ]
 
 

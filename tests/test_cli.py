@@ -85,6 +85,27 @@ def test_check_malformed_corpus_names_sign_vector(tmp_path, capsys):
     assert "'-'" in err
 
 
+def test_check_curve_bulging_out_of_the_box_exits_one(tmp_path, capsys):
+    # regression: 10.05 - 400 (t - 1/64)^2 on [0, 1/32], then constant,
+    # reaches 10.05 at t = 1/64 but is at most 10 at every t = j/32
+    import json
+    doc = json.loads(corpus_to_json(default_corpus()))
+    fd = next(fd for fd in doc["functions"] if fd["id"] == "abs1d")
+    fd["curves"].append({"breakpoints": [0.0, 1 / 32, 1.0],
+                         "pieces": [[[9.95234375, 12.5, -400.0]], [[9.95234375]]]})
+    path = tmp_path / "bulge.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", "--corpus", str(path), "--function", "abs1d",
+                "--oracle", "clarke", "--conditions", "3"]) == 1
+    assert "'abs1d': curve leaves the bounding box" in capsys.readouterr().err
+    # 10 - 400 (t - 1/64)^2 touches the box at t = 1/64 without leaving it
+    fd["curves"][-1]["pieces"] = [[[9.90234375, 12.5, -400.0]], [[9.90234375]]]
+    path.write_text(json.dumps(doc))
+    assert run(["check", "--corpus", str(path), "--function", "abs1d",
+                "--oracle", "clarke", "--conditions", "3",
+                "--output", str(tmp_path / "r.txt")]) == 0
+
+
 def test_check_without_base_points_or_curves_is_inconclusive(tmp_path):
     # regression: with no evidence the sweeps and the curve check read pass,
     # so a wrong oracle passed conditions 1-3 with exit 0

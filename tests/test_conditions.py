@@ -15,7 +15,6 @@ from stratacalc.conditions import (
     equivalence_matrix,
     merge_reports,
 )
-from stratacalc.geometry import Polytope
 from stratacalc.oracles import (
     GeneralizedDerivative,
     oracle_clarke_linear,
@@ -179,6 +178,20 @@ def test_conservative_fails_on_a_short_stretch_along_the_kink(max2d):
     assert rep.witnesses and all(w.point[0] == w.point[1] for w in rep.witnesses)
 
 
+def test_conservative_fails_on_a_dip_between_close_crossings(abs1d):
+    # regression: (t - 0.3)^2 - 1e-8 is negative only for |t - 0.3| < 1e-4,
+    # where the oracle doubles F'. Both crossings lay inside one interval of
+    # a 1024-interval root grid, so the curve composed to one piece and the
+    # nodes of that piece never looked at the dip.
+    exact = oracle_exact_directional(abs1d)
+    D = GeneralizedDerivative(
+        "double-left", "handcrafted", 1, 1,
+        kernel=lambda X, U: np.where(X[:, None, :] < 0, 2.0, 1.0) * exact.batch(X, U))
+    rep = check_conservative(abs1d, D, [Curve.from_coeffs([[0.09 - 1e-8, -0.6, 1.0]])])
+    assert rep.verdict == "fail"
+    assert rep.witnesses and all(w.point[0] < 0 for w in rep.witnesses)
+
+
 # ---------------------------------------------------------------------------
 # stratified checks
 
@@ -340,12 +353,11 @@ def test_corruption_at_point_stratum_passes_all_five(abs1d):
     # spend measure zero at the point. The row stays consistent (all pass).
     exact = oracle_exact_directional(abs1d)
 
-    def corrupted(x, u):
-        if abs(float(x[0])) <= 1e-12:
-            return Polytope([[7.0 * float(u[0])]])
-        return exact(x, u)
+    def corrupted(X, U):
+        at_kink = np.abs(X[:, None, :]) <= 1e-12
+        return np.where(at_kink, 7.0 * U[:, None, :], exact.batch(X, U))
 
-    D = GeneralizedDerivative("corrupt-point", "handcrafted", 1, 1, corrupted)
+    D = GeneralizedDerivative("corrupt-point", "handcrafted", 1, 1, kernel=corrupted)
     verdicts = _run_all_five(
         abs1d, D, [[0.0], [0.7]],
         [Curve.from_coeffs([[-1.0, 2.0]]), Curve.from_coeffs([[0.0]])],
@@ -358,12 +370,11 @@ def test_corruption_on_line_stratum_fails_all_five(max2d):
     # condition at once: the consistent all-fail row of the dichotomy.
     exact = oracle_exact_directional(max2d)
 
-    def corrupted(x, u):
-        if abs(float(x[0] - x[1])) <= 1e-12:
-            return exact(x, u).scale(2.0)
-        return exact(x, u)
+    def corrupted(X, U):
+        on_line = np.abs(X[:, 0] - X[:, 1]) <= 1e-12
+        return np.where(on_line[:, None, None], 2.0, 1.0) * exact.batch(X, U)
 
-    D = GeneralizedDerivative("corrupt-line", "handcrafted", 2, 1, corrupted)
+    D = GeneralizedDerivative("corrupt-line", "handcrafted", 2, 1, kernel=corrupted)
     diag = Curve.from_coeffs([[-1.0, 2.0], [-1.0, 2.0]])
     crossing = Curve.from_coeffs([[-1.0, 2.0], [1.0, -2.0]])
     verdicts = _run_all_five(max2d, D, [[0.0, 0.0], [1.5, 1.5]],

@@ -43,21 +43,14 @@ def test_compose_crossing_at_existing_breakpoint():
     assert np.all(np.diff(comp.breakpoints) > 1e-9)
 
 
-def test_compose_two_crossings_around_a_grid_point():
-    # (t - 0.5)^2 - 1e-8 crosses the kink of |x| at 0.5 -+ 1e-4, on either
-    # side of a point of the root-isolation grid
-    comp = compose_exact(make_abs1d(), Curve.from_coeffs([[0.25 - 1e-8, -1.0, 1.0]]))
+@pytest.mark.parametrize("c0", [0.3, 0.5])
+def test_compose_two_close_crossings(c0):
+    # (t - c0)^2 - 1e-8 crosses the kink of |x| at c0 -+ 1e-4: two sign
+    # changes 2e-4 apart are both cuts, with the curve left of 0 between them
+    comp = compose_exact(make_abs1d(), Curve.from_coeffs([[c0 * c0 - 1e-8, -2 * c0, 1.0]]))
     assert len(comp.pieces) == 3
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "compose_exact isolates crossings by sign changes on a 1024-interval grid, "
-    "so two crossings inside one grid interval make no sign change and no cut"))
-def test_compose_two_crossings_inside_one_grid_interval():
-    # (t - 0.3)^2 - 1e-8 crosses the kink at 0.3 -+ 1e-4, both inside the
-    # grid interval [307/1024, 308/1024]
-    comp = compose_exact(make_abs1d(), Curve.from_coeffs([[0.09 - 1e-8, -0.6, 1.0]]))
-    assert len(comp.pieces) == 3
+    assert np.allclose(comp.breakpoints[1:3], [c0 - 1e-4, c0 + 1e-4], atol=1e-12)
+    assert comp.value(c0)[0] == pytest.approx(1e-8, rel=1e-6)   # |x| = -x there
 
 
 def test_compose_curve_constant_at_kink():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stratacalc.geometry import Polytope, hausdorff
+from stratacalc.geometry import hausdorff
 from stratacalc.report import render_assumption
 from stratacalc import oracles
 from stratacalc.oracles import (
@@ -187,7 +187,7 @@ def test_assumption_quadratic_direction_fails(fast_assumption):
     # handcrafted D(x,u) = {||u||^2}: positively homogeneous it is not
     F = make_abs1d()
     D = GeneralizedDerivative("quad", "handcrafted", 1, 1,
-                              lambda x, u: Polytope([[float(u @ u)]]))
+                              kernel=lambda X, U: np.sum(U * U, axis=1)[:, None, None])
     rep = check_assumption(D, F, [[0.5]], seed=5)
     assert rep.homogeneity == "fail"
     assert rep.homogeneity_witness is not None

@@ -503,6 +503,69 @@ def test_compose_even_touch_keeps_correct_side():
         assert comp.value(t)[0] == pytest.approx((t - 0.5) ** 2, abs=1e-12)
 
 
+def _sign_change_cases(rng):
+    """(H, lo, hi): integer polynomials, low to high, over [lo, hi]."""
+    import sympy
+    t, R = sympy.Symbol("t"), sympy.Rational
+
+    def from_roots(roots, deg):
+        # monic in t with the given rational roots, raised to degree deg by
+        # factors without real roots; integer coefficients after clearing
+        poly = sympy.prod([t - r for r in roots])
+        while sympy.degree(poly, t) < deg:
+            poly *= t ** 2 + R(int(rng.integers(1, 9)), 7)
+        coeffs = sympy.Poly(poly, t).all_coeffs()[::-1]
+        den = sympy.ilcm(*[sympy.fraction(c)[1] for c in coeffs])
+        return [int(c * den) for c in coeffs]
+
+    def rat(x):  # a rational that is not a double
+        return R(int(round(x * 3 ** 20)), 3 ** 20)
+
+    cases = []
+    for deg in range(1, 7):
+        for _ in range(8):  # random integer coefficients
+            H = [int(c) for c in rng.integers(-50, 51, size=deg + 1)]
+            cases.append((H[:-1] + [H[-1] or 1], 0.0, 1.0))
+        for _ in range(10 if deg > 1 else 0):  # a near-double root pair 2e-7 to 2e-2 apart
+            r = rat(rng.uniform(0.0, 1.0))
+            gap = rat(10 ** rng.uniform(-6.7, -1.7))
+            more = [rat(x) for x in rng.uniform(-0.2, 1.2, size=int(rng.integers(0, deg - 1)))]
+            cases.append((from_roots([r, r + gap] + more, deg), 0.0, 1.0))
+    cases += [
+        (from_roots([R(1, 3), R(1, 3), R(7, 10)], 3), 0.0, 1.0),   # touch point
+        (from_roots([R(1, 2), R(1, 2), R(1, 5)], 5), 0.0, 1.0),    # touch at a double
+        (from_roots([R(1, 2), R(1, 3)], 4), 0.0, 1.0),             # root at a double
+        (from_roots([R(1, 4), R(3, 4)], 2), 0.25, 1.0),            # root at lo
+        (from_roots([R(1, 4), R(3, 4)], 2), 0.0, 0.75),            # root at hi
+    ]
+    return cases
+
+
+def test_sign_changes_match_sympy_isolation():
+    # each odd-multiplicity real root strictly inside (lo, hi) gets one
+    # bracket, in order: a root at a double, or two adjacent doubles at
+    # which H has opposite signs; even-order roots and roots at lo or hi
+    # get none
+    import sympy
+    from stratacalc.piecewise import _sign_changes
+    R = sympy.Rational
+    rng = np.random.default_rng(17)
+    for H, lo, hi in _sign_change_cases(rng):
+        P = sympy.Poly(H[::-1], sympy.Symbol("t"))
+        want = [(a, b) for (a, b), mult in P.intervals(eps=R(1, 10 ** 20))
+                if mult % 2 and lo < a and b < hi]
+        got = _sign_changes(H, lo, hi)
+        assert len(got) == len(want), (H, lo, hi)
+        for (a, b), (ra, rb) in zip(got, want):
+            qa, qb = R(*a.as_integer_ratio()), R(*b.as_integer_ratio())
+            assert qa <= rb and ra <= qb
+            if a == b:
+                assert P.eval(qa) == 0
+            else:
+                assert b == np.nextafter(a, 2.0)
+                assert P.eval(qa) * P.eval(qb) < 0
+
+
 def test_compose_velocity_matches_finite_difference():
     F = make_max2d()
     gamma = Curve.from_coeffs([[-1.0, 2.0, 0.5], [0.3, -1.0, 0.0, 0.8]])
