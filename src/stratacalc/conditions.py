@@ -94,10 +94,6 @@ class ConditionReport:
     sample_residuals: tuple[tuple[float, ...], ...] | None = None
 
 
-def _scale_of(F: PiecewiseFunction) -> float:
-    return max(1.0, float(F.lipschitz_hint or 1.0))
-
-
 def _fit_slope(radii, residuals) -> float | None:
     pts = [(r, e) for r, e in zip(radii, residuals) if e > 0.0]
     if len(pts) < 2:
@@ -136,11 +132,11 @@ def _sweep_directions(F: PiecewiseFunction, x: np.ndarray,
     return np.vstack(dirs)
 
 
-def _sweep(F: PiecewiseFunction, x: np.ndarray, rng,
-           condition: str, residual) -> ConditionReport:
-    """Shrinking-sphere sweep shared by conditions 1, 2 and the base-anchored
-    check: residual(Y, r) at the rows y = x + r*d of Y for every radius r and
-    sweep direction d, evaluated in one call.
+def _sweep(F: PiecewiseFunction, x: np.ndarray, rng, conditions: tuple[str, ...],
+           residuals) -> tuple[ConditionReport, ...]:
+    """Shrinking-sphere sweep shared by conditions 1-2 and the base-anchored
+    check: residuals(Y, r) evaluates the rows y = x + r*d of Y for every radius
+    r and sweep direction d in one call, and returns one array per condition.
 
     Samples outside the box are not evaluated (NaN); a radius at which every
     sample left the box is dropped. The witness of a failed sweep is the first
@@ -152,54 +148,56 @@ def _sweep(F: PiecewiseFunction, x: np.ndarray, rng,
     radii = np.array(RADII)
     ys = x + radii[:, None, None] * dirs
     inside = np.all((ys >= lo) & (ys <= hi), axis=2)
-    res = np.full(inside.shape, np.nan)
-    res[inside] = residual(ys[inside], np.broadcast_to(radii[:, None], inside.shape)[inside])
     kept = [k for k in range(len(radii)) if inside[k].any()]
-    best = [int(np.nanargmax(res[k])) for k in kept]
-    table = [float(res[k, i]) for k, i in zip(kept, best)]
-    verdict, slope = _sweep_verdict([RADII[k] for k in kept], table, _scale_of(F))
-    witnesses = ()
-    if verdict == "fail":
-        witnesses = (Witness(tuple(ys[kept[-1], best[-1]]), tuple(dirs[best[-1]]), table[-1]),)
-    return ConditionReport(
-        condition=condition,
-        verdict=verdict,
-        residual_table=tuple((f"{RADII[k]:.0e}", v) for k, v in zip(kept, table)),
-        slope=slope,
-        witnesses=witnesses,
-        sample_residuals=tuple(tuple(res[k].tolist()) for k in kept),
-    )
+    scale = max(1.0, float(F.lipschitz_hint or 1.0))
+    reports = []
+    for condition, values in zip(conditions, residuals(
+            ys[inside], np.broadcast_to(radii[:, None], inside.shape)[inside])):
+        res = np.full(inside.shape, np.nan)
+        res[inside] = values
+        best = np.nanargmax(res[kept], axis=1).tolist()
+        table = [float(res[k, i]) for k, i in zip(kept, best)]
+        verdict, slope = _sweep_verdict([RADII[k] for k in kept], table, scale)
+        witnesses = ((Witness(tuple(ys[kept[-1], best[-1]]), tuple(dirs[best[-1]]), table[-1]),)
+                     if verdict == "fail" else ())
+        reports.append(ConditionReport(
+            condition, verdict, tuple((f"{RADII[k]:.0e}", v) for k, v in zip(kept, table)),
+            slope=slope, witnesses=witnesses,
+            sample_residuals=tuple(tuple(res[k].tolist()) for k in kept)))
+    return tuple(reports)
 
 
-def check_semismooth_I(F: PiecewiseFunction, D: GeneralizedDerivative, x,
-                       rng: np.random.Generator | None = None) -> ConditionReport:
-    """Residual sweep for F(y) - F(x) - D(y, y-x) over shrinking spheres.
+def check_semismooth(F: PiecewiseFunction, D: GeneralizedDerivative, x,
+                     rng: np.random.Generator | None = None) -> tuple[ConditionReport, ...]:
+    """Residual sweeps for condition 1, F(y) - F(x) - D(y, y-x), and its
+    mirror condition 2, F(y) - F(x) + D(y, x-y), over shrinking spheres.
 
     The value of D is anchored at the moving point y, which is what
     distinguishes the semismooth estimate from a plain first-order expansion
     at x. The base point itself (y = x) is never evaluated. F(y)-F(x) is
     compensated: cancellation would otherwise swamp the residual at small
-    radii.
+    radii. Both conditions share the rows y, F(y)-F(x) and one D.batch.
     """
     x = np.asarray(x, dtype=float)
 
-    def residual(Y, r):
-        diff = F.value_differences(Y, np.broadcast_to(x, Y.shape))
-        return row_norms(diff[:, None, :] - D.batch(Y, Y - x)).max(axis=1) / r
+    def residuals(Y, r):
+        diff = F.value_differences(Y, x[None])[:, None, :]
+        plus, minus = np.split(D.batch(np.vstack([Y, Y]), np.vstack([Y - x, x - Y])), 2)
+        return row_norms(diff - plus).max(axis=1) / r, row_norms(diff + minus).max(axis=1) / r
 
-    return _sweep(F, x, rng, "1", residual)
+    return _sweep(F, x, rng, ("1", "2"), residuals)
+
+
+def check_semismooth_I(F: PiecewiseFunction, D: GeneralizedDerivative, x,
+                       rng: np.random.Generator | None = None) -> ConditionReport:
+    """Condition 1 alone: the first report of check_semismooth."""
+    return check_semismooth(F, D, x, rng)[0]
 
 
 def check_semismooth_II(F: PiecewiseFunction, D: GeneralizedDerivative, x,
                         rng: np.random.Generator | None = None) -> ConditionReport:
-    """Residual sweep for F(y) - F(x) + D(y, x-y); the mirror of check I."""
-    x = np.asarray(x, dtype=float)
-
-    def residual(Y, r):
-        diff = F.value_differences(Y, np.broadcast_to(x, Y.shape))
-        return row_norms(diff[:, None, :] + D.batch(Y, x - Y)).max(axis=1) / r
-
-    return _sweep(F, x, rng, "2", residual)
+    """Condition 2 alone: the second report of check_semismooth."""
+    return check_semismooth(F, D, x, rng)[1]
 
 
 def check_base_anchored(F: PiecewiseFunction, x,
@@ -214,15 +212,14 @@ def check_base_anchored(F: PiecewiseFunction, x,
     """
     x = np.asarray(x, dtype=float)
 
-    def residual(Y, r):
-        X = np.broadcast_to(x, Y.shape)
+    def residuals(Y, r):
         if fixed_matrix is None:
-            pred = F.directional_derivatives(X, Y - x)
+            pred = F.directional_derivatives(np.broadcast_to(x, Y.shape), Y - x)
         else:
             pred = np.matmul(fixed_matrix, (Y - x)[..., None])[..., 0]
-        return row_norms(F.value_differences(Y, X) - pred) / r
+        return (row_norms(F.value_differences(Y, x[None]) - pred) / r,)
 
-    return _sweep(F, x, rng, "b_der", residual)
+    return _sweep(F, x, rng, ("b_der",), residuals)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +298,14 @@ def _tangent_directions(cell, pts: np.ndarray, rng) -> tuple[np.ndarray, np.ndar
 
 
 def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
-                      cfg: VerifierConfig, rng, condition: str,
-                      residual) -> ConditionReport:
-    """Per-cell loop shared by conditions 4, 5 and the projection formula:
-    residual(X, U) at CELL_POINTS sampled points x of every cell of positive
+                      cfg: VerifierConfig, rng, conditions: tuple[str, ...],
+                      residuals) -> tuple[ConditionReport, ...]:
+    """Per-cell loop shared by conditions 4-5 and the projection formula:
+    residuals(X, U) at CELL_POINTS sampled points x of every cell of positive
     dimension, for directions u tangent to the cell. Each cell's points are
     drawn, then its tangent combinations; a cell where no point was found
-    becomes a note. All rows are then evaluated in one call. A direction
-    fails when its residual exceeds EPS_EQ * (1 + |u|).
+    becomes a note. One call evaluates all rows, one array per condition. A
+    direction fails when its residual exceeds EPS_EQ * (1 + |u|).
 
     Zero-dimensional cells are not sampled: their only tangent direction is
     u = 0, where D(x, 0) = {0} by the GeneralizedDerivative contract and
@@ -329,48 +326,53 @@ def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
     empty = np.empty((0, F.ambient_dim))
     X = np.concatenate([empty] + [x for x, _ in rows])
     U = np.concatenate([empty] + [u for _, u in rows])
-    res = residual(X, U)
-    fails = np.flatnonzero(res > EPS_EQ * (1.0 + row_norms(U)))
-    return ConditionReport(condition=condition,
-                           verdict="fail" if fails.size else "pass",
-                           residual_table=(("max", float(np.max(res, initial=0.0))),),
-                           witnesses=tuple(Witness(tuple(X[i]), tuple(U[i]), float(res[i]))
-                                           for i in fails[:MAX_WITNESSES]),
-                           notes=tuple(notes))
+    tol = EPS_EQ * (1.0 + row_norms(U))
+    reports = []
+    for condition, res in zip(conditions, residuals(X, U)):
+        fails = np.flatnonzero(res > tol)
+        reports.append(ConditionReport(
+            condition, "fail" if fails.size else "pass",
+            (("max", float(np.max(res, initial=0.0))),), notes=tuple(notes),
+            witnesses=tuple(Witness(tuple(X[i]), tuple(U[i]), float(res[i]))
+                            for i in fails[:MAX_WITNESSES])))
+    return tuple(reports)
+
+
+def check_stratified(F: PiecewiseFunction, D: GeneralizedDerivative, partition: Arrangement,
+                     cfg: VerifierConfig = VerifierConfig(),
+                     rng: np.random.Generator | None = None) -> tuple[ConditionReport, ...]:
+    """Conditions 4 and 5 on one set of rows (x, u), u tangent to the cell
+    of x, with one D.batch: D must be a singleton equal to the directional
+    derivative (4) and lie row-wise in J(x)u (5). For tangent u the
+    normal-space shift contributes nothing, so membership reduces
+    (subset-modulo-subspace style) to per-component membership of every
+    vertex in the interval <component Clarke subdifferential, u>. The
+    residual of 5 is the largest distance of a vertex component to it.
+    """
+    def residuals(X, U):
+        img = D.batch(X, U)
+        target = F.directional_derivatives(X, U)
+        lo, hi = F.component_ranges(X, U)
+        gap = np.maximum(lo[:, None, :] - img, img - hi[:, None, :])
+        return (np.maximum(diameters(img), row_norms(img - target[:, None, :]).max(axis=1)),
+                np.maximum(gap, 0.0).max(axis=(1, 2)))
+
+    return _stratified_check(F, partition, cfg, rng, ("4", "5"), residuals)
 
 
 def check_stratified_derivative(F: PiecewiseFunction, D: GeneralizedDerivative,
-                                partition: Arrangement,
-                                cfg: VerifierConfig = VerifierConfig(),
+                                partition: Arrangement, cfg: VerifierConfig = VerifierConfig(),
                                 rng: np.random.Generator | None = None) -> ConditionReport:
-    """On each cell of the partition, D must be a singleton equal to the
-    directional derivative for directions tangent to the cell."""
-    def residual(X, U):
-        img = D.batch(X, U)
-        target = F.directional_derivatives(X, U)
-        return np.maximum(diameters(img), row_norms(img - target[:, None, :]).max(axis=1))
-
-    return _stratified_check(F, partition, cfg, rng, "4", residual)
+    """Condition 4 alone: the first report of check_stratified."""
+    return check_stratified(F, D, partition, cfg, rng)[0]
 
 
-def check_stratified_subdifferential(F: PiecewiseFunction, D: GeneralizedDerivative,
-                                     partition: Arrangement,
-                                     cfg: VerifierConfig = VerifierConfig(),
-                                     rng: np.random.Generator | None = None) -> ConditionReport:
-    """Row-wise containment D(x,u) in J(x)u on stratum tangents.
-
-    For tangent u the normal-space shift contributes nothing, so membership
-    reduces (subset-modulo-subspace style) to per-component membership of
-    every vertex in the interval <component Clarke subdifferential, u>. The
-    residual is the largest distance of a vertex component to its interval.
-    """
-    def residual(X, U):
-        img = D.batch(X, U)
-        lo, hi = F.component_ranges(X, U)
-        gap = np.maximum(lo[:, None, :] - img, img - hi[:, None, :])
-        return np.maximum(gap, 0.0).max(axis=(1, 2))
-
-    return _stratified_check(F, partition, cfg, rng, "5", residual)
+def check_stratified_subdifferential(
+        F: PiecewiseFunction, D: GeneralizedDerivative, partition: Arrangement,
+        cfg: VerifierConfig = VerifierConfig(),
+        rng: np.random.Generator | None = None) -> ConditionReport:
+    """Condition 5 alone: the second report of check_stratified."""
+    return check_stratified(F, D, partition, cfg, rng)[1]
 
 
 def check_projection_formula(F: PiecewiseFunction, partition: Arrangement,
@@ -378,12 +380,12 @@ def check_projection_formula(F: PiecewiseFunction, partition: Arrangement,
                              rng: np.random.Generator | None = None) -> ConditionReport:
     """Scalar projection formula: on tangents of each cell, the interval
     <component Clarke subdifferential, u> degenerates to {F_i'(x,u)}."""
-    def residual(X, U):
+    def residuals(X, U):
         target = F.directional_derivatives(X, U)
         lo, hi = F.component_ranges(X, U)
-        return np.maximum(np.abs(lo - target), np.abs(hi - target)).max(axis=1)
+        return (np.maximum(np.abs(lo - target), np.abs(hi - target)).max(axis=1),)
 
-    return _stratified_check(F, partition, cfg, rng, "projection_formula", residual)
+    return _stratified_check(F, partition, cfg, rng, ("projection_formula",), residuals)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -454,33 +456,25 @@ def run_entry_conditions(entry: MatrixEntry, seed: int,
                          ) -> dict[str, ConditionReport]:
     """Run the requested condition checks for one (F, D) binding.
 
-    The two semismooth sweeps share per-point direction substreams, so their
-    residuals are comparable sample-for-sample (reflection duality), and
-    conditions 4 and 5 share one "strata" substream, so both judge the same
-    (x, u) rows. Condition 3 draws nothing: F and the curves fix its nodes.
+    Conditions 1 and 2 are one sweep per base point, on its own "semismooth"
+    substream, whose rows y are evaluated once for both reports (reflection
+    duality compares them sample-for-sample). Conditions 4 and 5 are one
+    pass over the (x, u) rows drawn from the "strata" substream. A pair runs
+    when either of its conditions is requested; only requested reports are
+    kept. Condition 3 draws nothing: F and the curves fix its nodes.
     """
     F, D = entry.F, entry.D
     out: dict[str, ConditionReport] = {}
-    if "1" in conditions:
-        reps = [check_semismooth_I(F, D, x,
-                                   substream(seed, entry.entry_id, "semismooth", i))
-                for i, x in enumerate(entry.base_points)]
-        out["1"] = merge_reports("1", reps)
-    if "2" in conditions:
-        reps = [check_semismooth_II(F, D, x,
-                                    substream(seed, entry.entry_id, "semismooth", i))
-                for i, x in enumerate(entry.base_points)]
-        out["2"] = merge_reports("2", reps)
+    if {"1", "2"} & set(conditions):
+        sweeps = [check_semismooth(F, D, x, substream(seed, entry.entry_id, "semismooth", i))
+                  for i, x in enumerate(entry.base_points)]
+        out.update({c: merge_reports(c, [s[k] for s in sweeps]) for k, c in enumerate("12")})
     if "3" in conditions:
         out["3"] = check_conservative(F, D, entry.curves)
-    refined = refine(F.arrangement, entry.partition)
-    if "4" in conditions:
-        out["4"] = check_stratified_derivative(
-            F, D, refined, rng=substream(seed, entry.entry_id, "strata"))
-    if "5" in conditions:
-        out["5"] = check_stratified_subdifferential(
-            F, D, refined, rng=substream(seed, entry.entry_id, "strata"))
-    return out
+    if {"4", "5"} & set(conditions):
+        out.update(zip("45", check_stratified(F, D, refine(F.arrangement, entry.partition),
+                                              rng=substream(seed, entry.entry_id, "strata"))))
+    return {c: r for c, r in out.items() if c in conditions}
 
 
 def equivalence_matrix(entries, seed: int = 0) -> MatrixReport:

@@ -694,7 +694,8 @@ class PiecewiseFunction:
 
     def value_differences(self, Y, X) -> np.ndarray:
         """(N, m) rows F(y) - F(x), each with one exactly-rounded summation
-        over the monomials of both active pieces.
+        over the monomials of both active pieces. X holds N rows, or one row
+        shared by every y, whose terms are then computed once.
 
         Naive differencing loses ~eps*|F| absolute accuracy to cancellation,
         which dominates semismooth residuals at small radii; summing all
@@ -704,7 +705,11 @@ class PiecewiseFunction:
         width = max(self._value_eval(s).coeffs.size for s in self.pieces)
         terms = partial(self._at_first_piece,
                         lambda s: partial(self._value_eval(s).slot_terms, width=width))
-        parts = np.concatenate([terms(Y), -terms(X)], axis=2)
+        ty, tx = terms(Y), terms(X)
+        if len(tx) not in (1, len(ty)):
+            raise ValueError(f"value_differences: X of shape {np.shape(X)} does not "
+                             f"broadcast against Y of shape {np.shape(Y)}")
+        parts = np.concatenate([ty, np.broadcast_to(-tx, ty.shape)], axis=2)
         sums = [math.fsum(p) for p in parts.reshape(-1, parts.shape[2]).tolist()]
         return np.array(sums).reshape(parts.shape[:2])
 

@@ -13,6 +13,7 @@ cell inside the box, independent of the block size, and within the budget.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,6 +230,27 @@ def test_piecewise_array_forms_equal_one_row_forms(functions):
             for i in range(F.output_dim):
                 rng_i = linear_range_over_polytope(F.component_clarke(x, i + 1), u)
                 assert (lo[k, i], hi[k, i]) == rng_i
+
+
+def test_value_differences_share_one_base_row(functions):
+    # one row x broadcasts against every y, its terms computed once: bit for
+    # bit the broadcast_to form and the one-row view; the rows of _inputs
+    # include points on every hyperplane and the vertices, as y and as x
+    for F in functions:
+        Y, _ = _inputs(F, seed=2)
+        for x in Y[::5]:
+            diffs = F.value_differences(Y, x[None])
+            assert np.array_equal(diffs, F.value_differences(Y, np.broadcast_to(x, Y.shape)))
+            for y, row in zip(Y, diffs):
+                assert np.array_equal(row, F.value_difference_exact(y, x))
+
+
+def test_value_differences_name_both_shapes_when_rows_do_not_broadcast(functions):
+    F = functions[0]
+    Y, X = np.zeros((5, F.ambient_dim)), np.zeros((3, F.ambient_dim))
+    with pytest.raises(ValueError, match=re.escape(f"X of shape {X.shape} does not broadcast "
+                                                   f"against Y of shape {Y.shape}")):
+        F.value_differences(Y, X)
 
 
 def test_row_norms_and_diameters_equal_numpy_per_row():

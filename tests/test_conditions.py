@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -395,6 +397,58 @@ def test_stratified_conditions_share_their_sample_rows():
     w4, w5 = ([(w.point, w.direction) for w in reps[c].witnesses] for c in "45")
     assert reps["4"].verdict == reps["5"].verdict == "fail"
     assert w4 and w4 == w5
+
+
+def test_entry_conditions_evaluate_each_row_set_once(monkeypatch):
+    # conditions 1-2 evaluate one sweep per base point, conditions 4-5 one
+    # set of stratum rows: one cell enumeration, one draw per cell, one D.batch
+    from stratacalc import conditions
+    from stratacalc.conditions import run_entry_conditions
+    from stratacalc.corpus import default_corpus
+    cf = default_corpus().function("max2d")
+    entry = MatrixEntry("max2d:clarke", cf.func, oracle_clarke_linear(cf.func),
+                        cf.base_points, cf.curves, cf.partition)
+    refined = refine(entry.F.arrangement, entry.partition)
+    cells = [s for s in refined.all_nonempty_signs() if refined.cell(s).dimension > 0]
+    calls = collections.Counter()
+    for owner, name in ((PiecewiseFunction, "value_differences"),
+                        (GeneralizedDerivative, "batch"),
+                        (conditions, "sample_cell_point"),
+                        (Arrangement, "all_nonempty_signs")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    run_entry_conditions(entry, 7, ("1", "2", "3"))
+    batch_without_strata = calls["batch"]
+    calls.clear()
+    run_entry_conditions(entry, 7)
+    assert calls["value_differences"] == len(entry.base_points)
+    assert calls["batch"] - batch_without_strata == 1
+    assert calls["sample_cell_point"] == len(cells) > 0
+    assert calls["all_nonempty_signs"] == 1
+
+
+def _fields(rep):
+    return repr((rep.condition, rep.verdict, rep.residual_table, rep.slope,
+                 [(w.point, w.direction, w.value) for w in rep.witnesses],
+                 rep.notes, rep.sample_residuals))
+
+
+@pytest.mark.parametrize("oracle_id", ["clarke", "scale:2", "zero-strata:clarke"])
+def test_one_condition_alone_reports_as_in_the_full_run(oracle_id):
+    # each pair function returns both reports; a subset keeps the right half
+    from stratacalc.conditions import run_entry_conditions
+    from stratacalc.corpus import default_corpus
+    corpus = default_corpus()
+    for fid, cf in corpus.functions.items():
+        entry = MatrixEntry(f"{fid}:{oracle_id}", cf.func, parse_oracle(oracle_id, cf.func),
+                            cf.base_points, cf.curves, cf.partition)
+        full = run_entry_conditions(entry, 7)
+        for c in "1245":
+            alone = run_entry_conditions(entry, 7, (c,))
+            assert list(alone) == [c] and alone[c].condition == c
+            assert _fields(alone[c]) == _fields(full[c]), (fid, c)
 
 
 def test_equivalence_matrix_two_rows(abs1d, id1d):
