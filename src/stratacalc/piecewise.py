@@ -43,6 +43,7 @@ LP_BOX = 1e4           # |x|_inf bound that keeps the cell LP bounded
 LP_TOL = 1e-9          # smallest simplex pivot; phase-1 infeasibility margin
 LP_EPS = 1e-12         # reduced-cost and ratio-tie tolerance of the simplex
 LP_MAX_PIVOTS = 5000
+MAX_HYPERPLANES = 39   # 3^39 is the largest power of 3 an int64 cell key holds
 
 _SIGN_ORDER = {"-": 0, "0": 1, "+": 2}
 
@@ -330,9 +331,13 @@ class Arrangement:
     _offsets: np.ndarray = field(init=False, repr=False, compare=False)
     _nonempty_cache: dict = field(init=False, repr=False, compare=False)
     _compatible_cache: dict = field(init=False, repr=False, compare=False)
+    _key_weights: dict = field(init=False, repr=False, compare=False)  # base -> (k,) int64
 
     def __post_init__(self):
         hps = tuple(self.hyperplanes)
+        if len(hps) > MAX_HYPERPLANES:
+            raise PiecewiseError(f"{len(hps)} hyperplanes, more than the "
+                                 f"{MAX_HYPERPLANES} a packed cell key holds")
         for h in hps:
             if h.normal.size != self.ambient_dim:
                 raise PiecewiseError("hyperplane dimension mismatch")
@@ -345,6 +350,8 @@ class Arrangement:
         object.__setattr__(self, "_offsets", b)
         object.__setattr__(self, "_nonempty_cache", {})
         object.__setattr__(self, "_compatible_cache", {})
+        object.__setattr__(self, "_key_weights", {
+            base: base ** np.arange(len(hps) - 1, -1, -1, dtype=np.int64) for base in (2, 3)})
 
     @property
     def k(self) -> int:
@@ -526,12 +533,12 @@ def sample_cell_point(arr: Arrangement, sign: str, box: np.ndarray,
 # Piecewise functions
 
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows grouped by equal keys: the first row of each group, and the
-    group of every row (a single row is its own group)."""
-    if len(keys) == 1:     # np.unique over rows would dominate a one-row call
+    """Rows grouped by equal (N,) packed keys (codes @ _key_weights, first
+    hyperplane most significant): the first row of each group, and the group
+    of every row (a single row is its own group)."""
+    if len(keys) == 1:     # np.unique would dominate a one-row call
         return np.zeros(1, dtype=int), np.zeros(1, dtype=int)
-    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return first, inv.ravel()
+    return np.unique(keys, return_index=True, return_inverse=True)[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -555,6 +562,7 @@ class PiecewiseFunction:
     _grad_polys: dict = field(init=False, repr=False, compare=False)
     _signs: list = field(init=False, repr=False, compare=False)    # piece index -> sign
     _index: dict = field(init=False, repr=False, compare=False)    # sign -> piece index
+    _adjacent: dict = field(init=False, repr=False, compare=False)  # packed key -> indices
 
     def __post_init__(self):
         n = self.arrangement.ambient_dim
@@ -576,6 +584,7 @@ class PiecewiseFunction:
         object.__setattr__(self, "_grad_polys", {})
         object.__setattr__(self, "_signs", list(norm_pieces))
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(norm_pieces)})
+        object.__setattr__(self, "_adjacent", {})
 
     @property
     def ambient_dim(self) -> int:
@@ -638,11 +647,15 @@ class PiecewiseFunction:
     # one-row views of these kernels.
 
     def _adjacent_ids(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Piece indices of the cells adjacent to each row, looked up once
-        per distinct sign vector: an (N, V) array whose short rows repeat
-        their column 0, and the (N,) counts."""
-        first, inv = _groups(self.arrangement.sign_codes(X))
-        adj = [[self._index[s] for s in self.adjacent_full_signs(X[i])] for i in first]
+        """Piece indices of the cells adjacent to each row: an (N, V) array
+        whose short rows repeat their column 0, and the (N,) counts. Rows are
+        grouped by sign codes packed into int64 keys; adjacent_full_signs
+        fills a key's entry on first sight (and raises, uncached, if empty)."""
+        keys = self.arrangement.sign_codes(X) @ self.arrangement._key_weights[3]
+        first, inv = _groups(keys)
+        adj = [self._adjacent.get(key) or self._adjacent.setdefault(
+                   key, [self._index[s] for s in self.adjacent_full_signs(X[i])])
+               for key, i in zip(keys[first].tolist(), first)]
         width = max(map(len, adj), default=1)
         table = np.array([a + a[:1] * (width - len(a)) for a in adj], dtype=int)
         return table.reshape(len(adj), width)[inv], np.array(list(map(len, adj)), dtype=int)[inv]
@@ -658,7 +671,7 @@ class PiecewiseFunction:
         r, du = arr.residuals(X), np.matmul(arr.normals, U[..., None])[..., 0]
         moving = np.abs(du) > EPS_CELL * row_norms(U)[:, None]
         plus = np.where(np.abs(r) > EPS_CELL, r > 0, ~moving | (du > 0))
-        first, inv = _groups(plus)
+        first, inv = _groups(plus @ arr._key_weights[2])
         ids = []
         for key in plus[first]:
             sign = "".join("+" if c else "-" for c in key)

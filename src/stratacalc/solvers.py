@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import diameters
+from .geometry import as_vector, diameters
 from .oracles import GeneralizedDerivative
 from .piecewise import PiecewiseFunction
 
@@ -63,6 +63,17 @@ def _select_jacobian(F: PiecewiseFunction, source, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown jacobian source {source!r}")
 
 
+def _finite_step(solver: str, k: int, x, step, scale: float = 1.0) -> np.ndarray:
+    """x - scale * step, or a ValueError naming the solver, the iteration k
+    and the last finite iterate x when the new iterate overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = x - scale * step
+    if not np.isfinite(new).all():
+        raise ValueError(f"{solver} diverged at iteration k={k}: the step from "
+                         f"the last finite iterate {x.tolist()} is not finite")
+    return new
+
+
 def semismooth_newton(F: PiecewiseFunction, jacobian_source, x0) -> NewtonTrace:
     """Newton iteration x+ = x - A(x)^{-1} F(x) on a square piecewise map.
 
@@ -79,7 +90,8 @@ def semismooth_newton(F: PiecewiseFunction, jacobian_source, x0) -> NewtonTrace:
     iterates = [x.copy()]
     jacobians: list[np.ndarray] = []
     damping_log: list[str] = []
-    residuals = [float(np.linalg.norm(F.value(x)))]
+    fx = F.value(x)
+    residuals = [float(np.linalg.norm(fx))]
     status = "max_iter"
     for k in range(NEWTON_MAX_ITER):
         if residuals[-1] <= NEWTON_TOL:
@@ -103,7 +115,7 @@ def semismooth_newton(F: PiecewiseFunction, jacobian_source, x0) -> NewtonTrace:
                 damping_log.append(f"k={k} damping exhausted at lambda={DAMP_MAX:g}")
                 jacobians.append(A)
                 break
-        step = np.linalg.solve(A, F.value(x))
+        step = np.linalg.solve(A, fx)
         if damped and float(np.linalg.norm(step)) > STEP_MAX:
             status = "singular_stall"
             damping_log.append(
@@ -111,10 +123,11 @@ def semismooth_newton(F: PiecewiseFunction, jacobian_source, x0) -> NewtonTrace:
                 f"exceeds {STEP_MAX:g}")
             jacobians.append(A)
             break
-        x = x - step
+        x = _finite_step("semismooth Newton", k, x, step)
         iterates.append(x.copy())
         jacobians.append(A)
-        residuals.append(float(np.linalg.norm(F.value(x))))
+        fx = F.value(x)
+        residuals.append(float(np.linalg.norm(fx)))
     else:
         if residuals[-1] <= NEWTON_TOL:
             status = "converged"
@@ -178,20 +191,19 @@ def subgradient_descent(f: PiecewiseFunction, grad_source, x0,
     """
     if f.output_dim != 1:
         raise ValueError("subgradient descent needs a scalar objective")
-    x = np.asarray(x0, dtype=float).copy()
+    x = as_vector(x0, f.ambient_dim).copy()
     iterates = [x.copy()]
-    values = [float(f.value(x)[0])]
     grads: list[np.ndarray] = []
     steps: list[float] = []
     for k in range(1, iters + 1):
         g = _select_jacobian(f, grad_source, x)[0]
         alpha = step_size(rule, c, k)
-        x = x - alpha * g
+        x = _finite_step("subgradient descent", k, x, g, alpha)
         iterates.append(x.copy())
-        values.append(float(f.value(x)[0]))
         grads.append(g)
         steps.append(alpha)
-    return SubgradientTrace(tuple(iterates), tuple(values), tuple(grads),
+    values = tuple(map(float, f.values(np.array(iterates))[:, 0]))   # no g_k needs them
+    return SubgradientTrace(tuple(iterates), values, tuple(grads),
                             tuple(steps))
 
 

@@ -14,6 +14,7 @@ cell inside the box, independent of the block size, and within the budget.
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from stratacalc.piecewise import (
     EPS_CELL,
     Arrangement,
     Hyperplane,
+    PiecewiseError,
     sample_cell_point,
 )
 from stratacalc.seeding import substream
@@ -230,6 +232,69 @@ def test_piecewise_array_forms_equal_one_row_forms(functions):
             for i in range(F.output_dim):
                 rng_i = linear_range_over_polytope(F.component_clarke(x, i + 1), u)
                 assert (lo[k, i], hi[k, i]) == rng_i
+
+
+def _cell_rows(F, seed):
+    """_inputs rows, every cell's witness point (the intersections of
+    hyperplanes included), and rows 5e-11 and 2e-10 off each hyperplane, in
+    a shuffled order."""
+    rng = np.random.default_rng(seed)
+    arr = F.arrangement
+    X = [_inputs(F, seed)[0], [arr.cell_point(s) for s in arr.all_nonempty_signs()]]
+    for a, b in zip(arr.normals, arr.offsets):
+        on = X[0][:6] - np.outer(X[0][:6] @ a - b, a) / (a @ a)
+        X += [on + d * a / np.linalg.norm(a) for d in (-2e-10, -5e-11, 5e-11, 2e-10)]
+    X = np.vstack(X)
+    return X[rng.permutation(len(X))]
+
+
+@pytest.mark.parametrize("corpus", ["shipped", "generated"])
+def test_adjacent_ids_equal_per_row_adjacent_full_signs(monkeypatch, corpus):
+    # packed-key grouping and the per-function key table, on fresh functions
+    # (empty table) and again (filled table), against the string path
+    if corpus == "shipped":
+        funcs = [cf.func for cf in default_corpus().functions.values()]
+    else:
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from gencorpus import generate_corpus
+        from workloads import GENERATED_CORPUS_SEED, GENERATED_SHAPES
+        funcs = [cf.func for cf in generate_corpus(GENERATED_CORPUS_SEED,
+                                                   GENERATED_SHAPES).functions.values()]
+        assert {F.arrangement.k for F in funcs} == {3}
+    for seed, F in enumerate(funcs):
+        X = _cell_rows(F, seed)
+        expected = [F.adjacent_full_signs(x) for x in X]
+        for _ in range(2):
+            ids, counts = F._adjacent_ids(X)
+            for row, count, signs in zip(ids, counts, expected):
+                assert [F._signs[i] for i in row[:count]] == signs
+                assert (row[count:] == row[0]).all()
+            for k in range(0, len(X), 7):
+                one, c = F._adjacent_ids(X[k:k + 1])
+                assert c[0] == counts[k] and np.array_equal(one[0, :c[0]], ids[k, :c[0]])
+
+
+def test_adjacent_ids_raise_for_a_cell_without_pieces_on_every_call():
+    F = default_corpus().function("abs1d").func
+    F = dataclasses.replace(F, pieces={"+": F.pieces["+"]})
+    for _ in range(2):
+        with pytest.raises(PiecewiseError, match="no adjacent full-dimensional piece"):
+            F._adjacent_ids(np.array([[0.5], [-1.0]]))
+    assert F._adjacent_ids(np.array([[0.0], [2.0]]))[1].tolist() == [1, 1]
+
+
+def test_packed_keys_tell_cells_apart_with_39_hyperplanes():
+    # hyperplanes x = 0, 1, ..., 38 on the line; the piece of the cell left
+    # of j + 1 of them is the constant j, and the keys reach 3^39 - 1
+    arr = Arrangement(1, tuple(Hyperplane([1.0], float(i)) for i in range(39)))
+    F = piecewise.PiecewiseFunction(arr, 1, {
+        "+" * j + "-" * (39 - j): (piecewise.Polynomial.constant(1, j),)
+        for j in range(40)})
+    X = np.array([[-1.0], [0.5], [37.5], [40.0], [38.0], [0.0], [0.5]])
+    assert F.values(X)[:, 0].tolist() == [0, 1, 38, 39, 38, 0, 1]
+    assert F._adjacent_ids(X)[1].tolist() == [1, 1, 1, 1, 2, 2, 1]
+    for base in (2, 3):     # exact in int64, first hyperplane most significant
+        assert arr._key_weights[base].tolist() == [base ** (38 - i) for i in range(39)]
 
 
 def test_value_differences_share_one_base_row(functions):

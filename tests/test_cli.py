@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from stratacalc.cli import main
 from stratacalc.corpus import corpus_to_json, default_corpus
+from stratacalc.piecewise import Arrangement, Hyperplane, PiecewiseError
 
 
 def run(args):
@@ -304,6 +306,41 @@ def test_bad_cli_values_exit_one_naming_them(capsys, argv, named):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err and named in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["solve", "subgrad", "--function", "maxreg2d", "--x0=1,1", "--rule", "constant",
+      "--c", "1e200"], "subgradient descent diverged at iteration k=2: the step from "
+                       "the last finite iterate [-1e+200, -2e+200] is not finite"),
+    pytest.param(["solve", "newton", "--function", "relukink", "--x0=1e200"],
+                 "semismooth Newton diverged at iteration k=0: the step from the "
+                 "last finite iterate [1e+200] is not finite",
+                 # F(1e200) = 1e400 itself overflows: the residual is inf
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+], ids=["subgrad", "newton"])
+def test_diverging_solver_exits_one_naming_the_iteration(capsys, argv, named):
+    # regression: numpy overflow warnings, then "vector entries must be
+    # finite" from the next kernel call, naming neither solver nor iteration
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
+def test_more_hyperplanes_than_a_packed_cell_key_holds_are_refused(tmp_path, capsys):
+    # 3^40 overflows the int64 cell keys; refused at construction, before
+    # validation would enumerate 2^40 sign vectors
+    hps = tuple(Hyperplane([1.0], float(i)) for i in range(40))
+    with pytest.raises(PiecewiseError, match="^40 hyperplanes, more than the 39 "):
+        Arrangement(1, hps)
+    assert Arrangement(1, hps[:39]).k == 39
+    doc = json.loads(corpus_to_json(default_corpus()))
+    fd = next(fd for fd in doc["functions"] if fd["id"] == "abs1d")
+    fd["hyperplanes"] = [{"normal": [1.0], "offset": float(i)} for i in range(40)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", "--corpus", str(path), "--function", "abs1d",
+                "--oracle", "clarke"]) == 1
+    err = capsys.readouterr().err
+    assert "function 'abs1d': bad field 'hyperplanes': 40 hyperplanes" in err
 
 
 @pytest.mark.parametrize("flag, argv", [

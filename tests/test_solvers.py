@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -192,3 +194,79 @@ def test_step_rules():
     assert step_size("c_over_sqrt_k", 2.0, 4) == 1.0
     with pytest.raises(ValueError):
         step_size("bogus", 1.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# kernel calls per run, and the traces they give
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of PiecewiseFunction.values and .clarke_jacobians calls."""
+    calls = {"values": 0, "clarke_jacobians": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _kernel=getattr(PiecewiseFunction, name)):
+            calls[_name] += 1
+            return _kernel(self, *args)
+        monkeypatch.setattr(PiecewiseFunction, name, counted)
+    return calls
+
+
+def test_subgradient_evaluates_all_values_in_one_batch(kernel_calls):
+    trace = subgradient_descent(make_maxreg2d(), "clarke", [1.0, 1.0], iters=25)
+    assert kernel_calls == {"values": 1, "clarke_jacobians": 25}
+    assert len(trace.values) == 26
+
+
+@pytest.mark.parametrize("make, x0", [(make_relukink, [3.0]), (make_absplus, [2.0]),
+                                      (make_maxpair2d, [3.0, -1.0])])
+def test_newton_evaluates_F_once_per_iterate(kernel_calls, make, x0):
+    trace = semismooth_newton(make(), "clarke", x0)
+    assert len(trace.iterates) > 1
+    assert kernel_calls == {"values": len(trace.iterates),
+                            "clarke_jacobians": len(trace.jacobians)}
+
+
+def _shipped(keep):
+    from stratacalc.corpus import default_corpus
+    return [cf for cf in default_corpus().functions.values() if keep(cf.func)]
+
+
+def test_subgradient_values_equal_one_point_values():
+    # starts: random, every base point (kinks included), and the abs1d run
+    # from -0.657... whose iterate 1.2e-11 snaps onto the kink at 0
+    rng = np.random.default_rng(5)
+    on_kink = 0
+    for cf in _shipped(lambda F: F.output_dim == 1):
+        F, n = cf.func, cf.func.ambient_dim
+        starts = list(cf.base_points) + list(rng.uniform(-3, 3, size=(3, n)))
+        on_kink += sum("0" in F.arrangement.sign_vector(x0) for x0 in starts)
+        for x0 in starts:
+            for source in ("clarke", parse_oracle("branch", F)):
+                trace = subgradient_descent(F, source, x0, iters=60)
+                for x, v in zip(trace.iterates, trace.values):
+                    assert v == float(F.value(x)[0])
+    assert on_kink >= 6
+    F = next(cf.func for cf in _shipped(lambda F: F.output_dim == 1) if cf.fid == "abs1d")
+    trace = subgradient_descent(F, "clarke", [-0.6574918168863819], iters=200)
+    assert min(trace.values) == -1.200318924116095e-11
+    assert trace.values == tuple(float(F.value(x)[0]) for x in trace.iterates)
+
+
+def test_newton_residuals_equal_norms_of_one_point_values():
+    rng = np.random.default_rng(6)
+    for cf in _shipped(lambda F: F.output_dim == F.ambient_dim):
+        F, n = cf.func, cf.func.ambient_dim
+        for x0 in list(cf.base_points) + list(rng.uniform(-3, 3, size=(4, n))):
+            trace = semismooth_newton(F, "clarke", x0)
+            assert trace.residual_norms == tuple(
+                float(np.linalg.norm(F.value(x))) for x in trace.iterates)
+
+
+def test_diverging_subgradient_names_the_iteration_and_last_finite_iterate():
+    # the overflowing step raises this error, and no numpy warning before it
+    pattern = r"subgradient descent diverged at iteration k=2: .*\[-1e\+200, -2e\+200\]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=pattern):
+            subgradient_descent(make_maxreg2d(), "clarke", [1.0, 1.0],
+                                rule="constant", c=1e200)
