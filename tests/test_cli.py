@@ -30,7 +30,8 @@ def test_check_positive_binding_exits_zero(tmp_path):
     assert "overall: pass" in text
 
 
-CHECK_GOLDEN = Path(__file__).parent / "data" / "check_seed7"
+DATA = Path(__file__).parent / "data"
+CHECK_GOLDEN = DATA / "check_seed7"
 
 
 @pytest.mark.parametrize("fid", sorted(default_corpus().functions))
@@ -208,6 +209,19 @@ def test_matrix_with_corpus_file(tmp_path):
     assert "id1d:scale:2,fail,fail,fail,fail,fail,true" in text
 
 
+def test_matrix_seed7_on_the_generated_corpus_matches_golden(tmp_path, monkeypatch):
+    # the benchmark's generated corpus (cell LPs, sampling in R^3, k = 3);
+    # exit 2 is the known EPS_CELL false fail of gen0_n2k3:clarke at seed 7
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from gencorpus import generate_corpus
+    from workloads import GENERATED_CORPUS_SEED, GENERATED_SHAPES
+    from stratacalc import save_corpus
+    path, out = tmp_path / "generated.json", tmp_path / "m.txt"
+    save_corpus(generate_corpus(GENERATED_CORPUS_SEED, GENERATED_SHAPES), path)
+    assert run(["matrix", "--seed", "7", "--corpus", str(path), "--output", str(out)]) == 2
+    assert out.read_bytes() == (DATA / "matrix_generated_seed7.txt").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -268,6 +282,31 @@ def test_solve_subgrad_abs(tmp_path):
     val = [l for l in final if l.startswith("final_point:")][0]
     x = float(val.split("(")[1].rstrip(")"))
     assert abs(x) <= 0.1
+
+
+SOLVE_GOLDEN = {   # report name: (solve arguments, exit code)
+    "newton_relukink": (["newton", "--function", "relukink", "--x0=0.3"], 0),
+    "newton_relukink_branch": (["newton", "--function", "relukink", "--x0=-0.8",
+                                "--jacobian", "branch"], 0),
+    "newton_pwq2d": (["newton", "--function", "pwq2d", "--x0=1.3,-0.7"], 0),
+    "newton_absplus_stall": (["newton", "--function", "absplus", "--x0=-1"], 4),
+    # best value -1.2e-11: an iterate snapped within EPS_CELL of the kink
+    "subgrad_abs1d_snap": (["subgrad", "--function", "abs1d",
+                            "--x0=-0.6574918168863819"], 0),
+    "subgrad_maxreg2d_branch": (["subgrad", "--function", "maxreg2d", "--x0=1.5,-2",
+                                 "--oracle", "branch", "--rule", "c_over_sqrt_k",
+                                 "--c", "0.5"], 0),
+    "subgrad_l1norm2d_constant": (["subgrad", "--function", "l1norm2d", "--x0=0.7,0.2",
+                                   "--rule", "constant", "--c", "0.1", "--iters", "50"], 0),
+}
+
+
+@pytest.mark.parametrize("name", SOLVE_GOLDEN)
+def test_solve_reports_match_golden(tmp_path, name):
+    argv, code = SOLVE_GOLDEN[name]
+    out = tmp_path / "t.txt"
+    assert run(["solve", *argv, "--output", str(out)]) == code
+    assert out.read_bytes() == (DATA / "solve" / f"{name}.txt").read_bytes()
 
 
 def test_solve_bad_point_exit_one():
