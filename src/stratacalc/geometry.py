@@ -166,9 +166,6 @@ class Polytope:
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
-    def scale(self, c: float) -> "Polytope":
-        return Polytope(c * self.vertices)
-
 
 @dataclass(frozen=True, eq=False)
 class MatrixPolytope:

@@ -45,16 +45,9 @@ LP_EPS = 1e-12         # reduced-cost and ratio-tie tolerance of the simplex
 LP_MAX_PIVOTS = 5000
 MAX_HYPERPLANES = 39   # 3^39 is the largest power of 3 an int64 cell key holds
 
-_SIGN_ORDER = {"-": 0, "0": 1, "+": 2}
-
 
 class PiecewiseError(ValueError):
     """Malformed piecewise data: missing pieces, empty cells, bad signs."""
-
-
-def sign_key(sign: str) -> tuple[int, ...]:
-    """Sort key realizing the '-' < '0' < '+' character order."""
-    return tuple(_SIGN_ORDER[c] for c in sign)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +323,7 @@ class Arrangement:
     _normals: np.ndarray = field(init=False, repr=False, compare=False)
     _offsets: np.ndarray = field(init=False, repr=False, compare=False)
     _nonempty_cache: dict = field(init=False, repr=False, compare=False)
-    _compatible_cache: dict = field(init=False, repr=False, compare=False)
-    _key_weights: dict = field(init=False, repr=False, compare=False)  # base -> (k,) int64
+    _key_weights: np.ndarray = field(init=False, repr=False, compare=False)  # (k,) int64
 
     def __post_init__(self):
         hps = tuple(self.hyperplanes)
@@ -349,9 +341,8 @@ class Arrangement:
         object.__setattr__(self, "_normals", A)
         object.__setattr__(self, "_offsets", b)
         object.__setattr__(self, "_nonempty_cache", {})
-        object.__setattr__(self, "_compatible_cache", {})
-        object.__setattr__(self, "_key_weights", {
-            base: base ** np.arange(len(hps) - 1, -1, -1, dtype=np.int64) for base in (2, 3)})
+        object.__setattr__(self, "_key_weights",
+                           3 ** np.arange(len(hps) - 1, -1, -1, dtype=np.int64))
 
     @property
     def k(self) -> int:
@@ -385,7 +376,7 @@ class Arrangement:
         the zero rows, |x|_inf <= LP_BOX and m <= 1. Returns (margin, point),
         or (-inf, None) when the LP is infeasible."""
         n = self.ambient_dim
-        codes = np.array([_SIGN_ORDER[c] - 1 for c in sign], dtype=float)
+        codes = np.array(["-0+".index(c) - 1 for c in sign], dtype=float)
         zero = codes == 0
         # x = x0 + N z: x0 is the min-norm least-squares point of the zero
         # rows, N an orthonormal basis of their null space
@@ -448,25 +439,19 @@ class Arrangement:
 
     def all_nonempty_signs(self) -> list[str]:
         """Every nonempty cell's sign vector, in '-'<'0'<'+' lexicographic order."""
-        signs = ["".join(s) for s in itertools.product("-0+", repeat=self.k)]
-        signs.sort(key=sign_key)
-        return [s for s in signs if self.cell_nonempty(s)]
+        return [s for s in map("".join, itertools.product("-0+", repeat=self.k))
+                if self.cell_nonempty(s)]
 
-    def full_dim_signs(self) -> list[str]:
-        signs = ["".join(s) for s in itertools.product("-+", repeat=self.k)]
-        signs.sort(key=sign_key)
-        return [s for s in signs if self.cell_nonempty(s)]
+    def full_dim_signs(self) -> tuple[str, ...]:
+        return self.compatible_full_signs("0" * self.k)
 
     def compatible_full_signs(self, sign: str) -> tuple[str, ...]:
         """Nonempty full-dimensional sign vectors whose closure contains the
-        cell `sign` (coordinatewise: equal where sign is nonzero); cached."""
-        out = self._compatible_cache.get(sign)
-        if out is None:
-            options = [("-", "+") if c == "0" else (c,) for c in sign]
-            cands = sorted(("".join(s) for s in itertools.product(*options)), key=sign_key)
-            out = self._compatible_cache[sign] = tuple(s for s in cands
-                                                       if self.cell_nonempty(s))
-        return out
+        cell `sign` (coordinatewise: equal where sign is nonzero), in
+        '-'<'+' lexicographic order."""
+        options = [("-", "+") if c == "0" else (c,) for c in sign]
+        return tuple(s for s in map("".join, itertools.product(*options))
+                     if self.cell_nonempty(s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,9 +518,9 @@ def sample_cell_point(arr: Arrangement, sign: str, box: np.ndarray,
 # Piecewise functions
 
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows grouped by equal (N,) packed keys (codes @ _key_weights, first
-    hyperplane most significant): the first row of each group, and the group
-    of every row (a single row is its own group)."""
+    """Rows grouped by equal (N,) int64 keys: the first row of each group,
+    with groups in ascending key order, and the group of every row (a
+    single row is its own group)."""
     if len(keys) == 1:     # np.unique would dominate a one-row call
         return np.zeros(1, dtype=int), np.zeros(1, dtype=int)
     return np.unique(keys, return_index=True, return_inverse=True)[1:]
@@ -562,7 +547,7 @@ class PiecewiseFunction:
     _grad_polys: dict = field(init=False, repr=False, compare=False)
     _signs: list = field(init=False, repr=False, compare=False)    # piece index -> sign
     _index: dict = field(init=False, repr=False, compare=False)    # sign -> piece index
-    _adjacent: dict = field(init=False, repr=False, compare=False)  # packed key -> indices
+    _adjacent: dict = field(init=False, repr=False, compare=False)  # cell key -> indices
 
     def __post_init__(self):
         n = self.arrangement.ambient_dim
@@ -646,43 +631,49 @@ class PiecewiseFunction:
     # bit-identical to evaluating it alone; the one-point methods below are
     # one-row views of these kernels.
 
-    def _adjacent_ids(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Piece indices of the cells adjacent to each row: an (N, V) array
+    def _piece_ids(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Piece indices of the full-dimensional cells adjacent to the cell of
+        each row of (N, k) sign codes (0 '-', 1 '0', 2 '+'): an (N, V) array
         whose short rows repeat their column 0, and the (N,) counts. Rows are
-        grouped by sign codes packed into int64 keys; adjacent_full_signs
-        fills a key's entry on first sight (and raises, uncached, if empty)."""
-        keys = self.arrangement.sign_codes(X) @ self.arrangement._key_weights[3]
+        grouped by int64 keys sum c_i 3^(k-1-i); compatible_full_signs fills a
+        key's entry of the table `_adjacent` on first sight, and a key
+        without a piece raises on every call, since it is never stored."""
+        keys = codes @ self.arrangement._key_weights
         first, inv = _groups(keys)
-        adj = [self._adjacent.get(key) or self._adjacent.setdefault(
-                   key, [self._index[s] for s in self.adjacent_full_signs(X[i])])
-               for key, i in zip(keys[first].tolist(), first)]
+        adj = []
+        for key, i in zip(keys[first].tolist(), first):
+            ids = self._adjacent.get(key)
+            if ids is None:
+                sign = "".join("-0+"[c] for c in codes[i])
+                ids = [self._index[s] for s in self.arrangement.compatible_full_signs(sign)
+                       if s in self._index]
+                if not ids:
+                    raise PiecewiseError(
+                        f"no adjacent full-dimensional piece at sign vector {sign!r}: "
+                        "each compatible full-dimensional cell is empty or has no piece")
+                self._adjacent[key] = ids
+            adj.append(ids)
         width = max(map(len, adj), default=1)
         table = np.array([a + a[:1] * (width - len(a)) for a in adj], dtype=int)
         return table.reshape(len(adj), width)[inv], np.array(list(map(len, adj)), dtype=int)[inv]
+
+    def _adjacent_ids(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_piece_ids of the cell of each row of X."""
+        return self._piece_ids(self.arrangement.sign_codes(X))
 
     def _directional_ids(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
         """(N, 1) index of the piece active on (x, x + eps*u] per row (u != 0).
 
         Residual zero signs after consulting <a_i, u> are tie-broken to '+';
         continuity across the facet makes the tangential derivative
-        independent of that choice.
+        independent of that choice. The resulting '-'/'+' codes 0/2 name a
+        full-dimensional cell, looked up like a point row's cell.
         """
         arr = self.arrangement
         r, du = arr.residuals(X), np.matmul(arr.normals, U[..., None])[..., 0]
         moving = np.abs(du) > EPS_CELL * row_norms(U)[:, None]
         plus = np.where(np.abs(r) > EPS_CELL, r > 0, ~moving | (du > 0))
-        first, inv = _groups(plus @ arr._key_weights[2])
-        ids = []
-        for key in plus[first]:
-            sign = "".join("+" if c else "-" for c in key)
-            if not arr.cell_nonempty(sign):
-                raise PiecewiseError(
-                    f"directional cell {sign!r} is empty: arrangement is degenerate "
-                    "(duplicate hyperplanes with opposite orientations?)")
-            if sign not in self.pieces:
-                raise PiecewiseError(f"no piece for directional cell {sign!r}")
-            ids.append(self._index[sign])
-        return np.array(ids)[inv, None]
+        return self._piece_ids(2 * plus)[0][:, :1]
 
     def _at_pieces(self, evaluator, X: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """evaluator(sign)(rows) for each piece index in the (N, V) array
@@ -774,14 +765,6 @@ class PiecewiseFunction:
 
     def piece_value(self, sign: str, x) -> np.ndarray:
         return self._value_eval(sign)(np.asarray(x, dtype=float)[None])[0]
-
-    def directional_cell(self, x, u) -> str:
-        """Full-dimensional sign vector of the piece active on (x, x+eps*u]
-        for small eps > 0."""
-        x, u = self._row(x), self._row(u)
-        if row_norms(u)[0] == 0.0:
-            raise PiecewiseError("direction must be nonzero")
-        return self._signs[self._directional_ids(x, u)[0, 0]]
 
     def directional_derivative(self, x, u) -> np.ndarray:
         """One-sided directional derivative; exact for piecewise polynomials."""
@@ -1041,8 +1024,8 @@ def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
     of h_i(t) = <a_i, curve(t)> - b_i, isolated by exact-sign bisection, so
     the curve stays in one cell on each subinterval unless two crossings are
     closer together than the 1e-12 merge of cut times. There, the curve is
-    substituted into the piece of a full-dimensional cell compatible with
-    the exact signs of the h_i at the midpoint; continuity makes the result
+    substituted into the first piece that F._piece_ids finds for the exact
+    signs of the h_i at the midpoint; continuity makes the result
     independent of the choice. Subintervals on which the curve travels
     inside some hyperplane are flagged as boundary rather than rejected.
     """
@@ -1075,20 +1058,16 @@ def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
         t_lo, t_hi = merged[j], merged[j + 1]
         t_mid = 0.5 * (t_lo + t_hi)
         src = curve.interval_index(t_mid)
-        sigma = []
+        codes = []
         for H in exact[src]:
             # h_i's exact sign at the midpoint, or after it at a touch point
             s, t = 0, t_mid
             while H is not None and s == 0 and t < t_hi:
                 s, t = _sign_at(H, t), math.nextafter(t, t_hi)
-            sigma.append("-0+"[s + 1])
-        candidates = [s for s in arr.compatible_full_signs("".join(sigma))
-                      if s in F.pieces]
-        if not candidates:
-            raise PiecewiseError(
-                f"no piece adjacent to the curve on [{t_lo}, {t_hi}]")
+            codes.append(s + 1)
+        piece = F._piece_ids(np.array([codes], dtype=int))[0][0, 0]
         rows = [p.compose_univariate(list(curve.pieces[src]))
-                for p in F.pieces[candidates[0]]]
+                for p in F.pieces[F._signs[piece]]]
         out_pieces.append(Curve.from_coeffs(rows).pieces[0])
         out_boundary.append(None in exact[src])
     return Curve(np.array(merged), tuple(out_pieces), tuple(out_boundary))

@@ -90,27 +90,35 @@ def semismooth_newton(F: PiecewiseFunction, jacobian_source, x0) -> NewtonTrace:
     iterates = [x.copy()]
     jacobians: list[np.ndarray] = []
     damping_log: list[str] = []
-    fx = F.value(x)
-    residuals = [float(np.linalg.norm(fx))]
+    residuals: list[float] = []
     status = "max_iter"
-    for k in range(NEWTON_MAX_ITER):
-        if residuals[-1] <= NEWTON_TOL:
+    for k in range(NEWTON_MAX_ITER + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            fx = F.value(x)
+            norm = float(np.linalg.norm(fx))
+        if not np.isfinite(fx).all():   # then so is the step from x
+            _finite_step("semismooth Newton", k, x, fx)
+        if norm == np.inf:              # ||F||^2 overflowed: rescale by max |F_i|
+            big = float(np.max(np.abs(fx)))
+            norm = big * float(np.linalg.norm(fx / big))
+        residuals.append(norm)
+        if norm <= NEWTON_TOL:
             status = "converged"
+            break
+        if k == NEWTON_MAX_ITER:
             break
         A = _select_jacobian(F, jacobian_source, x)
         damped = False
         if abs(float(np.linalg.det(A))) < DET_TOL:
             lam = DAMP_INIT
-            ok = False
             while lam <= DAMP_MAX * (1 + 1e-12):
                 if abs(float(np.linalg.det(A + lam * np.eye(A.shape[0])))) >= DET_TOL:
                     damping_log.append(f"k={k} lambda={lam:g}")
                     A = A + lam * np.eye(A.shape[0])
-                    ok = True
                     damped = True
                     break
                 lam *= 2.0
-            if not ok:
+            if not damped:
                 status = "singular_stall"
                 damping_log.append(f"k={k} damping exhausted at lambda={DAMP_MAX:g}")
                 jacobians.append(A)
@@ -126,11 +134,6 @@ def semismooth_newton(F: PiecewiseFunction, jacobian_source, x0) -> NewtonTrace:
         x = _finite_step("semismooth Newton", k, x, step)
         iterates.append(x.copy())
         jacobians.append(A)
-        fx = F.value(x)
-        residuals.append(float(np.linalg.norm(fx)))
-    else:
-        if residuals[-1] <= NEWTON_TOL:
-            status = "converged"
     return NewtonTrace(tuple(iterates), tuple(residuals), tuple(jacobians),
                        status, tuple(damping_log))
 

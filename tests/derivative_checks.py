@@ -1,9 +1,35 @@
 """Reference checks of the directional derivative (acceptance criteria 8
-and 10): one-sided velocity limits along curves and forward differences."""
+and 10): one-sided velocity limits along curves and forward differences,
+and the active piece's sign vector found one row at a time."""
 
 import numpy as np
 
-from stratacalc.piecewise import Curve, compose_exact
+from stratacalc.piecewise import EPS_CELL, Curve, PiecewiseError, compose_exact
+
+
+def directional_sign(F, x, u) -> str:
+    """Sign vector of the piece active on (x, x + eps*u], u != 0, one
+    character per hyperplane: the residual's sign off it, else the sign of
+    <a_i, u>, else '+' where u is tangent to it. Raises for an empty cell
+    (a degenerate arrangement) and for a cell without a piece."""
+    arr = F.arrangement
+    r, du = arr.normals @ x - arr.offsets, arr.normals @ u
+    unorm = float(np.linalg.norm(u))
+    chars = []
+    for ri, di in zip(r, du):
+        if abs(ri) > EPS_CELL:
+            chars.append("+" if ri > 0 else "-")
+        elif abs(di) > EPS_CELL * unorm:
+            chars.append("+" if di > 0 else "-")
+        else:
+            chars.append("+")
+    sign = "".join(chars)
+    if not arr.cell_nonempty(sign):
+        raise PiecewiseError(f"directional cell {sign!r} is empty: arrangement is "
+                             "degenerate (duplicate hyperplanes with opposite orientations?)")
+    if sign not in F.pieces:
+        raise PiecewiseError(f"no piece for directional cell {sign!r}")
+    return sign
 
 
 def univariate_gap(functions, rng: np.random.Generator, n_curves: int) -> float:

@@ -48,6 +48,8 @@ from stratacalc.piecewise import (
 )
 from stratacalc.seeding import substream
 
+from derivative_checks import directional_sign
+
 ORACLES = ("exact", "clarke", "branch", "scale:2", "scale:-0.5", "reflect:clarke",
            "reflect:exact", "zero-strata:clarke", "zero-strata:exact")
 
@@ -88,25 +90,10 @@ def _scalar_eval(ev, x):
     return np.bincount(ev.slots, weights=vals, minlength=ev.size).reshape(ev.shape)
 
 
-def _scalar_directional_sign(F, x, u):
-    arr = F.arrangement
-    r, du = arr.normals @ x - arr.offsets, arr.normals @ u
-    unorm = float(np.linalg.norm(u))
-    chars = []
-    for ri, di in zip(r, du):
-        if abs(ri) > EPS_CELL:
-            chars.append("+" if ri > 0 else "-")
-        elif abs(di) > EPS_CELL * unorm:
-            chars.append("+" if di > 0 else "-")
-        else:
-            chars.append("+")
-    return "".join(chars)
-
-
 def _scalar_derivative(F, x, u):
     if float(np.linalg.norm(u)) == 0.0:
         return np.zeros(F.output_dim)
-    return _scalar_eval(F._jac_eval(_scalar_directional_sign(F, x, u)), x) @ u
+    return _scalar_eval(F._jac_eval(directional_sign(F, x, u)), x) @ u
 
 
 def _scalar_difference(F, y, x):
@@ -158,7 +145,7 @@ def _scalar_assumption(D, probe_points, seed):
         for u in dirs:
             out = D(x, u)
             for t in HOM_T_FACTORS:
-                gap = hausdorff(D(x, t * u), out.scale(t))
+                gap = hausdorff(D(x, t * u), Polytope(t * out.vertices))
                 tol = EPS_HOM * max(1.0, t * float(np.linalg.norm(u)))
                 if gap > tol and gap > hom_worst:
                     hom_worst = gap
@@ -248,20 +235,25 @@ def _cell_rows(F, seed):
     return X[rng.permutation(len(X))]
 
 
+def _fresh_functions(monkeypatch, corpus):
+    """Newly built functions (empty key tables) of the shipped corpus or of
+    the benchmark's generated corpus (k = 3)."""
+    if corpus == "shipped":
+        return [cf.func for cf in default_corpus().functions.values()]
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from gencorpus import generate_corpus
+    from workloads import GENERATED_CORPUS_SEED, GENERATED_SHAPES
+    funcs = [cf.func for cf in generate_corpus(GENERATED_CORPUS_SEED,
+                                               GENERATED_SHAPES).functions.values()]
+    assert {F.arrangement.k for F in funcs} == {3}
+    return funcs
+
+
 @pytest.mark.parametrize("corpus", ["shipped", "generated"])
 def test_adjacent_ids_equal_per_row_adjacent_full_signs(monkeypatch, corpus):
     # packed-key grouping and the per-function key table, on fresh functions
     # (empty table) and again (filled table), against the string path
-    if corpus == "shipped":
-        funcs = [cf.func for cf in default_corpus().functions.values()]
-    else:
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        from gencorpus import generate_corpus
-        from workloads import GENERATED_CORPUS_SEED, GENERATED_SHAPES
-        funcs = [cf.func for cf in generate_corpus(GENERATED_CORPUS_SEED,
-                                                   GENERATED_SHAPES).functions.values()]
-        assert {F.arrangement.k for F in funcs} == {3}
-    for seed, F in enumerate(funcs):
+    for seed, F in enumerate(_fresh_functions(monkeypatch, corpus)):
         X = _cell_rows(F, seed)
         expected = [F.adjacent_full_signs(x) for x in X]
         for _ in range(2):
@@ -293,8 +285,77 @@ def test_packed_keys_tell_cells_apart_with_39_hyperplanes():
     X = np.array([[-1.0], [0.5], [37.5], [40.0], [38.0], [0.0], [0.5]])
     assert F.values(X)[:, 0].tolist() == [0, 1, 38, 39, 38, 0, 1]
     assert F._adjacent_ids(X)[1].tolist() == [1, 1, 1, 1, 2, 2, 1]
-    for base in (2, 3):     # exact in int64, first hyperplane most significant
-        assert arr._key_weights[base].tolist() == [base ** (38 - i) for i in range(39)]
+    ids = F._directional_ids(np.array([[38.0], [0.0], [37.5]]), np.array([[1.0], [-1.0], [1.0]]))
+    assert [F._signs[i].count("+") for i in ids[:, 0]] == [39, 0, 38]
+    # exact in int64, first hyperplane most significant
+    assert arr._key_weights.tolist() == [3 ** (38 - i) for i in range(39)]
+
+
+def _directional_rows(F, seed):
+    """Every _cell_rows row (on hyperplanes, at their intersections, just
+    off them, random) with each direction of a pool: +-a_i, a random u
+    tangent to hyperplane i, that u tilted 5e-11 and 2e-10 of its length
+    towards a_i, for n = 3 a u along each pair's intersection line, and a
+    random u. Rows with u = 0 (the tangents of n = 1) are left out."""
+    rng = np.random.default_rng(seed)
+    arr, n = F.arrangement, F.ambient_dim
+    pool = [rng.normal(size=n)]
+    for i, a in enumerate(arr.normals):
+        t = rng.normal(size=n)
+        t -= (t @ a) * a
+        pool += [a, -a, t] + [t + d * np.linalg.norm(t) * a for d in (5e-11, 2e-10)]
+        if n == 3:
+            pool += [np.cross(a, b) for b in arr.normals[i + 1:]]
+    X0 = _cell_rows(F, seed)
+    X, U = np.repeat(X0, len(pool), axis=0), np.tile(np.array(pool), (len(X0), 1))
+    keep = row_norms(U) > 1e-9
+    return X[keep], U[keep]
+
+
+@pytest.mark.parametrize("corpus", ["shipped", "generated"])
+def test_directional_ids_equal_the_per_row_string_loop(monkeypatch, corpus):
+    # with an empty key table, then a filled one, then after point rows of
+    # the same rows filled it, and row by row
+    for seed, F in enumerate(_fresh_functions(monkeypatch, corpus)):
+        X, U = _directional_rows(F, seed)
+        arr = F.arrangement
+        r, du = arr.residuals(X), np.matmul(arr.normals, U[..., None])[..., 0]
+        ties = (np.abs(r) <= EPS_CELL) & (np.abs(du) <= EPS_CELL * row_norms(U)[:, None])
+        assert F.ambient_dim == 1 or ties.any()       # zero signs that tie-break to '+'
+        expected = [directional_sign(F, x, u) for x, u in zip(X, U)]
+        for _ in range(2):
+            assert [F._signs[i] for i in F._directional_ids(X, U)[:, 0]] == expected
+        fresh = dataclasses.replace(F)
+        fresh.values(X)
+        assert [fresh._signs[i] for i in fresh._directional_ids(X, U)[:, 0]] == expected
+        for k in range(0, len(X), 13):
+            assert F._signs[F._directional_ids(X[k:k + 1], U[k:k + 1])[0, 0]] == expected[k]
+
+
+def test_a_second_directional_call_decides_no_cell(monkeypatch, functions):
+    # every packed key of the first call is in the table: the second call
+    # asks the arrangement nothing
+    calls = []
+    for name in ("cell_nonempty", "compatible_full_signs"):
+        method = getattr(Arrangement, name)
+        monkeypatch.setattr(Arrangement, name,
+                            lambda self, sign, _m=method: calls.append(sign) or _m(self, sign))
+    for F in functions:
+        X, U = _inputs(F, seed=2)
+        first = F.directional_derivatives(X, U)
+        calls.clear()
+        assert np.array_equal(F.directional_derivatives(X, U), first)
+        assert calls == []
+
+
+def test_directional_and_point_rows_of_one_open_cell_share_one_table_entry():
+    # from the origin along (1, 0): '+' off x = 0 by <a_1, u> > 0, '+' by
+    # the tie-break on y = 0; the point (0.5, 0.5) lies in the same cell
+    F = default_corpus().function("l1norm2d").func
+    assert F.directional_derivative([0.0, 0.0], [1.0, 0.0]).tolist() == [1.0]
+    assert F._adjacent == {8: [F._index["++"]]}
+    F.values(np.array([[0.5, 0.5]]))
+    assert F._adjacent == {8: [F._index["++"]]}
 
 
 def test_value_differences_share_one_base_row(functions):

@@ -351,17 +351,31 @@ def test_bad_cli_values_exit_one_naming_them(capsys, argv, named):
     (["solve", "subgrad", "--function", "maxreg2d", "--x0=1,1", "--rule", "constant",
       "--c", "1e200"], "subgradient descent diverged at iteration k=2: the step from "
                        "the last finite iterate [-1e+200, -2e+200] is not finite"),
-    pytest.param(["solve", "newton", "--function", "relukink", "--x0=1e200"],
-                 "semismooth Newton diverged at iteration k=0: the step from the "
-                 "last finite iterate [1e+200] is not finite",
-                 # F(1e200) = 1e400 itself overflows: the residual is inf
-                 marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+    # F(1e200) = 1e400 overflows at a finite iterate, so the first step would
+    # too; regression: numpy overflow warnings before the error
+    (["solve", "newton", "--function", "relukink", "--x0=1e200"],
+     "semismooth Newton diverged at iteration k=0: the step from the "
+     "last finite iterate [1e+200] is not finite"),
 ], ids=["subgrad", "newton"])
+@pytest.mark.filterwarnings("error")
 def test_diverging_solver_exits_one_naming_the_iteration(capsys, argv, named):
     # regression: numpy overflow warnings, then "vector entries must be
     # finite" from the next kernel call, naming neither solver nor iteration
     assert run(argv) == 1
     assert capsys.readouterr().err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("x0, residual", [("1e100", "1e+200"), ("1e154", "1e+308")])
+@pytest.mark.filterwarnings("error")
+def test_newton_residual_of_a_huge_finite_value_is_finite(tmp_path, x0, residual):
+    # regression: ||F||^2 overflowed in np.linalg.norm, with a warning, and
+    # every residual of the run read inf
+    out = tmp_path / "t.txt"
+    assert run(["solve", "newton", "--function", "relukink", f"--x0={x0}",
+                "--output", str(out)]) == 0
+    text = out.read_text()
+    assert f"  k=0 x=({x0[0]}e+{x0[2:]}) residual={residual}\n" in text
+    assert "inf" not in text
 
 
 def test_more_hyperplanes_than_a_packed_cell_key_holds_are_refused(tmp_path, capsys):

@@ -27,8 +27,8 @@ def test_directional_cell_degenerate_arrangement_raises():
     F = PiecewiseFunction(arr, 1, {
         "+-": (zero,), "-+": (zero,),
     })
-    with pytest.raises(PiecewiseError, match="empty"):
-        F.directional_cell([0.0, 0.0], [0.0, 1.0])
+    with pytest.raises(PiecewiseError, match=r"sign vector '\+\+'.* empty"):
+        F.directional_derivative([0.0, 0.0], [0.0, 1.0])
 
 
 def test_compose_crossing_at_existing_breakpoint():

@@ -186,20 +186,27 @@ def test_eval_missing_piece_errors():
 # ---------------------------------------------------------------------------
 # directional cells and derivatives
 
+def directional_signs(F, X, U):
+    """Sign vector of the piece active on (x, x + eps*u] for each row."""
+    ids = F._directional_ids(np.array(X, dtype=float), np.array(U, dtype=float))
+    return [F._signs[i] for i in ids[:, 0]]
+
+
 def test_directional_cell_abs():
     F = make_abs1d()
-    assert F.directional_cell([0.0], [1.0]) == "+"
-    assert F.directional_cell([0.0], [-1.0]) == "-"
+    assert directional_signs(F, [[0.0], [0.0]], [[1.0], [-1.0]]) == ["+", "-"]
 
 
 def test_directional_cell_tie_break():
     arr = Arrangement(2, (Hyperplane([1, 0], 0.0), Hyperplane([0, 1], 0.0)))
+    # each piece's x-slope names it (continuity plays no part here)
     F = PiecewiseFunction(arr, 1, {
-        s: (P(2, [((0, 0), 0.0)]),) for s in ("--", "-+", "+-", "++")
+        s: (P(2, [((1, 0), float(j))]),) for j, s in enumerate(("--", "-+", "+-", "++"))
     })
     # at the origin along (1,0): first plane resolves to '+', second is
     # tangent (<a2,u>=0) and tie-breaks to '+'
-    assert F.directional_cell([0.0, 0.0], [1.0, 0.0]) == "++"
+    assert directional_signs(F, [[0.0, 0.0]], [[1.0, 0.0]]) == ["++"]
+    assert F.directional_derivative([0.0, 0.0], [1.0, 0.0]).tolist() == [3.0]
 
 
 def test_directional_derivative_abs_kink():

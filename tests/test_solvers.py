@@ -270,3 +270,19 @@ def test_diverging_subgradient_names_the_iteration_and_last_finite_iterate():
         with pytest.raises(ValueError, match=pattern):
             subgradient_descent(make_maxreg2d(), "clarke", [1.0, 1.0],
                                 rule="constant", c=1e200)
+
+
+def test_newton_value_overflow_after_a_finite_step_names_the_next_iteration():
+    # the step from x0 = 1 on the nearly flat right piece lands at -1e10,
+    # where the left piece 1e300 x^2 + 1 overflows: step k=1 cannot be finite
+    arr = Arrangement(1, (Hyperplane([1.0], 0.0),))
+    F = PiecewiseFunction(arr, 1, {
+        "-": (P(1, [((2,), 1e300), ((0,), 1.0)]),),
+        "+": (P(1, [((1,), 1e-10), ((0,), 1.0)]),),
+    })
+    pattern = (r"^semismooth Newton diverged at iteration k=1: the step from the "
+               r"last finite iterate \[-10000000000\.0\] is not finite$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=pattern):
+            semismooth_newton(F, "clarke", [1.0])
