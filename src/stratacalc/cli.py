@@ -122,8 +122,7 @@ def cmd_check(args) -> int:
         raise InputError(f"unknown condition ids in {args.conditions!r}")
 
     continuity = validate_continuity(entry.F)
-    assumption = check_assumption(entry.D, entry.F, entry.base_points,
-                                  seed=args.seed)
+    assumption = check_assumption(entry.D, entry.F, entry.base_points)
     reports = run_entry_conditions(entry, args.seed, requested)
 
     verdicts = [r.verdict for r in reports.values()] + [   # "fail (probe ...)" -> "fail"

@@ -288,21 +288,6 @@ def hausdorff(P: Polytope, Q: Polytope) -> float:
     return max(d_pq, d_qp)
 
 
-def hausdorffs(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Row-wise `hausdorff` of two vertex stacks P (N, V, m) and Q (N, W, m).
-
-    A row that is one point on both sides (padding repeats vertex 0) is the
-    norm of the difference: Wolfe's iteration returns its start vertex there,
-    so this equals `hausdorff` bit for bit. Every other row runs `hausdorff`.
-    """
-    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
-    out = row_norms(P[:, 0] - Q[:, 0])
-    single = (P == P[:, :1]).all(axis=(1, 2)) & (Q == Q[:, :1]).all(axis=(1, 2))
-    for k in np.flatnonzero(~single):
-        out[k] = hausdorff(Polytope(P[k]), Polytope(Q[k]))
-    return out
-
-
 def subset_mod_subspace(A: Polytope, B: Polytope, V: Subspace) -> bool:
     """Whether conv(A) is contained in conv(B) + V.
 

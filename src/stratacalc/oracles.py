@@ -5,29 +5,45 @@ output space. The three positive constructions are the exact directional
 derivative, the image of the Clarke Jacobian, and a deterministic
 branch-selection scheme mimicking fixed-convention automatic
 differentiation. Transforms build controls (scaling, reflection, zeroing on
-lower-dimensional strata) on top of any base oracle.
+lower-dimensional strata) on a base oracle's vertex form, from which the
+assumption lines are decided.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .geometry import Polytope, as_rows, hausdorffs, row_norms
+from .geometry import Polytope, as_rows, row_norms
 # re-exports: the benchmark tracer wraps them here
 from .geometry import hausdorff, linear_image  # noqa: F401
 from .piecewise import PiecewiseFunction
-from .seeding import substream
 
-EPS_HOM = 1e-8
-HOM_T_FACTORS = (0.5, 2.0, 10.0)
-DIRECTIONS_PER_PROBE = 8
-LIPSCHITZ_RADIUS = 0.1
-LIPSCHITZ_CENTERS = 200
-LIPSCHITZ_PAIRS = 2
-LIPSCHITZ_BLOWUP = 1e6
+
+@dataclass(frozen=True)
+class VertexForm:
+    """Cellwise vertex form of a built-in oracle: every vertex of D(x, u) is
+    c * J_p(x) u for a piece p of F that `select` picks at (x, u):
+
+    - "directional": the piece active on (x, x + eps u], so D(x, u) = {c F'(x, u)};
+    - "adjacent": every piece adjacent to x, the image of c times the Clarke
+      Jacobian;
+    - "first": the first adjacent piece in sign order ('-' < '+').
+
+    `reflect` picks the pieces at -u and applies them to u, which is
+    -D(x, -u) since J_p is linear. `zero_on_strata` gives {0} at points on a
+    hyperplane. The selection depends on u only through the signs of <a_i, u>,
+    so D is positively homogeneous in u, and Lipschitz in u with the constant
+    |c| max ||J_p||_2 over the pieces adjacent to x.
+    """
+
+    select: str
+    c: float = 1.0
+    reflect: bool = False
+    zero_on_strata: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,8 +55,8 @@ class GeneralizedDerivative:
     with fewer than V vertices repeats its own vertex 0, so max, min and
     diameter reductions need no mask. The zero direction is short-circuited
     to {0}: positive homogeneity at u=0 is asserted per row rather than
-    trusted to the kernel; the assumption checker calls the unasserted
-    `kernel` directly.
+    trusted to the kernel. A built-in oracle's kernel is `form_vertices` of
+    its `form`; a handcrafted kernel has no form.
     """
 
     name: str
@@ -48,6 +64,7 @@ class GeneralizedDerivative:
     input_dim: int
     output_dim: int
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    form: VertexForm | None = None
 
     def batch(self, X, U) -> np.ndarray:
         X, U = as_rows(X, self.input_dim), as_rows(U, self.input_dim)
@@ -68,18 +85,73 @@ def _on_rows(keep: np.ndarray, kernel, X, U, m: int) -> np.ndarray:
     return out
 
 
+def form_vertices(F: PiecewiseFunction, form: VertexForm, X, U) -> np.ndarray:
+    """(N, V, m) vertex stack of the oracle with this form at rows u != 0."""
+    if form.zero_on_strata:
+        off_strata = np.all(F.arrangement.sign_codes(X) != 1, axis=1)
+        return _on_rows(off_strata, partial(_piece_vertices, F, form), X, U, F.output_dim)
+    return _piece_vertices(F, form, X, U)
+
+
+def _piece_vertices(F: PiecewiseFunction, form: VertexForm, X, U) -> np.ndarray:
+    J = F.selected_jacobians(X, -U if form.reflect else U, form.select)
+    V = np.matmul(J, U[:, None, :, None])[..., 0]
+    return V if form.c == 1.0 else form.c * V
+
+
+_BASES = {"exact": ("directional", "exact directional derivative"),
+          "clarke": ("adjacent", "Clarke Jacobian image"),
+          "branch": ("first", "lexicographic branch selection")}
+
+
+def _parse_form(spec: str) -> tuple[str, str, VertexForm]:
+    """(name, provenance, form) of an oracle identifier."""
+    spec = spec.strip()
+    head, _, rest = spec.partition(":")
+    if spec in _BASES:
+        select, provenance = _BASES[spec]
+        return spec, provenance, VertexForm(select)
+    if head == "scale":
+        try:
+            c = float(rest)
+        except ValueError:
+            c = np.nan
+        if not np.isfinite(c):
+            raise ValueError(f"bad scale factor in oracle id {spec!r}")
+        return (f"scale:{c:g}", f"scaled ({c:g}x) exact directional derivative",
+                VertexForm("directional", c=c))
+    if head == "reflect":
+        name, provenance, form = _parse_form(rest)
+        return (f"reflect:{name}", f"reflection of {provenance}",
+                replace(form, reflect=not form.reflect))
+    if head == "zero-strata":
+        name, provenance, form = _parse_form(rest)
+        return (f"zero-strata:{name}", f"{provenance}, zeroed on strata",
+                replace(form, zero_on_strata=True))
+    raise ValueError(f"unknown oracle id {spec!r}")
+
+
+def parse_oracle(spec: str, F: PiecewiseFunction) -> GeneralizedDerivative:
+    """Resolve an oracle identifier to a built-in oracle with a vertex form.
+
+    Grammar: exact | clarke | branch | scale:<c> | reflect:<base> |
+    zero-strata:<base>. scale applies to the exact directional derivative;
+    reflect gives D^(x,u) := -D(x,-u); zero-strata gives the base oracle off
+    the lower-dimensional cells and {0} on them.
+    """
+    name, provenance, form = _parse_form(spec)
+    return GeneralizedDerivative(name, provenance, F.ambient_dim, F.output_dim,
+                                 kernel=partial(form_vertices, F, form), form=form)
+
+
 def oracle_exact_directional(F: PiecewiseFunction) -> GeneralizedDerivative:
     """D(x,u) = {F'(x,u)}, the one-sided directional derivative itself."""
-    return GeneralizedDerivative(
-        "exact", "exact directional derivative", F.ambient_dim, F.output_dim,
-        kernel=lambda X, U: F.directional_derivatives(X, U)[:, None, :])
+    return parse_oracle("exact", F)
 
 
 def oracle_clarke_linear(F: PiecewiseFunction) -> GeneralizedDerivative:
     """D(x,u) = (Clarke Jacobian of F at x) applied to u."""
-    return GeneralizedDerivative(
-        "clarke", "Clarke Jacobian image", F.ambient_dim, F.output_dim,
-        kernel=lambda X, U: np.matmul(F.clarke_jacobians(X)[0], U[:, None, :, None])[..., 0])
+    return parse_oracle("clarke", F)
 
 
 def oracle_branch_selection(F: PiecewiseFunction) -> GeneralizedDerivative:
@@ -89,65 +161,7 @@ def oracle_branch_selection(F: PiecewiseFunction) -> GeneralizedDerivative:
     Deterministic by construction, like an autodiff scheme that always
     resolves ties the same way (e.g. a zero-slope convention at kinks).
     """
-    return GeneralizedDerivative(
-        "branch", "lexicographic branch selection", F.ambient_dim, F.output_dim,
-        kernel=lambda X, U: np.matmul(F.clarke_jacobians(X)[0][:, :1],
-                                      U[:, None, :, None])[..., 0])
-
-
-def scale_oracle(base: GeneralizedDerivative, c: float) -> GeneralizedDerivative:
-    return GeneralizedDerivative(f"scale:{c:g}:{base.name}" if base.name != "exact"
-                                 else f"scale:{c:g}",
-                                 f"scaled ({c:g}x) {base.provenance}",
-                                 base.input_dim, base.output_dim,
-                                 kernel=lambda X, U: c * base.batch(X, U))
-
-
-def reflect_oracle(base: GeneralizedDerivative) -> GeneralizedDerivative:
-    """D^(x,u) := -D(x,-u)."""
-    return GeneralizedDerivative(f"reflect:{base.name}",
-                                 f"reflection of {base.provenance}",
-                                 base.input_dim, base.output_dim,
-                                 kernel=lambda X, U: -base.batch(X, -U))
-
-
-def zero_at_strata_oracle(base: GeneralizedDerivative,
-                          F: PiecewiseFunction) -> GeneralizedDerivative:
-    """Base oracle off the lower-dimensional cells, {0} on them."""
-    def kernel(X, U):
-        off_strata = np.all(F.arrangement.sign_codes(X) != 1, axis=1)
-        return _on_rows(off_strata, base.batch, X, U, base.output_dim)
-    return GeneralizedDerivative(f"zero-strata:{base.name}",
-                                 f"{base.provenance}, zeroed on strata",
-                                 base.input_dim, base.output_dim, kernel=kernel)
-
-
-def parse_oracle(spec: str, F: PiecewiseFunction) -> GeneralizedDerivative:
-    """Resolve a CLI oracle identifier.
-
-    Grammar: exact | clarke | branch | scale:<c> | reflect:<base> |
-    zero-strata:<base>. scale applies to the exact directional derivative.
-    """
-    spec = spec.strip()
-    if spec == "exact":
-        return oracle_exact_directional(F)
-    if spec == "clarke":
-        return oracle_clarke_linear(F)
-    if spec == "branch":
-        return oracle_branch_selection(F)
-    if spec.startswith("scale:"):
-        try:
-            c = float(spec.split(":", 1)[1])
-        except ValueError:
-            c = np.nan
-        if not np.isfinite(c):
-            raise ValueError(f"bad scale factor in oracle id {spec!r}")
-        return scale_oracle(oracle_exact_directional(F), c)
-    if spec.startswith("reflect:"):
-        return reflect_oracle(parse_oracle(spec.split(":", 1)[1], F))
-    if spec.startswith("zero-strata:"):
-        return zero_at_strata_oracle(parse_oracle(spec.split(":", 1)[1], F), F)
-    raise ValueError(f"unknown oracle id {spec!r}")
+    return parse_oracle("branch", F)
 
 
 # ---------------------------------------------------------------------------
@@ -158,105 +172,42 @@ class AssumptionReport:
     full_domain: str                 # "pass", or "fail (...)" naming a probe
     homogeneity: str
     homogeneity_worst: float
-    homogeneity_witness: tuple | None
     lipschitz: str
-    lipschitz_constants: tuple[float, ...]  # reported L per probe point
-    witnesses: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return (self.full_domain, self.homogeneity, self.lipschitz) == ("pass",) * 3
-
-
-def _defined_hausdorffs(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, bool]:
-    """`hausdorffs` of the rows where both vertex stacks are finite (0 on the
-    others), and whether every row was."""
-    finite = np.isfinite(P).all(axis=(1, 2)) & np.isfinite(Q).all(axis=(1, 2))
-    out = np.zeros(len(P))
-    out[finite] = hausdorffs(P[finite], Q[finite])
-    return out, bool(finite.all())
+    lipschitz_constants: tuple[float, ...]  # |c| max ||J_p(x)||_2 per probe
+    notes: tuple[str, ...] = ()
 
 
 def check_assumption(D: GeneralizedDerivative, F: PiecewiseFunction,
-                     probe_points, seed: int = 0) -> AssumptionReport:
-    """Sampled verification of full domain, positive homogeneity, and local
-    uniform Lipschitz continuity in the direction argument.
+                     probe_points) -> AssumptionReport:
+    """Full domain, positive homogeneity, and local uniform Lipschitz
+    continuity in the direction argument, decided from D's vertex form.
 
-    Homogeneity compares D(x, t u) with t D(x, u) in Hausdorff distance for
-    t in HOM_T_FACTORS and checks D(x, 0) = {0} on the unasserted map. The
-    Lipschitz constant is estimated and reported per probe; the verdict only
-    fails on blow-up past LIPSCHITZ_BLOWUP. Each probe's draws come first, then
-    one `D.batch` call per check. Full domain fails, naming the first such
-    probe, when a row evaluated for a probe has a non-finite vertex; such rows
-    are left out of the Hausdorff distances, so the report is still written.
-    Without probe points nothing is evaluated, and all three lines read
+    Homogeneity holds identically for every form. The Lipschitz constant at
+    a probe x is |c| max ||J_p(x)||_2 over the pieces p adjacent to x: every
+    vertex of D(y, .) for y near x is c J_p(y) u with p adjacent to x, so this
+    is the local modulus of u -> D(., u) at x. The line passes iff every
+    constant is finite. Full domain fails, naming the first such probe, when
+    an adjacent piece Jacobian has a non-finite entry. Without probe points,
+    or for a handcrafted kernel without a form, all three lines read
     inconclusive.
     """
     probes = [np.asarray(p, dtype=float) for p in probe_points]
-    n, m = D.input_dim, D.output_dim
-    hom_worst, hom_witness = 0.0, None
-    undefined = set()    # probes with a non-finite vertex on some row
-    witnesses = []
-
-    for pi, x in enumerate(probes):
-        dirs = substream(seed, "assumption", pi).normal(size=(DIRECTIONS_PER_PROBE, n))
-        gap0, defined = _defined_hausdorffs(D.kernel(x[None], np.zeros((1, n))),
-                                            np.zeros((1, 1, m)))
-        if gap0[0] > EPS_HOM:
-            hom_worst = max(hom_worst, float(gap0[0]))
-            hom_witness = (tuple(x), (0.0,) * n, 0.0)
-        U = np.concatenate([dirs] + [t * dirs for t in HOM_T_FACTORS])
-        base, *scaled = np.split(D.batch(np.tile(x, (len(U), 1)), U), 1 + len(HOM_T_FACTORS))
-        gaps = []
-        for t, rows in zip(HOM_T_FACTORS, scaled):
-            gap, ok = _defined_hausdorffs(rows, t * base)
-            gaps.append(gap)
-            defined &= ok
-        if not defined:
-            undefined.add(pi)
-        for i, u in enumerate(dirs):  # u outer, t inner: ties keep the first witness
-            for t, gap in zip(HOM_T_FACTORS, gaps):
-                tol = EPS_HOM * max(1.0, t * float(np.linalg.norm(u)))
-                if gap[i] > tol and gap[i] > hom_worst:
-                    hom_worst = float(gap[i])
-                    hom_witness = (tuple(x), tuple(u), t)
-
-    homogeneity = "pass" if hom_witness is None else "fail"
-    if hom_witness is not None:
-        witnesses.append(hom_witness)
-
-    lipschitz_constants = []
-    lipschitz = "pass"
-    for pi, p in enumerate(probes):
-        rng = substream(seed, "lipschitz", pi)
-        X, U = [], []
-        for _ in range(LIPSCHITZ_CENTERS):
-            X += [p + LIPSCHITZ_RADIUS * rng.uniform(-1, 1, size=n)] * LIPSCHITZ_PAIRS
-            U.append(rng.normal(size=(LIPSCHITZ_PAIRS, 2, n)))  # u1, u2 per pair
-        U1, U2 = np.reshape(U, (-1, 2, n)).transpose(1, 0, 2)
-        keep = row_norms(U1 - U2) >= 1e-12
-        X, U1, U2 = np.reshape(X, (-1, n))[keep], U1[keep], U2[keep]
-        out = D.batch(np.concatenate([X, X]), np.concatenate([U1, U2]))
-        dist, defined = _defined_hausdorffs(out[:len(X)], out[len(X):])
-        if not defined:
-            undefined.add(pi)
-        L = float(np.max(dist / row_norms(U1 - U2), initial=0.0))
-        lipschitz_constants.append(L)
-        if L > LIPSCHITZ_BLOWUP:
-            lipschitz = "fail"
-            witnesses.append((tuple(p), None, L))
-
-    full_domain = "pass"
+    undecided = ("inconclusive", "inconclusive", 0.0, "inconclusive", ())
+    if D.form is None:
+        return AssumptionReport(*undecided, notes=(
+            f"oracle {D.name!r} has no vertex form: a handcrafted kernel is not decided",))
     if not probes:
-        full_domain = homogeneity = lipschitz = "inconclusive"
-    if undefined:
-        pi = min(undefined)
+        return AssumptionReport(*undecided)
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = F.clarke_jacobians(np.array(probes))[0]
+    finite = np.isfinite(J).all(axis=(1, 2, 3))
+    norms = np.full(J.shape[:2], np.inf)
+    norms[finite] = np.linalg.norm(J[finite], ord=2, axis=(2, 3))
+    constants = tuple(abs(D.form.c) * float(L) for L in norms.max(axis=1))
+    full_domain = "pass"
+    if not finite.all():
+        pi = int(np.flatnonzero(~finite)[0])
         full_domain = (f"fail (probe {pi} at {tuple(map(float, probes[pi]))} "
-                       "gives a non-finite vertex)")
-    return AssumptionReport(full_domain=full_domain,
-                            homogeneity=homogeneity,
-                            homogeneity_worst=hom_worst,
-                            homogeneity_witness=hom_witness,
-                            lipschitz=lipschitz,
-                            lipschitz_constants=tuple(lipschitz_constants),
-                            witnesses=tuple(witnesses))
+                       "has a non-finite piece Jacobian)")
+    lipschitz = "pass" if np.isfinite(constants).all() else "fail"
+    return AssumptionReport(full_domain, "pass", 0.0, lipschitz, constants)

@@ -724,9 +724,21 @@ class PiecewiseFunction:
         move = row_norms(U) != 0.0
         if move.any():
             X, U = X[move], U[move]
-            J = self._at_pieces(self._jac_eval, X, self._directional_ids(X, U))[:, 0]
+            J = self.selected_jacobians(X, U, "directional")[:, 0]
             out[move] = np.matmul(J, U[..., None])[..., 0]
         return out
+
+    def selected_jacobians(self, X: np.ndarray, U: np.ndarray, select: str) -> np.ndarray:
+        """(N, V, m, n) Jacobians of the pieces `select` picks per row:
+        "directional", the piece active on (x, x + eps*u] (u != 0); "adjacent",
+        every piece adjacent to x, padded as in clarke_jacobians; "first", the
+        first adjacent piece in sign order."""
+        if select == "directional":
+            ids = self._directional_ids(X, U)
+        else:
+            ids = self._adjacent_ids(X)[0]
+            ids = ids[:, :1] if select == "first" else ids
+        return self._at_pieces(self._jac_eval, X, ids)
 
     def clarke_jacobians(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Adjacent piece Jacobians per row, (N, V, m, n) padded by repeating

@@ -59,10 +59,7 @@ def render_assumption(rep: AssumptionReport) -> list[str]:
              f"(worst violation {_fmt(rep.homogeneity_worst)})",
              f"assumption lipschitz: {rep.lipschitz} "
              f"(L per probe: {', '.join(_fmt(L) for L in rep.lipschitz_constants)})"]
-    if rep.homogeneity_witness is not None:
-        x, u, t = rep.homogeneity_witness
-        lines.append(f"  homogeneity witness: x={_fmt_vec(x)} u={_fmt_vec(u)} t={_fmt(t)}")
-    return lines
+    return lines + [f"  note: {note}" for note in rep.notes]
 
 
 def render_check_report(function_id: str, oracle_id: str, seed: int,

@@ -34,7 +34,7 @@ from .oracles import (
     oracle_branch_selection,
     oracle_clarke_linear,
     oracle_exact_directional,
-    reflect_oracle,
+    parse_oracle,
 )
 from .piecewise import EPS_EQ, validate_continuity
 from .seeding import substream
@@ -236,19 +236,17 @@ def _o_inclusion(ctx):
     return True, "F'(x,u) in Clarke image at every sample"
 
 
-@_check("oracles", "reflection is an involution")
+@_check("oracles", "reflection is -D(x,-u)")
 def _o_reflect(ctx):
     rng = substream(ctx.seed, "o-reflect")
     for fid, cf in _corpus_items(ctx):
         F = cf.func
-        D = oracle_clarke_linear(F)
-        RR = reflect_oracle(reflect_oracle(D))
-        for _ in range(5):
-            x = rng.uniform(-5, 5, size=F.ambient_dim)
+        E, R = oracle_exact_directional(F), parse_oracle("reflect:exact", F)
+        for x in cf.base_points:    # kinks among them, where the sign of u matters
             u = rng.normal(size=F.ambient_dim)
-            if hausdorff(RR(x, u), D(x, u)) > 1e-12:
-                return False, f"{fid}: reflect twice changed the oracle"
-    return True, "reflect(reflect(D)) = D on samples"
+            if hausdorff(R(x, u), Polytope(-E(x, -u).vertices)) > 1e-12:
+                return False, f"{fid}: reflect(D)(x,u) != -D(x,-u)"
+    return True, "reflect(D)(x,u) = -D(x,-u) at every base point"
 
 
 @_check("oracles", "positive oracles coincide on open cells")

@@ -205,7 +205,8 @@ def subgradient_descent(f: PiecewiseFunction, grad_source, x0,
         iterates.append(x.copy())
         grads.append(g)
         steps.append(alpha)
-    values = tuple(map(float, f.values(np.array(iterates))[:, 0]))   # no g_k needs them
+    with np.errstate(over="ignore", invalid="ignore"):   # no step reads F: inf stands
+        values = tuple(map(float, f.values(np.array(iterates))[:, 0]))
     return SubgradientTrace(tuple(iterates), values, tuple(grads),
                             tuple(steps))
 

@@ -23,7 +23,6 @@ from stratacalc.geometry import Polytope, Subspace, subset_mod_subspace
 from stratacalc.oracles import (
     oracle_clarke_linear,
     parse_oracle,
-    reflect_oracle,
 )
 from stratacalc.piecewise import Curve
 from stratacalc.seeding import substream
@@ -115,7 +114,7 @@ def test_criterion_4_reflection_duality(corpus):
         for i, x in enumerate(cf.base_points):
             r1 = check_semismooth_I(cf.func, D, x,
                                     substream(SEED, fid, "acc4", i))
-            r2 = check_semismooth_II(cf.func, reflect_oracle(D), x,
+            r2 = check_semismooth_II(cf.func, parse_oracle("reflect:" + oid, cf.func), x,
                                      substream(SEED, fid, "acc4", i))
             a = np.array(r1.sample_residuals, dtype=float)
             b = np.array(r2.sample_residuals, dtype=float)

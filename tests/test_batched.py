@@ -3,8 +3,8 @@ the scalar formulas they replaced, which stay here as the reference.
 
 Inputs cover random points, points on hyperplanes (with tangent directions,
 which exercise the directional tie-break), vertices of the arrangement,
-and rows with u = 0. The assumption checker is compared with the one-row
-loop it replaced, report field by field, also on handcrafted oracles.
+and rows with u = 0; every oracle of the grammar is compared with its
+definition on the scalar formulas.
 Tangent directions are compared with the one-point loop they replaced: same
 directions, and the generator left in the same state. Cell sampling, a
 plain blocked rejection loop, is tested for its properties: points of the
@@ -19,25 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stratacalc import GeneralizedDerivative, Polytope, default_corpus, parse_oracle
-from stratacalc.geometry import (
-    diameters,
-    hausdorff,
-    hausdorffs,
-    linear_range_over_polytope,
-    row_norms,
-)
-from stratacalc import oracles
+from stratacalc import default_corpus, parse_oracle
+from stratacalc.geometry import diameters, linear_range_over_polytope, row_norms
 from stratacalc.conditions import TANGENT_COMBOS, _tangent_directions
-from stratacalc.oracles import (
-    EPS_HOM,
-    HOM_T_FACTORS,
-    LIPSCHITZ_BLOWUP,
-    LIPSCHITZ_PAIRS,
-    LIPSCHITZ_RADIUS,
-    AssumptionReport,
-    check_assumption,
-)
 from stratacalc import piecewise
 from stratacalc.piecewise import (
     EPS_CELL,
@@ -46,12 +30,12 @@ from stratacalc.piecewise import (
     PiecewiseError,
     sample_cell_point,
 )
-from stratacalc.seeding import substream
 
 from derivative_checks import directional_sign
 
 ORACLES = ("exact", "clarke", "branch", "scale:2", "scale:-0.5", "reflect:clarke",
-           "reflect:exact", "zero-strata:clarke", "zero-strata:exact")
+           "reflect:exact", "zero-strata:clarke", "zero-strata:exact",
+           "reflect:zero-strata:branch")
 
 
 @pytest.fixture(scope="module")
@@ -116,69 +100,25 @@ def _scalar_diameter(v):
 
 
 def _scalar_oracle(F, oracle_id, x, u):
+    """One row of an oracle: the three bases from the scalar formulas, and
+    scale, reflect and zero-strata by their definitions on the base row."""
     if float(np.linalg.norm(u)) == 0.0:
         return np.zeros((1, F.output_dim))
+    head, _, base = oracle_id.partition(":")
+    if head == "scale":
+        return float(base) * _scalar_oracle(F, "exact", x, u)
+    if head == "reflect":
+        return -_scalar_oracle(F, base, x, -u)
+    if head == "zero-strata":   # {0} itself, not c = 0: 0 * -1 is -0.0, 0 * inf nan
+        if "0" in F.arrangement.sign_vector(x):
+            return np.zeros((1, F.output_dim))
+        return _scalar_oracle(F, base, x, u)
     if oracle_id == "exact":
         return _scalar_derivative(F, x, u)[None]
     jacs = [_scalar_eval(F._jac_eval(s), x) for s in F.adjacent_full_signs(x)]
     if oracle_id == "branch":
         jacs = jacs[:1]
     return np.array(jacs) @ u
-
-
-def _scalar_assumption(D, probe_points, seed):
-    """check_assumption as a loop of one-row oracle calls and Hausdorff
-    distances, in the draw and scan order the batched form keeps, with the
-    sample sizes the oracles module holds at call time."""
-    probes = [np.asarray(p, dtype=float) for p in probe_points]
-    n = D.input_dim
-    hom_worst, hom_witness = 0.0, None
-    witnesses = []
-    for pi, x in enumerate(probes):
-        rng = substream(seed, "assumption", pi)
-        dirs = rng.normal(size=(oracles.DIRECTIONS_PER_PROBE, n))
-        zero = Polytope(D.kernel(x[None], np.zeros((1, n)))[0])
-        gap0 = hausdorff(zero, Polytope(np.zeros((1, D.output_dim))))
-        if gap0 > EPS_HOM:
-            hom_worst = max(hom_worst, gap0)
-            hom_witness = (tuple(x), (0.0,) * n, 0.0)
-        for u in dirs:
-            out = D(x, u)
-            for t in HOM_T_FACTORS:
-                gap = hausdorff(D(x, t * u), Polytope(t * out.vertices))
-                tol = EPS_HOM * max(1.0, t * float(np.linalg.norm(u)))
-                if gap > tol and gap > hom_worst:
-                    hom_worst = gap
-                    hom_witness = (tuple(x), tuple(u), t)
-    if hom_witness is not None:
-        witnesses.append(hom_witness)
-    lipschitz_constants, lipschitz = [], "pass"
-    for pi, p in enumerate(probes):
-        rng = substream(seed, "lipschitz", pi)
-        L = 0.0
-        for _ in range(oracles.LIPSCHITZ_CENTERS):
-            x = p + LIPSCHITZ_RADIUS * rng.uniform(-1, 1, size=n)
-            for _ in range(LIPSCHITZ_PAIRS):
-                u1 = rng.normal(size=n)
-                u2 = rng.normal(size=n)
-                du = float(np.linalg.norm(u1 - u2))
-                if du < 1e-12:
-                    continue
-                L = max(L, hausdorff(D(x, u1), D(x, u2)) / du)
-        lipschitz_constants.append(L)
-        if L > LIPSCHITZ_BLOWUP:
-            lipschitz = "fail"
-            witnesses.append((tuple(p), None, L))
-    full_domain, homogeneity = "pass", "pass" if hom_witness is None else "fail"
-    if not probes:  # nothing evaluated: no evidence either way
-        full_domain = homogeneity = lipschitz = "inconclusive"
-    return AssumptionReport(full_domain, homogeneity, hom_worst, hom_witness, lipschitz,
-                            tuple(lipschitz_constants), tuple(witnesses))
-
-
-def _assert_same_report(got, want):
-    for f in dataclasses.fields(AssumptionReport):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 # -----------------------------------------------------------------------------
@@ -193,8 +133,7 @@ def test_oracle_batch_rows_equal_one_row_calls(functions, oracle_id):
             V = D(x, u).vertices
             assert np.array_equal(row[:len(V)], V)
             assert np.array_equal(row[len(V):], np.repeat(V[:1], len(row) - len(V), axis=0))
-            if oracle_id in ("exact", "clarke", "branch"):
-                assert np.array_equal(V, _scalar_oracle(F, oracle_id, x, u))
+            assert np.array_equal(V, _scalar_oracle(F, oracle_id, x, u))
 
 
 def test_piecewise_array_forms_equal_one_row_forms(functions):
@@ -401,83 +340,6 @@ def test_empty_batches(functions):
     assert F.directional_derivatives(none, none).shape == (0, F.output_dim)
     assert F.component_ranges(none, none)[0].shape == (0, F.output_dim)
     assert parse_oracle("clarke", F).batch(none, none).shape == (0, 1, F.output_dim)
-
-
-def _pad(V, width):
-    """Pad a (V, m) vertex list to `width` rows by repeating vertex 0."""
-    return np.concatenate([V, np.repeat(V[:1], width - len(V), axis=0)])
-
-
-def test_hausdorffs_rows_equal_hausdorff():
-    rng = np.random.default_rng(4)
-    cases = []  # (P, Q) vertex lists of one dimension m
-    for m in (1, 2, 3):
-        for _ in range(30):
-            p, q = rng.normal(size=(2, 1, m)) * 10.0 ** rng.integers(-3, 4)
-            cases += [(p, q), (p, p)]                                 # singletons
-            cases += [(_pad(p, 3), _pad(q, 2)), (p, _pad(q, 4))]      # padded singletons
-            cases.append((rng.normal(size=(2, m)), q))                # mixed
-    for _ in range(40):
-        a, b = np.sort(rng.normal(size=(2, 2, 1)), axis=1)
-        cases += [(a, b), (a, a), (_pad(a[:1], 2), b)]                # 1-D intervals
-        P, Q = rng.normal(size=(2, 4, 2))
-        cases += [(P, Q), (P, P), (P, _pad(Q[:3], 4)), (P[::-1], P)]  # 2-D polytopes
-    for m in (1, 2, 3):
-        same = [(P, Q) for P, Q in cases if P.shape[1] == m]
-        V = max(len(P) for P, _ in same)
-        W = max(len(Q) for _, Q in same)
-        Ps = np.array([_pad(P, V) for P, _ in same])
-        Qs = np.array([_pad(Q, W) for _, Q in same])
-        got = hausdorffs(Ps, Qs)
-        for k, (P, Q) in enumerate(same):
-            assert got[k] == hausdorff(Polytope(P), Polytope(Q))
-    assert hausdorffs(np.zeros((0, 1, 2)), np.zeros((0, 3, 2))).shape == (0,)
-
-
-def _handcrafted_oracles():
-    return [
-        # not positively homogeneous: exercises the witness scan and its ties
-        GeneralizedDerivative("quad", "handcrafted", 1, 1,
-                              kernel=lambda X, U: np.sum(U * U, axis=1)[:, None, None]),
-        # {1} at u = 0 on the unasserted map, an interval elsewhere
-        GeneralizedDerivative("shift", "handcrafted", 1, 1,
-                              kernel=lambda X, U: np.stack([np.ones_like(U), 1.0 + U], axis=1)),
-    ]
-
-
-def _set_sizes(monkeypatch, directions, centers):
-    monkeypatch.setattr(oracles, "DIRECTIONS_PER_PROBE", directions)
-    monkeypatch.setattr(oracles, "LIPSCHITZ_CENTERS", centers)
-
-
-def test_check_assumption_equals_one_row_loop(monkeypatch):
-    _set_sizes(monkeypatch, 4, 10)
-    corpus = default_corpus()
-    for fid in sorted(corpus.functions):
-        cf = corpus.function(fid)
-        for oracle_id in ("exact", "clarke", "branch", "scale:2", "zero-strata:clarke"):
-            D = parse_oracle(oracle_id, cf.func)
-            _assert_same_report(check_assumption(D, cf.func, cf.base_points, seed=3),
-                                _scalar_assumption(D, cf.base_points, seed=3))
-    F = corpus.function("abs1d").func
-    probes = [[0.5], [0.0], [-2.0]]
-    for D in _handcrafted_oracles():
-        rep = check_assumption(D, F, probes, seed=5)
-        assert rep.homogeneity == "fail"
-        _assert_same_report(rep, _scalar_assumption(D, probes, seed=5))
-
-
-@pytest.mark.parametrize("cfg, probes", [   # cfg: (directions per probe, centers)
-    ((8, 0), [[0.5], [0.0]]),
-    ((0, 5), [[0.5], [0.0]]),
-    ((8, 200), []),
-])
-def test_check_assumption_degenerate_configs(monkeypatch, cfg, probes):
-    _set_sizes(monkeypatch, *cfg)
-    F = default_corpus().function("abs1d").func
-    for D in [parse_oracle("clarke", F)] + _handcrafted_oracles():
-        _assert_same_report(check_assumption(D, F, probes, seed=2),
-                            _scalar_assumption(D, probes, seed=2))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,19 @@ def test_check_negative_control_exits_two(tmp_path):
     assert "overall: fail" in out.read_text()
 
 
+
+def test_check_scaled_oracle_reads_its_lipschitz_constant(tmp_path):
+    # regression: 1e7 * F'(x, .) is Lipschitz with constant 1e7, and the line
+    # read fail against an absolute blow-up threshold of 1e6. Conditions 1-5
+    # still fail the scaled oracle, so the overall verdict is fail.
+    out = tmp_path / "r.txt"
+    assert run(["check", "--function", "abs1d", "--oracle", "scale:1e7", "--seed", "7",
+                "--output", str(out)]) == 2
+    lines = out.read_text().splitlines()
+    assert ("assumption lipschitz: pass (L per probe: 10000000.0, 10000000.0, 10000000.0)"
+            in lines)
+    assert "overall: fail" in lines
+
 def test_check_negative_seed_runs(tmp_path):
     # regression: continuity validation raised ValueError on a negative
     # seed. The verdict is not asserted: at this seed max2d's sweeps meet
@@ -364,6 +377,16 @@ def test_diverging_solver_exits_one_naming_the_iteration(capsys, argv, named):
     assert run(argv) == 1
     assert capsys.readouterr().err == f"error: {named}\n"
 
+
+
+@pytest.mark.filterwarnings("error")
+def test_subgrad_whose_start_value_overflows_reports_inf_without_warning(tmp_path):
+    # regression: F(1e200, 1e200) overflowed in the unguarded batch of trace
+    # values with a numpy RuntimeWarning; no step reads F, so the run stands
+    out = tmp_path / "t.txt"
+    assert run(["solve", "subgrad", "--function", "maxreg2d", "--x0=1e200,1e200",
+                "--iters", "3", "--output", str(out)]) == 0
+    assert "  k=0 x=(1e+200, 1e+200) f=inf\n" in out.read_text()
 
 @pytest.mark.parametrize("x0, residual", [("1e100", "1e+200"), ("1e154", "1e+308")])
 @pytest.mark.filterwarnings("error")

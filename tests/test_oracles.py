@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
+from stratacalc.cli import main
+from stratacalc.corpus import default_corpus
 from stratacalc.geometry import hausdorff
+from stratacalc.piecewise import Arrangement, Hyperplane, PiecewiseFunction, Polynomial
 from stratacalc.report import render_assumption
-from stratacalc import oracles
 from stratacalc.oracles import (
     GeneralizedDerivative,
+    VertexForm,
     check_assumption,
     oracle_branch_selection,
     oracle_clarke_linear,
     oracle_exact_directional,
     parse_oracle,
-    reflect_oracle,
-    scale_oracle,
-    zero_at_strata_oracle,
 )
 
 from test_piecewise import make_abs1d, make_max2d
@@ -27,13 +27,6 @@ def abs1d():
 @pytest.fixture(scope="module")
 def max2d():
     return make_max2d()
-
-
-@pytest.fixture
-def fast_assumption(monkeypatch):
-    """Smaller assumption-checker samples, so unit tests stay fast."""
-    monkeypatch.setattr(oracles, "LIPSCHITZ_CENTERS", 25)
-    monkeypatch.setattr(oracles, "DIRECTIONS_PER_PROBE", 4)
 
 
 def test_exact_oracle_abs(abs1d):
@@ -85,15 +78,15 @@ def test_branch_oracle_max_diagonal(max2d):
 
 def test_scale_identity_and_double(abs1d):
     E = oracle_exact_directional(abs1d)
-    assert np.allclose(scale_oracle(E, 1.0)([0.3], [1.0]).vertices,
+    assert np.allclose(parse_oracle("scale:1", abs1d)([0.3], [1.0]).vertices,
                        E([0.3], [1.0]).vertices)
-    S = scale_oracle(E, 2.0)
+    S = parse_oracle("scale:2", abs1d)
     assert S([5.0], [1.0]).vertices[0, 0] == pytest.approx(2.0)
 
 
 def test_reflect_of_clarke_is_itself(abs1d):
     D = oracle_clarke_linear(abs1d)
-    R = reflect_oracle(D)
+    R = parse_oracle("reflect:clarke", abs1d)
     for x in ([0.0], [1.0], [-2.0]):
         for u in ([1.0], [-0.7]):
             assert hausdorff(R(x, u), D(x, u)) <= 1e-12
@@ -101,7 +94,7 @@ def test_reflect_of_clarke_is_itself(abs1d):
 
 def test_reflect_involution(max2d):
     D = oracle_clarke_linear(max2d)
-    RR = reflect_oracle(reflect_oracle(D))
+    RR = parse_oracle("reflect:reflect:clarke", max2d)
     rng = np.random.default_rng(2)
     for _ in range(10):
         x, u = rng.uniform(-3, 3, 2), rng.normal(size=2)
@@ -109,7 +102,7 @@ def test_reflect_involution(max2d):
 
 
 def test_zero_at_strata(max2d):
-    D = zero_at_strata_oracle(oracle_clarke_linear(max2d), max2d)
+    D = parse_oracle("zero-strata:clarke", max2d)
     assert np.allclose(D([1.0, 1.0], [1.0, 1.0]).vertices, 0.0)
     off = D([2.0, 1.0], [1.0, 0.0])
     assert off.vertices[0, 0] == pytest.approx(1.0)
@@ -167,53 +160,89 @@ def test_zero_direction_shortcircuit(abs1d):
 # ---------------------------------------------------------------------------
 # check_assumption
 
-def test_assumption_clarke_abs_passes(abs1d, fast_assumption):
+def test_assumption_clarke_abs_passes(abs1d):
     D = oracle_clarke_linear(abs1d)
-    rep = check_assumption(D, abs1d, [[0.0], [1.0]], seed=5)
-    assert rep.ok
-    # hausdorff([-t,t],[-s,s]) gives L=1 around the kink
-    assert rep.lipschitz_constants[0] == pytest.approx(1.0, abs=1e-6)
+    rep = check_assumption(D, abs1d, [[0.0], [1.0]])
+    assert (rep.full_domain, rep.homogeneity, rep.lipschitz) == ("pass",) * 3
+    # the pieces -x and x both have gradient norm 1: exactly 1, not a sample
+    assert rep.lipschitz_constants == (1.0, 1.0)
+    assert rep.homogeneity_worst == 0.0 and rep.notes == ()
 
 
 def test_assumption_without_probes_is_inconclusive(abs1d):
     # regression: with no probe points all three lines read pass, though no
     # probe was evaluated
-    rep = check_assumption(oracle_clarke_linear(abs1d), abs1d, [], seed=0)
+    rep = check_assumption(oracle_clarke_linear(abs1d), abs1d, [])
     assert (rep.full_domain, rep.homogeneity, rep.lipschitz) == ("inconclusive",) * 3
-    assert not rep.ok
+    assert rep.lipschitz_constants == () and rep.notes == ()
 
 
-def test_assumption_quadratic_direction_fails(fast_assumption):
-    # handcrafted D(x,u) = {||u||^2}: positively homogeneous it is not
+def test_assumption_of_a_kernel_without_form_is_inconclusive():
+    # handcrafted D(x,u) = {||u||^2}, not positively homogeneous: without a
+    # vertex form no line is decided, and the note names the missing form
     F = make_abs1d()
     D = GeneralizedDerivative("quad", "handcrafted", 1, 1,
                               kernel=lambda X, U: np.sum(U * U, axis=1)[:, None, None])
-    rep = check_assumption(D, F, [[0.5]], seed=5)
-    assert rep.homogeneity == "fail"
-    assert rep.homogeneity_witness is not None
-    # worst violation at the largest tested factor
-    assert rep.homogeneity_witness[2] in (0.5, 2.0, 10.0)
+    rep = check_assumption(D, F, [[0.5]])
+    assert (rep.full_domain, rep.homogeneity, rep.lipschitz) == ("inconclusive",) * 3
+    assert rep.notes == ("oracle 'quad' has no vertex form: a handcrafted kernel "
+                         "is not decided",)
+    assert render_assumption(rep)[-1] == f"  note: {rep.notes[0]}"
 
 
-def test_assumption_exact_passes_both(abs1d, max2d, fast_assumption):
+def test_assumption_exact_passes_both(abs1d, max2d):
     for F in (abs1d, max2d):
         D = oracle_exact_directional(F)
         pts = [np.zeros(F.ambient_dim), np.full(F.ambient_dim, 0.5)]
-        rep = check_assumption(D, F, pts, seed=1)
-        assert rep.ok
+        rep = check_assumption(D, F, pts)
+        assert (rep.full_domain, rep.homogeneity, rep.lipschitz) == ("pass",) * 3
+        assert rep.lipschitz_constants == (1.0, 1.0)
 
 
-def test_assumption_full_domain_fails_on_a_non_finite_vertex(abs1d, fast_assumption):
-    # D(x, u) = {u} for x <= 0 and {inf} for x > 0: every row at probe 1
-    # (x = 0.5) and the Lipschitz rows right of probe 2 (x = 0) are undefined
-    D = GeneralizedDerivative(
-        "inf-right", "handcrafted", 1, 1,
-        kernel=lambda X, U: np.where(X[:, None, :] > 0, np.inf, U[:, None, :]))
-    rep = check_assumption(D, abs1d, [[-1.0], [0.5], [0.0]], seed=5)
-    assert rep.full_domain == "fail (probe 1 at (0.5,) gives a non-finite vertex)"
-    assert not rep.ok
-    # the finite rows are still compared: D is linear in u there
-    assert (rep.homogeneity, rep.lipschitz) == ("pass", "pass")
-    assert rep.lipschitz_constants[0] == pytest.approx(1.0)
+def test_assumption_full_domain_fails_where_a_piece_jacobian_overflows():
+    # F(x) = x^3 on both sides of x = 0: J = 3x^2 is inf at x = 1e200, so
+    # probe 1 fails full domain, and its infinite constant fails Lipschitz
+    cube = (Polynomial.from_terms(1, [((3,), 1.0)]),)
+    F = PiecewiseFunction(Arrangement(1, (Hyperplane([1.0], 0.0),)), 1,
+                          {"-": cube, "+": cube})
+    rep = check_assumption(parse_oracle("scale:-2", F), F, [[-1.0], [1e200], [0.0]])
+    assert rep.full_domain == ("fail (probe 1 at (1e+200,) has a non-finite "
+                               "piece Jacobian)")
+    assert (rep.homogeneity, rep.lipschitz) == ("pass", "fail")
+    assert rep.lipschitz_constants == (6.0, np.inf, 0.0)
     assert render_assumption(rep)[0] == f"assumption full_domain: {rep.full_domain}"
 
+
+SPECS = ("exact", "clarke", "branch", "scale:2", "reflect:clarke", "zero-strata:exact",
+         "reflect:zero-strata:branch")
+
+
+def test_every_oracle_of_the_grammar_carries_a_form(abs1d):
+    forms = {spec: parse_oracle(spec, abs1d).form for spec in SPECS}
+    assert forms == {
+        "exact": VertexForm("directional"),
+        "clarke": VertexForm("adjacent"),
+        "branch": VertexForm("first"),
+        "scale:2": VertexForm("directional", c=2.0),
+        "reflect:clarke": VertexForm("adjacent", reflect=True),
+        "zero-strata:exact": VertexForm("directional", zero_on_strata=True),
+        "reflect:zero-strata:branch": VertexForm("first", reflect=True,
+                                                 zero_on_strata=True),
+    }
+    assert parse_oracle("reflect:reflect:exact", abs1d).form == VertexForm("directional")
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_check_decides_the_assumption_lines_of_every_built_in(tmp_path, spec):
+    for fid in sorted(default_corpus().functions):
+        out = tmp_path / f"{fid}.txt"
+        main(["check", "--function", fid, "--oracle", spec, "--seed", "3",
+              "--output", str(out)])
+        lines = out.read_text().splitlines()
+        assert "assumption full_domain: pass" in lines
+        assert "assumption homogeneity: pass (worst violation 0.0)" in lines
+        head = "assumption lipschitz: pass (L per probe: "
+        line = next(l for l in lines if l.startswith("assumption lipschitz:"))
+        assert line.startswith(head) and line.endswith(")")
+        constants = [float(v) for v in line[len(head):-1].split(", ")]
+        assert constants and np.isfinite(constants).all()
