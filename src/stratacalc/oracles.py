@@ -95,8 +95,7 @@ def form_vertices(F: PiecewiseFunction, form: VertexForm, X, U) -> np.ndarray:
 
 def _piece_vertices(F: PiecewiseFunction, form: VertexForm, X, U) -> np.ndarray:
     J = F.selected_jacobians(X, -U if form.reflect else U, form.select)
-    V = np.matmul(J, U[:, None, :, None])[..., 0]
-    return V if form.c == 1.0 else form.c * V
+    return form.c * np.matmul(J, U[:, None, :, None])[..., 0]
 
 
 _BASES = {"exact": ("directional", "exact directional derivative"),
@@ -171,7 +170,6 @@ def oracle_branch_selection(F: PiecewiseFunction) -> GeneralizedDerivative:
 class AssumptionReport:
     full_domain: str                 # "pass", or "fail (...)" naming a probe
     homogeneity: str
-    homogeneity_worst: float
     lipschitz: str
     lipschitz_constants: tuple[float, ...]  # |c| max ||J_p(x)||_2 per probe
     notes: tuple[str, ...] = ()
@@ -192,7 +190,7 @@ def check_assumption(D: GeneralizedDerivative, F: PiecewiseFunction,
     inconclusive.
     """
     probes = [np.asarray(p, dtype=float) for p in probe_points]
-    undecided = ("inconclusive", "inconclusive", 0.0, "inconclusive", ())
+    undecided = ("inconclusive", "inconclusive", "inconclusive", ())
     if D.form is None:
         return AssumptionReport(*undecided, notes=(
             f"oracle {D.name!r} has no vertex form: a handcrafted kernel is not decided",))
@@ -210,4 +208,4 @@ def check_assumption(D: GeneralizedDerivative, F: PiecewiseFunction,
         full_domain = (f"fail (probe {pi} at {tuple(map(float, probes[pi]))} "
                        "has a non-finite piece Jacobian)")
     lipschitz = "pass" if np.isfinite(constants).all() else "fail"
-    return AssumptionReport(full_domain, "pass", 0.0, lipschitz, constants)
+    return AssumptionReport(full_domain, "pass", lipschitz, constants)

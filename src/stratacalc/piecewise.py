@@ -36,9 +36,6 @@ EPS_EQ = 1e-9          # value-agreement tolerance (continuity, curves)
 EPS_ROUND = 1e-13      # continuity rounding allowance per unit of sum |monomial|
 MAX_DEGREE = 6         # maximum total degree of a piece polynomial
 DEFAULT_BOX_HALFWIDTH = 10.0
-REJECTION_CAP = 100_000  # box draws per cell in rejection sampling
-SAMPLE_BLOCK = 4096    # most box draws one block of cell rejection sampling holds
-SAMPLE_MARGIN = 1e-6   # sign margin when sampling cell interiors
 LP_BOX = 1e4           # |x|_inf bound that keeps the cell LP bounded
 LP_TOL = 1e-9          # smallest simplex pivot; phase-1 infeasibility margin
 LP_EPS = 1e-12         # reduced-cost and ratio-tie tolerance of the simplex
@@ -418,7 +415,7 @@ class Arrangement:
             # decisions equal to HiGHS's (tests/test_cell_lp.py)
             zero = [c == "0" for c in sign]
             cached = (margin > 1e-9 and bool(np.all(
-                np.abs(self.residuals(point)[zero]) <= EPS_CELL)), point)
+                np.abs(self.residuals(point)[zero]) <= EPS_CELL)), point, margin)
             self._nonempty_cache[sign] = cached
         return cached[0]
 
@@ -435,7 +432,8 @@ class Arrangement:
             tangent = Subspace.null_space_of(self._normals[zeros], self.ambient_dim)
         else:
             tangent = Subspace.full(self.ambient_dim)
-        return Cell(sign=sign, dimension=tangent.dim, tangent=tangent, point=point)
+        return Cell(sign=sign, dimension=tangent.dim, tangent=tangent, point=point,
+                    margin=self._nonempty_cache[sign][2])
 
     def all_nonempty_signs(self) -> list[str]:
         """Every nonempty cell's sign vector, in '-'<'0'<'+' lexicographic order."""
@@ -461,57 +459,52 @@ class Cell:
     sign: str
     dimension: int
     tangent: Subspace
-    point: np.ndarray
+    point: np.ndarray      # the max-margin LP witness
+    margin: float          # its least strict-sign residual (capped at 1)
 
 
 def refine(a1: Arrangement, a2: Arrangement) -> Arrangement:
     """Common refinement: concatenate hyperplane lists, dropping geometric
     duplicates (orientation-insensitive). Every cell of the result lies in
-    exactly one cell of each input."""
+    exactly one cell of each input. When a2 adds no hyperplane and a1 has no
+    duplicate, the result is a1 itself, so callers share its cached cell
+    decisions."""
     if a1.ambient_dim != a2.ambient_dim:
         raise PiecewiseError("arrangements live in different dimensions")
     kept: list[Hyperplane] = []
     for h in a1.hyperplanes + a2.hyperplanes:
         if not any(h.same_as(g) for g in kept):
             kept.append(h)
+    if tuple(kept) == a1.hyperplanes:
+        return a1
     return Arrangement(a1.ambient_dim, tuple(kept))
 
 
-def sample_cell_point(arr: Arrangement, sign: str, box: np.ndarray,
-                      rng: np.random.Generator, count: int,
-                      cap: int = REJECTION_CAP) -> np.ndarray | None:
-    """Rejection-sample up to `count` points of the cell inside the box.
+def _principal_lattice(m: int, d: int) -> np.ndarray:
+    """(L, m) multi-indices alpha >= 0 with |alpha| <= d, in lexicographic
+    order. Times a step h they are the principal lattice of degree d on an
+    m-simplex, unisolvent for polynomials of degree d (Chung & Yao 1977)."""
+    alphas = [a for a in itertools.product(range(d + 1), repeat=m) if sum(a) <= d]
+    return np.array(alphas, dtype=float).reshape(len(alphas), m)
 
-    Box draws are projected onto the affine hull of the cell's zero
-    constraints, then the strict signs are checked with a safety margin.
-    At most `cap` box draws are made, in blocks that start at `count` rows
-    and double up to SAMPLE_BLOCK rows. Returns the first `count` accepted
-    draws in draw order, or None when none was accepted (caller logs and
-    skips).
+
+def sample_cell_point(arr: Arrangement, sign: str, degree: int) -> np.ndarray:
+    """The principal lattice of degree d = max(1, degree) on a simplex in the
+    cell's affine hull, centred on its max-margin LP witness w:
+
+        w + (mu/2) sum_k (alpha_k/d - 1/(m+1)) v_k,   |alpha| <= d,
+
+    for v an orthonormal basis of the cell's tangent space, m its dimension
+    and mu the witness's margin. The simplex's circumradius is below 1, so
+    every point lies within mu/2 of w: it keeps the cell's strict signs with
+    residuals of at least mu/2 > EPS_CELL, and the zero rows' residuals of
+    w. A polynomial of degree at most d that vanishes on these points
+    vanishes on the whole cell. Rows follow the lattice's multi-index order.
     """
-    zero = np.array([c == "0" for c in sign], dtype=bool)
-    A, b = arr._normals[zero], arr._offsets[zero]
-    pinv = np.linalg.pinv(A) if zero.any() else None
-    rlo, rhi = np.array([{"0": (-EPS_CELL, EPS_CELL), "+": (SAMPLE_MARGIN, np.inf),
-                          "-": (-np.inf, -SAMPLE_MARGIN)}[c] for c in sign]).reshape(-1, 2).T
-    lo, hi = box
-    chunks = [np.empty((0, len(lo)))]
-    found = drawn = 0
-    size = count
-    while found < count and drawn < cap:
-        size = min(size, SAMPLE_BLOCK, cap - drawn)
-        X = rng.uniform(lo, hi, size=(size, len(lo)))
-        drawn += size
-        ok = np.ones(size, dtype=bool)
-        if pinv is not None:
-            X = X - np.matmul(pinv, np.matmul(A, X[:, :, None]) - b[:, None])[:, :, 0]
-            ok = ~((X < lo) | (X > hi)).any(axis=1)
-        r = arr.residuals(X)
-        chunks.append(X[ok & ((r >= rlo) & (r <= rhi)).all(axis=1)])
-        found += len(chunks[-1])
-        size *= 2
-    points = np.concatenate(chunks)[:count]
-    return points if len(points) else None
+    cell = arr.cell(sign)
+    m, d = cell.dimension, max(1, degree)
+    coords = _principal_lattice(m, d) / d - 1.0 / (m + 1)
+    return cell.point + 0.5 * cell.margin * coords @ cell.tangent.basis
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +567,12 @@ class PiecewiseFunction:
     @property
     def ambient_dim(self) -> int:
         return self.arrangement.ambient_dim
+
+    @property
+    def degree(self) -> int:
+        """The largest total degree of F's pieces (0 without a term)."""
+        return max((int(p.exponents.sum(axis=1).max(initial=0))
+                    for polys in self.pieces.values() for p in polys), default=0)
 
     @property
     def box(self) -> np.ndarray:
@@ -833,11 +832,9 @@ def validate_continuity(F: PiecewiseFunction, seed: int = 0) -> ContinuityReport
     """
     arr, n = F.arrangement, F.arrangement.ambient_dim
     m = n - 1
-    alphas = [a for a in itertools.product(range(MAX_DEGREE + 1), repeat=m)
-              if sum(a) <= MAX_DEGREE]
     radius = F.box_halfwidth * np.sqrt(n)
     step = radius * (m + np.sqrt(m)) / MAX_DEGREE
-    coords = step * np.array(alphas, dtype=float).reshape(len(alphas), m) - radius
+    coords = step * _principal_lattice(m, MAX_DEGREE) - radius
     violations: list[ContinuityViolation] = []
     pairs = 0
     full = [s for s in arr.full_dim_signs() if s in F.pieces]

@@ -55,8 +55,7 @@ def render_continuity(rep: ContinuityReport) -> list[str]:
 
 def render_assumption(rep: AssumptionReport) -> list[str]:
     lines = [f"assumption full_domain: {rep.full_domain}",
-             f"assumption homogeneity: {rep.homogeneity} "
-             f"(worst violation {_fmt(rep.homogeneity_worst)})",
+             f"assumption homogeneity: {rep.homogeneity}",
              f"assumption lipschitz: {rep.lipschitz} "
              f"(L per probe: {', '.join(_fmt(L) for L in rep.lipschitz_constants)})"]
     return lines + [f"  note: {note}" for note in rep.notes]

@@ -5,11 +5,11 @@ selftest command.
 Checks are registered per group (geometry / piecewise / oracles /
 conditions / solvers / corpus) and each returns pass/fail plus a one-line
 detail; a check that raises counts as failed. Sampled checks draw from
-substreams of the context seed; the cell-smoothness and continuity checks
-are exact and draw nothing. The geometry metric check requires the metric
-to separate known-distinct sets by more than EPS_EQ, the agreement
-tolerance of piecewise.py, so a corrupted tolerance is caught by the
-harness itself.
+substreams of the context seed; the cell-smoothness, continuity and
+projection-formula checks are exact and draw nothing. The geometry metric
+check requires the metric to separate known-distinct sets by more than
+EPS_EQ, the agreement tolerance of piecewise.py, so a corrupted tolerance
+is caught by the harness itself.
 """
 
 from __future__ import annotations
@@ -293,8 +293,7 @@ def _c_bder(ctx):
 def _c_projection(ctx):
     for fid, cf in _corpus_items(ctx):
         part = cond.refine(cf.func.arrangement, cf.partition)
-        rep = cond.check_projection_formula(cf.func, part,
-                                            rng=substream(ctx.seed, fid, "proj"))
+        rep = cond.check_projection_formula(cf.func, part)
         if rep.verdict != "pass":
             return False, f"{fid}: projection formula verdict {rep.verdict}"
     return True, "tangential Clarke intervals are degenerate everywhere"

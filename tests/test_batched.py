@@ -5,10 +5,9 @@ Inputs cover random points, points on hyperplanes (with tangent directions,
 which exercise the directional tie-break), vertices of the arrangement,
 and rows with u = 0; every oracle of the grammar is compared with its
 definition on the scalar formulas.
-Tangent directions are compared with the one-point loop they replaced: same
-directions, and the generator left in the same state. Cell sampling, a
-plain blocked rejection loop, is tested for its properties: points of the
-cell inside the box, independent of the block size, and within the budget.
+Tangent directions are compared with a one-point loop. Cell lattices are
+tested for their properties: every point carries the cell's sign and lies
+within half the witness's margin of it.
 """
 
 import dataclasses
@@ -21,7 +20,7 @@ import pytest
 
 from stratacalc import default_corpus, parse_oracle
 from stratacalc.geometry import diameters, linear_range_over_polytope, row_norms
-from stratacalc.conditions import TANGENT_COMBOS, _tangent_directions
+from stratacalc.conditions import _tangent_directions
 from stratacalc import piecewise
 from stratacalc.piecewise import (
     EPS_CELL,
@@ -343,147 +342,57 @@ def test_empty_batches(functions):
 
 
 # ---------------------------------------------------------------------------
-# cell sampling, and tangent directions against the one-point loop
-
-def _one_point_tangent_directions(cell, rng):
-    """One point's directions by the loop that _tangent_directions replaced."""
-    basis = cell.tangent.basis
-    dirs = [s * b for b in basis for s in (1.0, -1.0)]
-    for _ in range(TANGENT_COMBOS if cell.dimension >= 2 else 0):
-        c = rng.normal(size=cell.dimension)
-        u = basis.T @ c
-        nrm = float(np.linalg.norm(u))
-        if nrm > 1e-12:
-            dirs.append(u / nrm)
-    return dirs
-
+# cell lattices, and tangent directions against the one-point loop
 
 def _random_arrangements(seed=5):
-    """One arrangement for each n <= 3 and k <= 4, redrawn until every
-    vertex lies inside [-8, 8]^n, so that each cell meets the box
-    [-10, 10]^n."""
+    """One random arrangement for each n <= 3 and k <= 4."""
     rng = np.random.default_rng(seed)
-    out = []
-    for n in (1, 2, 3):
-        for k in (1, 2, 3, 4):
-            while True:
-                arr = Arrangement(n, tuple(Hyperplane(rng.normal(size=n), rng.uniform(-3, 3))
-                                           for _ in range(k)))
-                cells = [arr.cell(s) for s in arr.all_nonempty_signs()]
-                if all(np.abs(c.point).max() < 8 for c in cells if c.dimension == 0):
-                    break
-            out.append(arr)
-    return out
+    return [Arrangement(n, tuple(Hyperplane(rng.normal(size=n), rng.uniform(-3, 3))
+                                 for _ in range(k)))
+            for n in (1, 2, 3) for k in (1, 2, 3, 4)]
 
 
-def _sampled_cells():
-    """(arrangement, sign, box) for every cell of positive dimension."""
-    for arr in _random_arrangements():
-        box = np.array([[-10.0] * arr.ambient_dim, [10.0] * arr.ambient_dim])
-        for sign in arr.all_nonempty_signs():
-            if arr.cell(sign).dimension > 0:
-                yield arr, sign, box
+def _lattice_cases(monkeypatch):
+    """(arrangement, sign, degree) for every cell of positive dimension: of
+    both corpora's refined partitions at their functions' degrees, of the
+    random arrangements at degrees 0-3, and of the 1e-8 and 1e-9 slivers."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from gencorpus import generate_corpus
+    from workloads import GENERATED_CORPUS_SEED, GENERATED_SHAPES
+    cases = []
+    for corpus in (default_corpus(), generate_corpus(GENERATED_CORPUS_SEED, GENERATED_SHAPES)):
+        for cf in corpus.functions.values():
+            cases.append((piecewise.refine(cf.func.arrangement, cf.partition), cf.func.degree))
+    cases += [(arr, i % 4) for i, arr in enumerate(_random_arrangements())]
+    cases += [(Arrangement(1, (Hyperplane([1.0], 0.0), Hyperplane([1.0], gap))), 1)
+              for gap in (1e-8, 1e-9)]
+    return [(arr, sign, d) for arr, d in cases for sign in arr.all_nonempty_signs()
+            if arr.cell(sign).dimension > 0]
 
 
-class _CountingRng:
-    """A generator that counts the box rows drawn through it."""
-
-    def __init__(self, seed):
-        self.rng, self.rows = np.random.default_rng(seed), 0
-
-    def uniform(self, lo, hi, size):
-        self.rows += size[0]
-        return self.rng.uniform(lo, hi, size=size)
-
-
-def _slab(gap):
-    """Two parallel hyperplanes `gap` apart on the line, and the box."""
-    return (Arrangement(1, (Hyperplane([1.0], 0.0), Hyperplane([1.0], gap))),
-            np.array([[-10.0], [10.0]]))
-
-
-def test_sample_cell_point_carries_the_cell_sign_inside_the_box():
-    for i, (arr, sign, box) in enumerate(_sampled_cells()):
-        pts = sample_cell_point(arr, sign, box, np.random.default_rng(i), 20)
-        assert pts is not None and 0 < len(pts) <= 20    # short edges get fewer
-        assert [arr.sign_vector(x) for x in pts] == [sign] * len(pts)
-        assert np.all((pts >= box[0]) & (pts <= box[1]))
-
-
-def test_sample_cell_point_does_not_depend_on_the_blocking(monkeypatch):
-    # the first accepted draws in draw order, whatever the block size; the
-    # 0.4 slab runs out of its 200 draws before its 20 points
-    slab, line = _slab(0.4)
-    cases = list(_sampled_cells())[::3] + [(slab, "+-", line)]
-    for i, (arr, sign, box) in enumerate(cases):
-        want = sample_cell_point(arr, sign, box, np.random.default_rng(i), 20, cap=200)
-        with monkeypatch.context() as m:
-            m.setattr(piecewise, "SAMPLE_BLOCK", 1)
-            got = sample_cell_point(arr, sign, box, np.random.default_rng(i), 20, cap=200)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert np.array_equal(got, want)
-    assert 0 < len(want) < 20
-
-
-@pytest.mark.parametrize("cap", [1, 19, 20, 50, 5000, 10_000])
-def test_sample_cell_point_draws_at_most_cap_rows(cap):
-    arr, box = _slab(1e-8)
-    rng = _CountingRng(0)
-    assert sample_cell_point(arr, "+-", box, rng, 20, cap=cap) is None
-    assert rng.rows == cap              # the slab rejects every draw
-    for i, (arr, sign, box) in enumerate(list(_sampled_cells())[::4]):
-        rng = _CountingRng(i)
-        pts = sample_cell_point(arr, sign, box, rng, 20, cap=cap)
-        assert rng.rows <= cap
-        assert pts is None or len(pts) <= min(20, cap)
-
-
-def test_sample_cell_point_returns_none_without_points():
-    arr, box = _slab(1e-8)      # thinner than twice the sampling margin
-    assert sample_cell_point(arr, "+-", box, np.random.default_rng(0), 20) is None
-    wide, box = _slab(5.0)
-    for cap in (0, -5):
-        assert sample_cell_point(wide, "+-", box, np.random.default_rng(0), 20,
-                                 cap=cap) is None
+def test_sample_cell_point_lattice_carries_the_cell_sign(monkeypatch):
+    # every point of a cell's lattice has the cell's sign codes, lies within
+    # half the witness's margin of it, and there are C(m + d, m) of them
+    for arr, sign, degree in _lattice_cases(monkeypatch):
+        cell = arr.cell(sign)
+        pts = sample_cell_point(arr, sign, degree)
+        d = max(1, degree)
+        assert len(pts) == math.comb(cell.dimension + d, d)
+        assert len(np.unique(pts, axis=0)) == len(pts)
+        codes = np.array(["-0+".index(c) for c in sign])
+        assert np.array_equal(arr.sign_codes(pts), np.broadcast_to(codes, (len(pts), arr.k)))
+        assert row_norms(pts - cell.point).max() <= 0.5 * cell.margin
 
 
 def test_tangent_directions_equal_per_point_loop():
+    # for each point in order, +/- each basis vector
     for i, arr in enumerate(_random_arrangements()):
         for sign in arr.all_nonempty_signs():
             cell = arr.cell(sign)
             if cell.dimension == 0:
                 continue
             pts = np.random.default_rng(i).uniform(-5, 5, size=(7, arr.ambient_dim))
-            rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
-            X, U = _tangent_directions(cell, pts, rng)
-            want = [(x, u) for x in pts for u in _one_point_tangent_directions(cell, ref_rng)]
+            X, U = _tangent_directions(cell, pts)
+            want = [(x, s * b) for x in pts for b in cell.tangent.basis for s in (1.0, -1.0)]
             assert np.array_equal(X, np.array([x for x, _ in want]))
             assert np.array_equal(U, np.array([u for _, u in want]))
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-class _Replay:
-    """Serves normal draws from a fixed sequence, whatever shape is asked."""
-
-    def __init__(self, values):
-        self.values, self.used = values, 0
-
-    def normal(self, size):
-        k = int(np.prod(size))
-        out = self.values[self.used:self.used + k].reshape(size)
-        self.used += k
-        return out
-
-
-def test_tangent_directions_drop_null_combinations_like_per_point_loop():
-    arr = Arrangement(3, (Hyperplane([1.0, 1.0, 0.0], 0.5),))
-    cell = arr.cell("0")
-    pts = np.zeros((4, 3))
-    C = np.random.default_rng(0).normal(size=(4, TANGENT_COMBOS, cell.dimension))
-    C[0, 3] = C[2, 0] = C[2, -1] = 0.0
-    X, U = _tangent_directions(cell, pts, _Replay(C.ravel()))
-    ref = _Replay(C.ravel())
-    want = [u for _ in pts for u in _one_point_tangent_directions(cell, ref)]
-    assert len(want) == 4 * (2 * cell.dimension + TANGENT_COMBOS) - 3
-    assert np.array_equal(U, np.array(want)) and len(X) == len(want)

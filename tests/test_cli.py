@@ -235,6 +235,42 @@ def test_matrix_seed7_on_the_generated_corpus_matches_golden(tmp_path, monkeypat
     assert out.read_bytes() == (DATA / "matrix_generated_seed7.txt").read_bytes()
 
 
+def _strata_blocks(text: str) -> list[str]:
+    """The entry headers and condition 4-5 blocks of a matrix report."""
+    kept, keep = [], False
+    for line in text.splitlines():
+        if not line.startswith(" "):
+            keep = False
+            if line.startswith("--- entry "):
+                kept.append(line)
+        elif line.lstrip().startswith("condition "):
+            keep = line.lstrip().startswith(("condition 4 ", "condition 5 "))
+        if keep:
+            kept.append(line)
+    return kept
+
+
+@pytest.mark.parametrize("corpus", ["shipped", "generated"])
+def test_matrix_conditions_4_5_do_not_read_the_seed(tmp_path, monkeypatch, corpus):
+    # the per-cell lattices draw nothing, so --seed moves no line of 4-5
+    args = []
+    if corpus == "generated":
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from gencorpus import generate_corpus
+        from workloads import GENERATED_CORPUS_SEED, GENERATED_SHAPES
+        from stratacalc import save_corpus
+        path = tmp_path / "generated.json"
+        save_corpus(generate_corpus(GENERATED_CORPUS_SEED, GENERATED_SHAPES), path)
+        args = ["--corpus", str(path)]
+    blocks = []
+    for seed in ("7", "8"):
+        out = tmp_path / f"m{seed}.txt"
+        run(["matrix", "--seed", seed, "--output", str(out)] + args)
+        blocks.append(_strata_blocks(out.read_text()))
+    assert len(blocks[0]) > 10 * len([l for l in blocks[0] if l.startswith("---")])
+    assert blocks[0] == blocks[1]
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -6,7 +6,6 @@ import pytest
 from stratacalc.conditions import (
     ConditionReport,
     MatrixEntry,
-    VerifierConfig,
     check_base_anchored,
     check_conservative,
     check_projection_formula,
@@ -34,8 +33,6 @@ from stratacalc.piecewise import (
 from stratacalc.seeding import substream
 
 from test_piecewise import P, make_abs1d, make_max2d
-
-CFG = VerifierConfig()
 
 
 def make_id1d():
@@ -197,51 +194,36 @@ def test_conservative_fails_on_a_dip_between_close_crossings(abs1d):
 
 def test_stratified_derivative_abs_clarke(abs1d):
     D = oracle_clarke_linear(abs1d)
-    rep = check_stratified_derivative(abs1d, D, abs1d.arrangement, CFG,
-                                      substream(0, "d1"))
+    rep = check_stratified_derivative(abs1d, D, abs1d.arrangement)
     assert rep.verdict == "pass"
 
 
 def test_stratified_derivative_max_diagonal(max2d):
     D = oracle_clarke_linear(max2d)
-    rep = check_stratified_derivative(max2d, D, max2d.arrangement, CFG,
-                                      substream(0, "d2"))
+    rep = check_stratified_derivative(max2d, D, max2d.arrangement)
     assert rep.verdict == "pass"
 
 
 def test_stratified_derivative_scaled_fails(id1d):
     D = parse_oracle("scale:2", id1d)
-    rep = check_stratified_derivative(id1d, D, id1d.arrangement, CFG,
-                                      substream(0, "d3"))
+    rep = check_stratified_derivative(id1d, D, id1d.arrangement)
     assert rep.verdict == "fail"
     assert rep.witnesses
 
 
 def test_stratified_derivative_scaled_max2d_fails_at_default_cap(max2d):
     D = parse_oracle("scale:2", max2d)
-    rep = check_stratified_derivative(max2d, D, max2d.arrangement, VerifierConfig(),
-                                      substream(0, "d4"))
+    rep = check_stratified_derivative(max2d, D, max2d.arrangement)
     assert rep.verdict == "fail"
-
-
-@pytest.mark.parametrize("cap", [0, 19, -5])
-def test_rejection_cap_below_cell_points_is_rejected(cap):
-    # a budget of fewer than CELL_POINTS draws can never give a cell its
-    # points; at 0 every cell would be skipped and a wrong oracle would pass
-    with pytest.raises(ValueError, match=rf"rejection_cap {cap}\b"):
-        VerifierConfig(rejection_cap=cap)
 
 
 def test_stratified_subdifferential_cases(abs1d, max2d, id1d):
     assert check_stratified_subdifferential(
-        abs1d, oracle_clarke_linear(abs1d), abs1d.arrangement, CFG,
-        substream(0, "e1")).verdict == "pass"
+        abs1d, oracle_clarke_linear(abs1d), abs1d.arrangement).verdict == "pass"
     assert check_stratified_subdifferential(
-        max2d, oracle_exact_directional(max2d), max2d.arrangement, CFG,
-        substream(0, "e2")).verdict == "pass"
+        max2d, oracle_exact_directional(max2d), max2d.arrangement).verdict == "pass"
     rep = check_stratified_subdifferential(
-        id1d, parse_oracle("scale:2", id1d), id1d.arrangement, CFG,
-        substream(0, "e3"))
+        id1d, parse_oracle("scale:2", id1d), id1d.arrangement)
     assert rep.verdict == "fail"
 
 
@@ -250,15 +232,13 @@ def test_stratified_checks_with_user_partition(max2d):
     extra = Arrangement(2, (Hyperplane([0.0, 1.0], 0.25),))
     part = refine(max2d.arrangement, extra)
     D = oracle_clarke_linear(max2d)
-    assert check_stratified_derivative(max2d, D, part, CFG,
-                                       substream(0, "d4")).verdict == "pass"
-    assert check_stratified_subdifferential(max2d, D, part, CFG,
-                                            substream(0, "e4")).verdict == "pass"
+    assert check_stratified_derivative(max2d, D, part).verdict == "pass"
+    assert check_stratified_subdifferential(max2d, D, part).verdict == "pass"
 
 
 def test_projection_formula(abs1d, max2d):
     for F in (abs1d, max2d):
-        rep = check_projection_formula(F, F.arrangement, CFG, substream(0, "p1"))
+        rep = check_projection_formula(F, F.arrangement)
         assert rep.verdict == "pass"
 
 
@@ -266,7 +246,7 @@ def test_projection_formula(abs1d, max2d):
                                    check_stratified_subdifferential])
 def test_zero_dimensional_cells_are_not_evaluated(max2d, check, monkeypatch):
     # The only tangent direction of a vertex is u = 0, where D(x, 0) = {0}
-    # by contract: no oracle can fail there, so the vertex is not sampled.
+    # by contract: no oracle can fail there, so the vertex is not examined.
     part = refine(max2d.arrangement, Arrangement(2, (Hyperplane([0.0, 1.0], 0.25),)))
     vertex = part.cell("00").point            # the lines cross at (0.25, 0.25)
     seen = []
@@ -277,20 +257,36 @@ def test_zero_dimensional_cells_are_not_evaluated(max2d, check, monkeypatch):
         return batch(self, X, U)
 
     monkeypatch.setattr(GeneralizedDerivative, "batch", spy)
-    rep = check(max2d, oracle_clarke_linear(max2d), part, CFG, substream(0, "z0"))
+    rep = check(max2d, oracle_clarke_linear(max2d), part)
     assert rep.verdict == "pass" and seen
     assert not any(np.allclose(x, vertex, atol=1e-9) for x in seen)
 
 
+def test_stratified_checks_draw_no_random_numbers(monkeypatch):
+    from stratacalc import conditions
+    from stratacalc.conditions import run_entry_conditions
+    from stratacalc.corpus import default_corpus
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-cell check drew a random number")
+
+    corpus = default_corpus()         # its shipped curves come from a fixed seed
+    monkeypatch.setattr(conditions, "substream", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for fid, cf in corpus.functions.items():
+        entry = MatrixEntry(f"{fid}:clarke", cf.func, oracle_clarke_linear(cf.func),
+                            cf.base_points, cf.curves, cf.partition)
+        assert set(run_entry_conditions(entry, 7, ("4", "5"))) == {"4", "5"}
+        part = refine(cf.func.arrangement, cf.partition)
+        assert check_projection_formula(cf.func, part).verdict == "pass"
+
+
 def test_one_dimensional_cell_directions_are_plus_minus_basis():
-    # random combinations of a single basis vector are only +/- that vector
     from stratacalc.conditions import _tangent_directions
     cell = make_max2d().arrangement.cell("0")
-    rng = np.random.default_rng(0)
-    _, dirs = _tangent_directions(cell, cell.point[None, :], rng)
+    _, dirs = _tangent_directions(cell, cell.point[None, :])
     basis = cell.tangent.basis
-    assert np.array_equal(np.array(dirs), np.vstack([basis, -basis]))
-    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    assert np.array_equal(dirs, np.vstack([basis, -basis]))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +395,7 @@ def test_stratified_conditions_share_their_sample_rows():
 
 def test_entry_conditions_evaluate_each_row_set_once(monkeypatch):
     # conditions 1-2 evaluate one sweep per base point, conditions 4-5 one
-    # set of stratum rows: one cell enumeration, one draw per cell, one D.batch
+    # set of stratum rows: one cell enumeration, one lattice per cell, one D.batch
     from stratacalc import conditions
     from stratacalc.conditions import run_entry_conditions
     from stratacalc.corpus import default_corpus

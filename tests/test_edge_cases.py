@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from stratacalc import conditions
-from stratacalc.conditions import VerifierConfig, check_stratified_derivative
-from stratacalc.oracles import oracle_clarke_linear
+from stratacalc.conditions import check_stratified, check_stratified_derivative
+from stratacalc.oracles import GeneralizedDerivative, oracle_clarke_linear
 from stratacalc.piecewise import (
     Arrangement,
     Curve,
@@ -12,7 +13,7 @@ from stratacalc.piecewise import (
     PiecewiseFunction,
     Polynomial,
     compose_exact,
-    sample_cell_point,
+    refine,
 )
 
 from test_piecewise import P, make_abs1d
@@ -62,27 +63,23 @@ def test_compose_curve_constant_at_kink():
         assert comp.velocity(t)[0] == 0.0
 
 
-def test_sample_cell_point_cap_exhaustion():
-    # a sliver cell the box sampler cannot hit within a tiny cap
-    arr = Arrangement(1, (Hyperplane([1.0], 0.0), Hyperplane([1.0], 1e-9)))
-    rng = np.random.default_rng(0)
-    box = np.array([[-10.0], [10.0]])
-    pt = sample_cell_point(arr, "+-", box, rng, 1, cap=50)
-    assert pt is None
-
-
-def _sliver_check(monkeypatch, gap: float):
-    """Condition 4 on x over two parallel hyperplanes `gap` apart."""
+def _sliver_check(gap: float):
+    """Condition 4 on x over two parallel hyperplanes `gap` apart, and the
+    sign vectors of the rows the oracle was evaluated at."""
     arr = Arrangement(1, (Hyperplane([1.0], 0.0), Hyperplane([1.0], gap)))
     x = Polynomial.coordinate(1, 0)
     F = PiecewiseFunction(arr, 1, {
         "--": (x,), "+-": (x,), "++": (x,),
     })
     D = oracle_clarke_linear(F)
-    monkeypatch.setattr(conditions, "CELL_POINTS", 3)
-    monkeypatch.setattr(conditions, "TANGENT_COMBOS", 2)
-    cfg = VerifierConfig(rejection_cap=300)
-    return check_stratified_derivative(F, D, arr, cfg, np.random.default_rng(1))
+    rows = []
+
+    def recording(X, U):
+        rows.extend(X)
+        return D.kernel(X, U)
+
+    rep = check_stratified_derivative(F, replace(D, kernel=recording), arr)
+    return rep, {arr.sign_vector(x) for x in rows}
 
 
 def test_two_parallel_hyperplanes_1e9_apart_share_no_point():
@@ -92,25 +89,40 @@ def test_two_parallel_hyperplanes_1e9_apart_share_no_point():
     assert "00" not in arr.all_nonempty_signs()
 
 
-def test_stratified_check_skips_unsamplable_cells_with_note(monkeypatch):
+def test_stratified_check_examines_the_sliver_cell_1e8_apart():
     # hyperplanes 1e-8 apart: the sliver full-dim cell is nonempty for the
-    # LP (margin 5e-9 > 1e-9) but defeats rejection sampling at the default
-    # margin, so it must be skipped and logged
-    rep = _sliver_check(monkeypatch, 1e-8)
-    assert rep.verdict == "pass"
-    assert any("skipped" in n for n in rep.notes)
+    # LP (margin 5e-9 > 1e-9), and its lattice lies within 2.5e-9 of the
+    # witness, so it is examined like any other cell
+    rep, signs = _sliver_check(1e-8)
+    assert rep.verdict == "pass" and rep.notes == ()
+    assert "+-" in signs
 
 
 @pytest.mark.xfail(strict=True, reason=(
     "Arrangement.cell_nonempty judges the real sliver cells '0-', '+-', '+0' "
-    "empty at an absolute 1e-9 margin, so the unsamplable sliver is never "
-    "reached and no note is written"))
-def test_stratified_check_skips_sliver_cell_1e9_apart_with_note(monkeypatch):
+    "empty at an absolute 1e-9 margin, so the sliver is never reached"))
+def test_stratified_check_examines_the_sliver_cell_1e9_apart():
     # the same check with the hyperplanes 1e-9 apart: the sliver '+-' is a
-    # real cell, so it must be skipped and logged as well
-    rep = _sliver_check(monkeypatch, 1e-9)
-    assert rep.verdict == "pass"
-    assert any("skipped" in n for n in rep.notes)
+    # real cell, so it must be examined as well
+    rep, signs = _sliver_check(1e-9)
+    assert rep.verdict == "pass" and rep.notes == ()
+    assert "+-" in signs
+
+
+def test_cell_outside_the_box_is_examined():
+    # |x| with the partition line x = 20: the cells '+0' and '++' lie
+    # outside the +/-10 box, and a kernel that doubles F' only where x > 20
+    # is wrong on '++' alone; its lattice at the witness 21 finds it
+    F = make_abs1d()
+    part = refine(F.arrangement, Arrangement(1, (Hyperplane([1.0], 20.0),)))
+
+    def doubled_past_20(X, U):
+        return (np.where(X > 20.0, 2.0, 1.0) * F.directional_derivatives(X, U))[:, None, :]
+
+    D = GeneralizedDerivative("doubled", "handcrafted", 1, 1, kernel=doubled_past_20)
+    for rep in check_stratified(F, D, part):
+        assert rep.verdict == "fail" and rep.notes == ()
+        assert rep.witnesses[0].point == (20.75,)
 
 
 def test_eval_outside_any_piece_raises():

@@ -12,7 +12,6 @@ from stratacalc.piecewise import (
     PiecewiseError,
     PiecewiseFunction,
     Polynomial,
-    REJECTION_CAP,
     compose_exact,
     refine,
     sample_cell_point,
@@ -150,12 +149,9 @@ def test_parallel_planes_infeasible_cell():
 
 def test_sample_cell_point_respects_signs():
     arr = Arrangement(2, (Hyperplane([1, 0], 0.0), Hyperplane([0, 1], 0.0)))
-    rng = np.random.default_rng(3)
-    box = np.array([[-10.0, -10.0], [10.0, 10.0]])
-    pts = sample_cell_point(arr, "0+", box, rng, 1)
-    assert pts is not None
-    (pt,) = pts
-    assert abs(pt[0]) <= 1e-10 and pt[1] > 0
+    pts = sample_cell_point(arr, "0+", 3)
+    assert pts.shape == (4, 2)               # the degree-3 lattice on a segment
+    assert np.all(np.abs(pts[:, 0]) <= 1e-10) and np.all(pts[:, 1] > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -415,19 +411,70 @@ def test_refine_union():
     assert refine(a, b).k == 2
 
 
+def test_cell_margin_is_the_witness_margin():
+    # the least strict-sign residual at the witness, capped at 1 like the LP
+    arr = Arrangement(2, (Hyperplane([1, 0], 0.0), Hyperplane([1, 1], 1.0),
+                          Hyperplane([0, 1], 0.5)))
+    for sign in arr.all_nonempty_signs():
+        cell = arr.cell(sign)
+        s = np.array(["-0+".index(c) - 1 for c in sign])
+        r = s * arr.residuals(cell.point)
+        assert cell.margin == min(1.0, r[s != 0].min(initial=1.0)) > 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cell_lattice_is_unisolvent(n):
+    # the monomials of degree <= d in tangent coordinates are independent on
+    # the lattice: a residual of that degree vanishing there vanishes on the cell
+    from itertools import product
+    from math import comb
+    arr = Arrangement(n, (Hyperplane(np.arange(1.0, n + 1), 0.3),))
+    for sign in ("+", "0"):
+        cell = arr.cell(sign)
+        m = cell.dimension
+        for d in range(1, 7):
+            pts = sample_cell_point(arr, sign, d)
+            t = (pts - cell.point) @ cell.tangent.basis.T / (0.5 * cell.margin)
+            exps = [e for e in product(range(d + 1), repeat=m) if sum(e) <= d]
+            V = np.prod(t[:, None, :] ** np.array(exps, dtype=float), axis=2)
+            assert V.shape == (comb(m + d, d),) * 2
+            assert np.linalg.matrix_rank(V) == len(exps)
+
+
+def test_degree_is_the_largest_total_degree_of_a_piece():
+    arr = Arrangement(1, (Hyperplane([1.0], 0.0),))
+    F = PiecewiseFunction(arr, 2, {"-": (P(1, [((0,), 2.0)]), P(1, [])),
+                                   "+": (P(1, [((1,), 1.0)]), P(1, [((3,), 1.0)]))})
+    assert F.degree == 3
+    assert PiecewiseFunction(arr, 1, {"-": (P(1, []),), "+": (P(1, []),)}).degree == 0
+
+
 def test_refine_compatibility_sampling():
     # every cell of the refinement maps into a single cell of each input
-    rng = np.random.default_rng(12)
     a = Arrangement(2, (Hyperplane([1, 0], 0.0), Hyperplane([1, 1], 1.0)))
     b = Arrangement(2, (Hyperplane([0, 1], 0.5),))
     r = refine(a, b)
-    box = np.array([[-10.0, -10.0], [10.0, 10.0]])
-    for sign in r.full_dim_signs():
-        pts = sample_cell_point(r, sign, box, rng, 100, cap=100 * REJECTION_CAP)
-        assert pts is not None and len(pts) == 100
+    cells = [s for s in r.all_nonempty_signs() if r.cell(s).dimension > 0]
+    assert len(r.full_dim_signs()) == 7 and len(cells) == 7 + 9   # 3 lines, 3 vertices
+    for sign in cells:
+        pts = sample_cell_point(r, sign, 4)
+        assert len(pts) == (15 if r.cell(sign).dimension == 2 else 5)
         seen_a = {a.sign_vector(pt) for pt in pts}
         seen_b = {b.sign_vector(pt) for pt in pts}
         assert len(seen_a) == 1 and len(seen_b) == 1
+
+
+def test_refine_without_a_new_hyperplane_is_the_first_arrangement():
+    # each matrix row of a function then shares its cell decisions
+    from stratacalc.corpus import default_corpus
+    for cf in default_corpus().functions.values():
+        F = cf.func
+        assert refine(F.arrangement, Arrangement(F.ambient_dim, ())) is F.arrangement
+    a = Arrangement(1, (Hyperplane([1.0], 0.0),))
+    assert refine(a, Arrangement(1, (Hyperplane([-2.0], 0.0),))) is a
+    # a first arrangement with a duplicate of its own is still deduplicated
+    twice = Arrangement(1, a.hyperplanes * 2)
+    assert refine(twice, Arrangement(1, ())).k == 1
 
 
 # ---------------------------------------------------------------------------
