@@ -259,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
     common(p, corpus=False)
     p.add_argument("--filter", help="restrict to one group "
-                                    "(geometry, piecewise, oracles, conditions, "
-                                    "solvers, corpus)")
+                                    f"({', '.join(available_groups())})")
     p.set_defaults(fn=cmd_selftest)
     return parser
 

@@ -113,14 +113,12 @@ def _arrangement_from_json(n: int, data) -> Arrangement:
 
 def _curve_to_json(c: Curve):
     return {"breakpoints": [float(t) for t in c.breakpoints],
-            "pieces": [[list(map(float, row)) for row in piece] for piece in c.pieces],
-            "boundary": list(c.boundary)}
+            "pieces": [[list(map(float, row)) for row in piece] for piece in c.pieces]}
 
 
 def _curve_from_json(data) -> Curve:
     return Curve(_finite(data["breakpoints"]),
-                 tuple(_finite(piece) for piece in data["pieces"]),
-                 tuple(data.get("boundary", ())))
+                 tuple(_finite(piece) for piece in data["pieces"]))
 
 
 def corpus_to_json(corpus: Corpus) -> str:

@@ -129,9 +129,6 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def scale(self, c: float) -> "Polynomial":
-        return Polynomial(self.num_vars, self.exponents, c * self.coeffs)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         rows = []
         for e1, c1 in zip(self.exponents, self.coeffs):
@@ -319,7 +316,8 @@ class Arrangement:
     # caches (not part of identity)
     _normals: np.ndarray = field(init=False, repr=False, compare=False)
     _offsets: np.ndarray = field(init=False, repr=False, compare=False)
-    _nonempty_cache: dict = field(init=False, repr=False, compare=False)
+    # sign -> False (empty), the LP's (point, margin), or the Cell once built
+    _cells: dict = field(init=False, repr=False, compare=False)
     _key_weights: np.ndarray = field(init=False, repr=False, compare=False)  # (k,) int64
 
     def __post_init__(self):
@@ -337,7 +335,7 @@ class Arrangement:
         b.flags.writeable = False
         object.__setattr__(self, "_normals", A)
         object.__setattr__(self, "_offsets", b)
-        object.__setattr__(self, "_nonempty_cache", {})
+        object.__setattr__(self, "_cells", {})
         object.__setattr__(self, "_key_weights",
                            3 ** np.arange(len(hps) - 1, -1, -1, dtype=np.int64))
 
@@ -407,33 +405,30 @@ class Arrangement:
     def cell_nonempty(self, sign: str) -> bool:
         if len(sign) != self.k:
             raise PiecewiseError(f"sign vector length {len(sign)} != {self.k}")
-        cached = self._nonempty_cache.get(sign)
+        cached = self._cells.get(sign)
         if cached is None:
             margin, point = self._solve_cell_lp(sign)
             # zero rows that share no point (distinct parallel hyperplanes)
             # leave a least-squares witness off them; rejecting it keeps the
             # decisions equal to HiGHS's (tests/test_cell_lp.py)
             zero = [c == "0" for c in sign]
-            cached = (margin > 1e-9 and bool(np.all(
-                np.abs(self.residuals(point)[zero]) <= EPS_CELL)), point, margin)
-            self._nonempty_cache[sign] = cached
-        return cached[0]
-
-    def cell_point(self, sign: str) -> np.ndarray:
-        """A max-margin interior witness point of the cell."""
-        if not self.cell_nonempty(sign):
-            raise PiecewiseError(f"cell {sign!r} is empty")
-        return self._nonempty_cache[sign][1]
+            nonempty = margin > 1e-9 and bool(np.all(
+                np.abs(self.residuals(point)[zero]) <= EPS_CELL))
+            cached = self._cells[sign] = (point, margin) if nonempty else False
+        return cached is not False
 
     def cell(self, sign: str) -> "Cell":
-        point = self.cell_point(sign)
-        zeros = [i for i, c in enumerate(sign) if c == "0"]
-        if zeros:
-            tangent = Subspace.null_space_of(self._normals[zeros], self.ambient_dim)
-        else:
-            tangent = Subspace.full(self.ambient_dim)
-        return Cell(sign=sign, dimension=tangent.dim, tangent=tangent, point=point,
-                    margin=self._nonempty_cache[sign][2])
+        """The nonempty cell `sign`, built with its tangent space on the
+        first call and cached in place of its LP witness."""
+        if not self.cell_nonempty(sign):
+            raise PiecewiseError(f"cell {sign!r} is empty")
+        cached = self._cells[sign]
+        if isinstance(cached, tuple):
+            zeros = [i for i, c in enumerate(sign) if c == "0"]
+            tangent = (Subspace.null_space_of(self._normals[zeros], self.ambient_dim)
+                       if zeros else Subspace.full(self.ambient_dim))
+            cached = self._cells[sign] = Cell(sign, tangent.dim, tangent, *cached)
+        return cached
 
     def all_nonempty_signs(self) -> list[str]:
         """Every nonempty cell's sign vector, in '-'<'0'<'+' lexicographic order."""
@@ -537,7 +532,6 @@ class PiecewiseFunction:
 
     _value_cache: dict = field(init=False, repr=False, compare=False)
     _jac_cache: dict = field(init=False, repr=False, compare=False)
-    _grad_polys: dict = field(init=False, repr=False, compare=False)
     _signs: list = field(init=False, repr=False, compare=False)    # piece index -> sign
     _index: dict = field(init=False, repr=False, compare=False)    # sign -> piece index
     _adjacent: dict = field(init=False, repr=False, compare=False)  # cell key -> indices
@@ -559,7 +553,6 @@ class PiecewiseFunction:
         object.__setattr__(self, "pieces", norm_pieces)
         object.__setattr__(self, "_value_cache", {})
         object.__setattr__(self, "_jac_cache", {})
-        object.__setattr__(self, "_grad_polys", {})
         object.__setattr__(self, "_signs", list(norm_pieces))
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(norm_pieces)})
         object.__setattr__(self, "_adjacent", {})
@@ -599,19 +592,10 @@ class PiecewiseFunction:
     def _jac_eval(self, sign: str) -> _StackedPolys:
         ev = self._jac_cache.get(sign)
         if ev is None:
-            grads = self.gradient_polys(sign)
-            flat = [grads[i][j] for i in range(self.output_dim)
-                    for j in range(self.ambient_dim)]
+            flat = [g for p in self.pieces[sign] for g in p.gradient()]
             ev = _StackedPolys(flat, (self.output_dim, self.ambient_dim))
             self._jac_cache[sign] = ev
         return ev
-
-    def gradient_polys(self, sign: str) -> list[list[Polynomial]]:
-        g = self._grad_polys.get(sign)
-        if g is None:
-            g = [p.gradient() for p in self.pieces[sign]]
-            self._grad_polys[sign] = g
-        return g
 
     def adjacent_full_signs(self, x) -> list[str]:
         """Nonempty full-dimensional cells (with pieces) whose closure contains x."""
@@ -851,7 +835,7 @@ def validate_continuity(F: PiecewiseFunction, seed: int = 0) -> ContinuityReport
                 continue
             pairs += 1
             a = arr.normals[i]
-            pts = arr.offsets[i] * a + coords @ Subspace.null_space_of(a, n).basis
+            pts = arr.offsets[i] * a + coords @ arr.cell(facet).tangent.basis
             ev_a, ev_b = F._value_eval(sign), F._value_eval(other)
             gaps = row_norms(ev_a(pts) - ev_b(pts))
             tols = EPS_EQ + EPS_ROUND * (np.abs(ev_a.terms(pts)).sum(axis=1)
@@ -872,14 +856,11 @@ class Curve:
     """Piecewise-polynomial curve [0,1] -> R^n.
 
     `pieces[j]` is an (n, deg_j+1) array of low-to-high coefficients on the
-    interval [breakpoints[j], breakpoints[j+1]]. `boundary[j]` marks
-    intervals on which the curve travels inside some arrangement hyperplane
-    (set by compose_exact; all-False for hand-built curves).
+    interval [breakpoints[j], breakpoints[j+1]].
     """
 
     breakpoints: np.ndarray
     pieces: tuple[np.ndarray, ...]
-    boundary: tuple[bool, ...] = ()
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -895,9 +876,6 @@ class Curve:
         dims = {p.shape[0] for p in pieces}
         if len(dims) != 1:
             raise ValueError("pieces disagree on curve dimension")
-        boundary = tuple(self.boundary) if self.boundary else (False,) * len(pieces)
-        if len(boundary) != len(pieces):
-            raise ValueError("boundary flags disagree with piece count")
         for j in range(len(pieces) - 1):  # continuity across breakpoints
             t = bp[j + 1]
             left = _upolyval(pieces[j], t)
@@ -909,7 +887,6 @@ class Curve:
             p.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "boundary", boundary)
 
     @property
     def dim(self) -> int:
@@ -1035,8 +1012,8 @@ def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
     closer together than the 1e-12 merge of cut times. There, the curve is
     substituted into the first piece that F._piece_ids finds for the exact
     signs of the h_i at the midpoint; continuity makes the result
-    independent of the choice. Subintervals on which the curve travels
-    inside some hyperplane are flagged as boundary rather than rejected.
+    independent of the choice, also on a subinterval on which the curve
+    travels inside some hyperplane.
     """
     if curve.dim != F.ambient_dim:
         raise PiecewiseError("curve dimension does not match the map")
@@ -1062,7 +1039,6 @@ def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
     merged[0], merged[-1] = 0.0, 1.0
 
     out_pieces: list[np.ndarray] = []
-    out_boundary: list[bool] = []
     for j in range(len(merged) - 1):
         t_lo, t_hi = merged[j], merged[j + 1]
         t_mid = 0.5 * (t_lo + t_hi)
@@ -1078,5 +1054,4 @@ def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
         rows = [p.compose_univariate(list(curve.pieces[src]))
                 for p in F.pieces[F._signs[piece]]]
         out_pieces.append(Curve.from_coeffs(rows).pieces[0])
-        out_boundary.append(None in exact[src])
-    return Curve(np.array(merged), tuple(out_pieces), tuple(out_boundary))
+    return Curve(np.array(merged), tuple(out_pieces))

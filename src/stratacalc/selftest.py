@@ -2,14 +2,14 @@
 criterion in tests/test_acceptance.py owns, runnable without pytest via the
 selftest command.
 
-Checks are registered per group (geometry / piecewise / oracles /
-conditions / solvers / corpus) and each returns pass/fail plus a one-line
-detail; a check that raises counts as failed. Sampled checks draw from
-substreams of the context seed; the cell-smoothness, continuity and
-projection-formula checks are exact and draw nothing. The geometry metric
-check requires the metric to separate known-distinct sets by more than
-EPS_EQ, the agreement tolerance of piecewise.py, so a corrupted tolerance
-is caught by the harness itself.
+Checks are registered per group (piecewise / oracles / conditions /
+solvers / corpus) and each returns pass/fail plus a one-line detail; a
+check that raises counts as failed. Sampled checks draw from substreams of
+the context seed; the cell-smoothness, continuity and projection-formula
+checks are exact and draw nothing. Geometry properties live in
+tests/test_geometry.py only. The wrong-branch control of the base-anchored
+check requires its residual to exceed EPS_EQ, the agreement tolerance of
+piecewise.py, so a corrupted tolerance is caught by the harness itself.
 """
 
 from __future__ import annotations
@@ -21,15 +21,7 @@ import numpy as np
 from . import conditions as cond
 from . import solvers
 from .corpus import Corpus, corpus_from_json, corpus_to_json, default_corpus
-from .geometry import (
-    MatrixPolytope,
-    Polytope,
-    Subspace,
-    dist_point_polytope,
-    hausdorff,
-    linear_image,
-    project,
-)
+from .geometry import Polytope, dist_point_polytope, hausdorff
 from .oracles import (
     oracle_branch_selection,
     oracle_clarke_linear,
@@ -84,63 +76,6 @@ def run_selftest(ctx: SelftestContext | None = None,
 
 
 # ---------------------------------------------------------------------------
-# geometry
-
-@_check("geometry", "projection idempotent and nonexpansive")
-def _g_project(ctx):
-    rng = substream(ctx.seed, "g-project")
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(1, 6))
-        k = int(rng.integers(0, n + 1))
-        V = Subspace.from_spanning(rng.normal(size=(k, n)), n) if k else Subspace.zero(n)
-        v = rng.normal(size=n)
-        p = project(v, V)
-        worst = max(worst, float(np.linalg.norm(project(p, V) - p)))
-        if np.linalg.norm(p) > np.linalg.norm(v) + 1e-12:
-            return False, "projection expanded the norm"
-    return worst <= 1e-10, f"max idempotency defect {worst:.2e}"
-
-
-@_check("geometry", "hausdorff is a metric that separates sets")
-def _g_metric(ctx):
-    rng = substream(ctx.seed, "g-metric")
-    for _ in range(40):
-        n = int(rng.integers(1, 4))
-        polys = [Polytope(rng.normal(size=(int(rng.integers(1, 5)), n)))
-                 for _ in range(3)]
-        P, Q, R = polys
-        if abs(hausdorff(P, Q) - hausdorff(Q, P)) > 1e-12:
-            return False, "symmetry violated"
-        if hausdorff(P, R) > hausdorff(P, Q) + hausdorff(Q, R) + 1e-9:
-            return False, "triangle inequality violated"
-        if hausdorff(P, P) > 1e-12:
-            return False, "self-distance nonzero"
-    # separation against the agreement tolerance: known-distinct unit-apart
-    # polytopes must register as farther than EPS_EQ
-    d = hausdorff(Polytope([[0.0]]), Polytope([[1.0]]))
-    if not d > EPS_EQ:
-        return False, (f"metric does not separate unit-distant sets at "
-                       f"EPS_EQ={EPS_EQ:g} (d={d!r})")
-    return True, "symmetry, triangle inequality, separation hold"
-
-
-@_check("geometry", "linear image commutes with convex combination")
-def _g_linear_image(ctx):
-    rng = substream(ctx.seed, "g-image")
-    for _ in range(30):
-        m, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        A1, A2 = rng.normal(size=(m, n)), rng.normal(size=(m, n))
-        u = rng.normal(size=n)
-        lam = float(rng.uniform())
-        img = linear_image(MatrixPolytope(np.array([A1, A2])), u)
-        mix = (lam * A1 + (1 - lam) * A2) @ u
-        if dist_point_polytope(mix, img) > 1e-10 * (1 + float(np.linalg.norm(mix))):
-            return False, "mixed vertex image left the hull"
-    return True, "mixtures stay inside the image hull"
-
-
-# ---------------------------------------------------------------------------
 # piecewise
 
 def _corpus_items(ctx):
@@ -185,7 +120,7 @@ def _p_smooth(ctx):
         for sign in F.arrangement.full_dim_signs():
             if sign not in F.pieces:
                 return False, f"{fid}: missing piece {sign!r}"
-            pt = F.arrangement.cell_point(sign)
+            pt = F.arrangement.cell(sign).point
             if float(np.linalg.norm(F.value(pt) - F.piece_value(sign, pt))) > 0:
                 return False, f"{fid}: eval disagrees with the active polynomial"
     return True, "eval coincides with the active piece polynomial"
@@ -284,8 +219,12 @@ def _c_bder(ctx):
     absf = ctx.corpus.function("abs1d").func
     rep = cond.check_base_anchored(absf, [0.0], rng=substream(ctx.seed, "bder-neg"),
                                    fixed_matrix=np.array([[-1.0]]))
-    if rep.verdict != "fail":
-        return False, "wrong-branch control unexpectedly passed"
+    # its last residual, (|y| + y)/r = 2 at y = r, must stand clear of the
+    # agreement tolerance, or EPS_EQ is corrupted
+    last = rep.residual_table[-1][1]
+    if rep.verdict != "fail" or not last > EPS_EQ:
+        return False, (f"wrong-branch control read {rep.verdict} with residual "
+                       f"{last:g} at EPS_EQ={EPS_EQ:g}")
     return True, "expansion decays with F'(x,.) and fails with a fixed branch"
 
 

@@ -165,7 +165,7 @@ def _cell_rows(F, seed):
     a shuffled order."""
     rng = np.random.default_rng(seed)
     arr = F.arrangement
-    X = [_inputs(F, seed)[0], [arr.cell_point(s) for s in arr.all_nonempty_signs()]]
+    X = [_inputs(F, seed)[0], [arr.cell(s).point for s in arr.all_nonempty_signs()]]
     for a, b in zip(arr.normals, arr.offsets):
         on = X[0][:6] - np.outer(X[0][:6] @ a - b, a) / (a @ a)
         X += [on + d * a / np.linalg.norm(a) for d in (-2e-10, -5e-11, 5e-11, 2e-10)]

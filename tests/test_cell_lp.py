@@ -73,7 +73,7 @@ def test_cell_lp_matches_highs_on_every_sign_vector(n, k):
         ref_margin, ref_point = highs_cell_lp(arr, sign)
         assert arr.cell_nonempty(sign) == highs_nonempty(arr, sign, ref_margin, ref_point), sign
         if arr.cell_nonempty(sign):    # the witness lies in the cell
-            assert arr.sign_vector(arr.cell_point(sign)) == sign
+            assert arr.sign_vector(arr.cell(sign).point) == sign
         if np.isfinite(ref_margin):
             assert abs(margin - ref_margin) <= 1e-9, sign
         # HiGHS also reports inconsistent zero rows infeasible; this LP
@@ -87,7 +87,7 @@ def test_cell_lp_matches_highs_on_every_sign_vector(n, k):
 def test_phase1_hull_point_outside_box():
     arr = Arrangement(2, (Hyperplane([0.6, 0.8], 1.3e4),))
     assert arr.cell_nonempty("0")
-    assert np.max(np.abs(arr.cell_point("0"))) <= LP_BOX
+    assert np.max(np.abs(arr.cell("0").point)) <= LP_BOX
 
 
 def test_phase1_with_a_second_hyperplane():

@@ -477,9 +477,9 @@ def test_cli_commands_import_no_scipy():
         "for argv in (['check', '--function', 'max2d', '--oracle', 'clarke'],\n"
         "             ['matrix', '--seed', '7'],\n"
         "             ['solve', 'newton', '--function', 'pwq2d', '--x0', '0.3,0.2'],\n"
-        "             ['selftest', '--filter', 'geometry']):\n"
+        "             ['selftest', '--filter', 'corpus']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        main(argv)\n"
+        "        assert main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -500,12 +500,12 @@ def test_selftest_fast_passes(tmp_path):
     assert "checks passed" in out.read_text()
 
 
-def test_selftest_filter_geometry(tmp_path):
+def test_selftest_filter_oracles(tmp_path):
     out = tmp_path / "s.txt"
-    code = run(["selftest", "--filter", "geometry", "--output", str(out)])
+    code = run(["selftest", "--filter", "oracles", "--output", str(out)])
     assert code == 0
     text = out.read_text()
-    assert "geometry/" in text
+    assert "oracles/" in text
     assert "piecewise/" not in text
 
 
@@ -527,6 +527,6 @@ def test_selftest_has_no_fast_flag():
 def test_selftest_corrupted_tolerance_exits_two(tmp_path, monkeypatch):
     monkeypatch.setattr("stratacalc.selftest.EPS_EQ", 1e3)
     out = tmp_path / "s.txt"
-    code = run(["selftest", "--filter", "geometry", "--output", str(out)])
+    code = run(["selftest", "--filter", "conditions", "--output", str(out)])
     assert code == 2
     assert "FAIL" in out.read_text()

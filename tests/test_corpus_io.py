@@ -79,6 +79,15 @@ def test_roundtrip_text_identical(corpus):
     assert t1 == t2
 
 
+def test_curve_boundary_key_of_older_files_is_ignored(corpus):
+    doc = json.loads(corpus_to_json(corpus))
+    assert all("boundary" not in c for fd in doc["functions"] for c in fd["curves"])
+    for fd in doc["functions"]:
+        for c in fd["curves"]:
+            c["boundary"] = [True] * len(c["pieces"])
+    assert corpus_to_json(corpus_from_json(json.dumps(doc))) == corpus_to_json(corpus)
+
+
 def test_roundtrip_format_guard():
     with pytest.raises(PiecewiseError, match="format"):
         corpus_from_json(json.dumps({"format": "other/9"}))

@@ -57,7 +57,6 @@ def test_compose_two_close_crossings(c0):
 def test_compose_curve_constant_at_kink():
     F = make_abs1d()
     comp = compose_exact(F, Curve.from_coeffs([[0.0]]))
-    assert comp.boundary == (True,)
     for t in (0.0, 0.5, 1.0):
         assert comp.value(t)[0] == 0.0
         assert comp.velocity(t)[0] == 0.0

