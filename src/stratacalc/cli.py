@@ -273,10 +273,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except PiecewiseError as exc:
+    except (InputError, PiecewiseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

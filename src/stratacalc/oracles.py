@@ -60,7 +60,6 @@ class GeneralizedDerivative:
     """
 
     name: str
-    provenance: str
     input_dim: int
     output_dim: int
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -98,18 +97,15 @@ def _piece_vertices(F: PiecewiseFunction, form: VertexForm, X, U) -> np.ndarray:
     return form.c * np.matmul(J, U[:, None, :, None])[..., 0]
 
 
-_BASES = {"exact": ("directional", "exact directional derivative"),
-          "clarke": ("adjacent", "Clarke Jacobian image"),
-          "branch": ("first", "lexicographic branch selection")}
+_BASES = {"exact": "directional", "clarke": "adjacent", "branch": "first"}
 
 
-def _parse_form(spec: str) -> tuple[str, str, VertexForm]:
-    """(name, provenance, form) of an oracle identifier."""
+def _parse_form(spec: str) -> tuple[str, VertexForm]:
+    """(name, form) of an oracle identifier."""
     spec = spec.strip()
     head, _, rest = spec.partition(":")
     if spec in _BASES:
-        select, provenance = _BASES[spec]
-        return spec, provenance, VertexForm(select)
+        return spec, VertexForm(_BASES[spec])
     if head == "scale":
         try:
             c = float(rest)
@@ -117,16 +113,13 @@ def _parse_form(spec: str) -> tuple[str, str, VertexForm]:
             c = np.nan
         if not np.isfinite(c):
             raise ValueError(f"bad scale factor in oracle id {spec!r}")
-        return (f"scale:{c:g}", f"scaled ({c:g}x) exact directional derivative",
-                VertexForm("directional", c=c))
+        return f"scale:{c:g}", VertexForm("directional", c=c)
     if head == "reflect":
-        name, provenance, form = _parse_form(rest)
-        return (f"reflect:{name}", f"reflection of {provenance}",
-                replace(form, reflect=not form.reflect))
+        name, form = _parse_form(rest)
+        return f"reflect:{name}", replace(form, reflect=not form.reflect)
     if head == "zero-strata":
-        name, provenance, form = _parse_form(rest)
-        return (f"zero-strata:{name}", f"{provenance}, zeroed on strata",
-                replace(form, zero_on_strata=True))
+        name, form = _parse_form(rest)
+        return f"zero-strata:{name}", replace(form, zero_on_strata=True)
     raise ValueError(f"unknown oracle id {spec!r}")
 
 
@@ -138,8 +131,8 @@ def parse_oracle(spec: str, F: PiecewiseFunction) -> GeneralizedDerivative:
     reflect gives D^(x,u) := -D(x,-u); zero-strata gives the base oracle off
     the lower-dimensional cells and {0} on them.
     """
-    name, provenance, form = _parse_form(spec)
-    return GeneralizedDerivative(name, provenance, F.ambient_dim, F.output_dim,
+    name, form = _parse_form(spec)
+    return GeneralizedDerivative(name, F.ambient_dim, F.output_dim,
                                  kernel=partial(form_vertices, F, form), form=form)
 
 
@@ -197,7 +190,7 @@ def check_assumption(D: GeneralizedDerivative, F: PiecewiseFunction,
     if not probes:
         return AssumptionReport(*undecided)
     with np.errstate(over="ignore", invalid="ignore"):
-        J = F.clarke_jacobians(np.array(probes))[0]
+        J = F.clarke_jacobians(np.array(probes))
     finite = np.isfinite(J).all(axis=(1, 2, 3))
     norms = np.full(J.shape[:2], np.inf)
     norms[finite] = np.linalg.norm(J[finite], ord=2, axis=(2, 3))

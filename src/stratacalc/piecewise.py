@@ -319,6 +319,7 @@ class Arrangement:
     # sign -> False (empty), the LP's (point, margin), or the Cell once built
     _cells: dict = field(init=False, repr=False, compare=False)
     _key_weights: np.ndarray = field(init=False, repr=False, compare=False)  # (k,) int64
+    _refined: dict = field(init=False, repr=False, compare=False)  # a2 -> refine(self, a2)
 
     def __post_init__(self):
         hps = tuple(self.hyperplanes)
@@ -336,6 +337,7 @@ class Arrangement:
         object.__setattr__(self, "_normals", A)
         object.__setattr__(self, "_offsets", b)
         object.__setattr__(self, "_cells", {})
+        object.__setattr__(self, "_refined", {})
         object.__setattr__(self, "_key_weights",
                            3 ** np.arange(len(hps) - 1, -1, -1, dtype=np.int64))
 
@@ -462,17 +464,20 @@ def refine(a1: Arrangement, a2: Arrangement) -> Arrangement:
     """Common refinement: concatenate hyperplane lists, dropping geometric
     duplicates (orientation-insensitive). Every cell of the result lies in
     exactly one cell of each input. When a2 adds no hyperplane and a1 has no
-    duplicate, the result is a1 itself, so callers share its cached cell
+    duplicate, the result is a1 itself. The result is kept on a1 per a2 (by
+    identity), so callers refining the same pair share its cached cell
     decisions."""
     if a1.ambient_dim != a2.ambient_dim:
         raise PiecewiseError("arrangements live in different dimensions")
-    kept: list[Hyperplane] = []
-    for h in a1.hyperplanes + a2.hyperplanes:
-        if not any(h.same_as(g) for g in kept):
-            kept.append(h)
-    if tuple(kept) == a1.hyperplanes:
-        return a1
-    return Arrangement(a1.ambient_dim, tuple(kept))
+    out = a1._refined.get(a2)
+    if out is None:
+        kept: list[Hyperplane] = []
+        for h in a1.hyperplanes + a2.hyperplanes:
+            if not any(h.same_as(g) for g in kept):
+                kept.append(h)
+        out = a1 if tuple(kept) == a1.hyperplanes else Arrangement(a1.ambient_dim, tuple(kept))
+        a1._refined[a2] = out
+    return out
 
 
 def _principal_lattice(m: int, d: int) -> np.ndarray:
@@ -614,13 +619,13 @@ class PiecewiseFunction:
     # bit-identical to evaluating it alone; the one-point methods below are
     # one-row views of these kernels.
 
-    def _piece_ids(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _piece_ids(self, codes: np.ndarray) -> np.ndarray:
         """Piece indices of the full-dimensional cells adjacent to the cell of
         each row of (N, k) sign codes (0 '-', 1 '0', 2 '+'): an (N, V) array
-        whose short rows repeat their column 0, and the (N,) counts. Rows are
-        grouped by int64 keys sum c_i 3^(k-1-i); compatible_full_signs fills a
-        key's entry of the table `_adjacent` on first sight, and a key
-        without a piece raises on every call, since it is never stored."""
+        whose short rows repeat their column 0. Rows are grouped by int64
+        keys sum c_i 3^(k-1-i); compatible_full_signs fills a key's entry of
+        the table `_adjacent` on first sight, and a key without a piece
+        raises on every call, since it is never stored."""
         keys = codes @ self.arrangement._key_weights
         first, inv = _groups(keys)
         adj = []
@@ -638,9 +643,9 @@ class PiecewiseFunction:
             adj.append(ids)
         width = max(map(len, adj), default=1)
         table = np.array([a + a[:1] * (width - len(a)) for a in adj], dtype=int)
-        return table.reshape(len(adj), width)[inv], np.array(list(map(len, adj)), dtype=int)[inv]
+        return table.reshape(len(adj), width)[inv]
 
-    def _adjacent_ids(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _adjacent_ids(self, X: np.ndarray) -> np.ndarray:
         """_piece_ids of the cell of each row of X."""
         return self._piece_ids(self.arrangement.sign_codes(X))
 
@@ -656,7 +661,7 @@ class PiecewiseFunction:
         r, du = arr.residuals(X), np.matmul(arr.normals, U[..., None])[..., 0]
         moving = np.abs(du) > EPS_CELL * row_norms(U)[:, None]
         plus = np.where(np.abs(r) > EPS_CELL, r > 0, ~moving | (du > 0))
-        return self._piece_ids(2 * plus)[0][:, :1]
+        return self._piece_ids(2 * plus)[:, :1]
 
     def _at_pieces(self, evaluator, X: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """evaluator(sign)(rows) for each piece index in the (N, V) array
@@ -673,7 +678,7 @@ class PiecewiseFunction:
     def _at_first_piece(self, evaluator, X) -> np.ndarray:
         """evaluator(sign)(x) with the first adjacent piece of each row."""
         X = as_rows(X, self.ambient_dim)
-        return self._at_pieces(evaluator, X, self._adjacent_ids(X)[0][:, :1])[:, 0]
+        return self._at_pieces(evaluator, X, self._adjacent_ids(X)[:, :1])[:, 0]
 
     def values(self, X) -> np.ndarray:
         """(N, m) values at the rows of X."""
@@ -719,31 +724,24 @@ class PiecewiseFunction:
         if select == "directional":
             ids = self._directional_ids(X, U)
         else:
-            ids = self._adjacent_ids(X)[0]
+            ids = self._adjacent_ids(X)
             ids = ids[:, :1] if select == "first" else ids
         return self._at_pieces(self._jac_eval, X, ids)
 
-    def clarke_jacobians(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacent piece Jacobians per row, (N, V, m, n) padded by repeating
-        vertex 0, and the (N,) vertex counts."""
-        X = as_rows(X, self.ambient_dim)
-        ids, counts = self._adjacent_ids(X)
-        return self._at_pieces(self._jac_eval, X, ids), counts
+    def clarke_jacobians(self, X) -> np.ndarray:
+        """The vertices of the Clarke Jacobian per row: the adjacent piece
+        Jacobians, (N, V, m, n), a row with fewer than V repeating vertex 0."""
+        return self.selected_jacobians(as_rows(X, self.ambient_dim), None, "adjacent")
 
     def component_ranges(self, X, U) -> tuple[np.ndarray, np.ndarray]:
         """(N, m) arrays lo, hi: [min, max] of <g, u> over the Clarke
-        subdifferential of each scalar component F_i at x."""
-        J, counts = self.clarke_jacobians(X)
+        subdifferential of each scalar component F_i at x, the extremes over
+        the vertex axis of the Clarke image J(x)u. Each vertex is the same
+        (m, n) times (n, 1) product the clarke oracle returns, and padding
+        repeats vertex 0, so no mask is needed."""
         U = as_rows(U, self.ambient_dim)
-        lo, hi = np.empty((2, len(J), self.output_dim))
-        for c in set(counts.tolist()):
-            # rows grouped by vertex count c, so each product has the shape
-            # component_clarke(x, i).vertices @ u has: (c, n) times u
-            sel = counts == c
-            rows = np.ascontiguousarray(J[sel, :c].swapaxes(1, 2))
-            vals = np.matmul(rows, U[sel][:, None, :, None])[..., 0]
-            lo[sel], hi[sel] = vals.min(axis=2), vals.max(axis=2)
-        return lo, hi
+        img = np.matmul(self.clarke_jacobians(X), U[:, None, :, None])[..., 0]
+        return img.min(axis=1), img.max(axis=1)
 
     # -- one-point views ----------------------------------------------------
 
@@ -767,13 +765,13 @@ class PiecewiseFunction:
 
     def clarke_jacobian(self, x) -> MatrixPolytope:
         """Vertex list of adjacent piece Jacobians at x (hull = Clarke Jacobian)."""
-        return MatrixPolytope(self.clarke_jacobians(self._row(x))[0][0])
+        return MatrixPolytope(self.clarke_jacobians(self._row(x))[0])
 
     def component_clarke(self, x, i: int) -> Polytope:
         """Clarke subdifferential of the scalar component F_i at x (row vectors)."""
         if not 1 <= i <= self.output_dim:
             raise PiecewiseError(f"component index {i} out of range")
-        return Polytope(self.clarke_jacobians(self._row(x))[0][0][:, i - 1])
+        return Polytope(self.clarke_jacobians(self._row(x))[0][:, i - 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -1050,7 +1048,7 @@ def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
             while H is not None and s == 0 and t < t_hi:
                 s, t = _sign_at(H, t), math.nextafter(t, t_hi)
             codes.append(s + 1)
-        piece = F._piece_ids(np.array([codes], dtype=int))[0][0, 0]
+        piece = F._piece_ids(np.array([codes], dtype=int))[0, 0]
         rows = [p.compose_univariate(list(curve.pieces[src]))
                 for p in F.pieces[F._signs[piece]]]
         out_pieces.append(Curve.from_coeffs(rows).pieces[0])

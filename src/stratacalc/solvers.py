@@ -164,7 +164,6 @@ def newton_rate_estimate(trace: NewtonTrace, root=None) -> list[float]:
 class SubgradientTrace:
     iterates: tuple[np.ndarray, ...]
     values: tuple[float, ...]
-    subgradients: tuple[np.ndarray, ...]
     step_sizes: tuple[float, ...]
 
     @property
@@ -196,19 +195,16 @@ def subgradient_descent(f: PiecewiseFunction, grad_source, x0,
         raise ValueError("subgradient descent needs a scalar objective")
     x = as_vector(x0, f.ambient_dim).copy()
     iterates = [x.copy()]
-    grads: list[np.ndarray] = []
     steps: list[float] = []
     for k in range(1, iters + 1):
         g = _select_jacobian(f, grad_source, x)[0]
         alpha = step_size(rule, c, k)
         x = _finite_step("subgradient descent", k, x, g, alpha)
         iterates.append(x.copy())
-        grads.append(g)
         steps.append(alpha)
     with np.errstate(over="ignore", invalid="ignore"):   # no step reads F: inf stands
         values = tuple(map(float, f.values(np.array(iterates))[:, 0]))
-    return SubgradientTrace(tuple(iterates), values, tuple(grads),
-                            tuple(steps))
+    return SubgradientTrace(tuple(iterates), values, tuple(steps))
 
 
 def grid_minimize(f: PiecewiseFunction, lo, hi) -> tuple[np.ndarray, float]:

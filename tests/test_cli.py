@@ -222,6 +222,21 @@ def test_matrix_with_corpus_file(tmp_path):
     assert "id1d:scale:2,fail,fail,fail,fail,fail,true" in text
 
 
+def test_shipped_matrix_solves_each_refinement_once(tmp_path, monkeypatch):
+    # rows sharing a function and partition share one refined arrangement,
+    # so each of its cell LPs is solved once per matrix
+    solve = Arrangement._solve_cell_lp
+    calls = []
+
+    def counted(self, sign):
+        calls.append(sign)
+        return solve(self, sign)
+
+    monkeypatch.setattr(Arrangement, "_solve_cell_lp", counted)
+    assert run(["matrix", "--seed", "7", "--output", str(tmp_path / "m.txt")]) == 0
+    assert len(calls) == 40
+
+
 def test_matrix_seed7_on_the_generated_corpus_matches_golden(tmp_path, monkeypatch):
     # the benchmark's generated corpus (cell LPs, sampling in R^3, k = 3);
     # exit 2 is the known EPS_CELL false fail of gen0_n2k3:clarke at seed 7

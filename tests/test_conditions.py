@@ -182,7 +182,7 @@ def test_conservative_fails_on_a_dip_between_close_crossings(abs1d):
     # nodes of that piece never looked at the dip.
     exact = oracle_exact_directional(abs1d)
     D = GeneralizedDerivative(
-        "double-left", "handcrafted", 1, 1,
+        "double-left", 1, 1,
         kernel=lambda X, U: np.where(X[:, None, :] < 0, 2.0, 1.0) * exact.batch(X, U))
     rep = check_conservative(abs1d, D, [Curve.from_coeffs([[0.09 - 1e-8, -0.6, 1.0]])])
     assert rep.verdict == "fail"
@@ -281,6 +281,32 @@ def test_stratified_checks_draw_no_random_numbers(monkeypatch):
         assert check_projection_formula(cf.func, part).verdict == "pass"
 
 
+HONEST_ORACLES = ("exact", "clarke", "branch", "reflect:clarke", "reflect:exact",
+                  "reflect:branch", "scale:1")
+
+
+def test_condition_5_is_exact_for_honest_oracles(monkeypatch):
+    # each vertex of an honest oracle is one of the products J(x)u that give
+    # the Clarke image, so condition 5 reads exactly 0.0, not a rounding gap
+    from pathlib import Path
+    from stratacalc.corpus import default_corpus
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from gencorpus import generate_corpus
+    from workloads import GENERATED_CORPUS_SEED, GENERATED_SHAPES
+    corpora = (default_corpus(), generate_corpus(GENERATED_CORPUS_SEED, GENERATED_SHAPES))
+    rows = 0
+    for corpus in corpora:
+        for fid, cf in corpus.functions.items():
+            part = refine(cf.func.arrangement, cf.partition)
+            for oracle_id in HONEST_ORACLES:
+                rep = check_stratified_subdifferential(
+                    cf.func, parse_oracle(oracle_id, cf.func), part)
+                assert (fid, oracle_id, rep.residual_table, rep.witnesses) == \
+                    (fid, oracle_id, (("max", 0.0),), ())
+                rows += 1
+    assert rows == 70
+
+
 def test_one_dimensional_cell_directions_are_plus_minus_basis():
     from stratacalc.conditions import _tangent_directions
     cell = make_max2d().arrangement.cell("0")
@@ -353,7 +379,7 @@ def test_corruption_at_point_stratum_passes_all_five(abs1d):
         at_kink = np.abs(X[:, None, :]) <= 1e-12
         return np.where(at_kink, 7.0 * U[:, None, :], exact.batch(X, U))
 
-    D = GeneralizedDerivative("corrupt-point", "handcrafted", 1, 1, kernel=corrupted)
+    D = GeneralizedDerivative("corrupt-point", 1, 1, kernel=corrupted)
     verdicts = _run_all_five(
         abs1d, D, [[0.0], [0.7]],
         [Curve.from_coeffs([[-1.0, 2.0]]), Curve.from_coeffs([[0.0]])],
@@ -370,7 +396,7 @@ def test_corruption_on_line_stratum_fails_all_five(max2d):
         on_line = np.abs(X[:, 0] - X[:, 1]) <= 1e-12
         return np.where(on_line[:, None, None], 2.0, 1.0) * exact.batch(X, U)
 
-    D = GeneralizedDerivative("corrupt-line", "handcrafted", 2, 1, kernel=corrupted)
+    D = GeneralizedDerivative("corrupt-line", 2, 1, kernel=corrupted)
     diag = Curve.from_coeffs([[-1.0, 2.0], [-1.0, 2.0]])
     crossing = Curve.from_coeffs([[-1.0, 2.0], [1.0, -2.0]])
     verdicts = _run_all_five(max2d, D, [[0.0, 0.0], [1.5, 1.5]],

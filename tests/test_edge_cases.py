@@ -118,7 +118,7 @@ def test_cell_outside_the_box_is_examined():
     def doubled_past_20(X, U):
         return (np.where(X > 20.0, 2.0, 1.0) * F.directional_derivatives(X, U))[:, None, :]
 
-    D = GeneralizedDerivative("doubled", "handcrafted", 1, 1, kernel=doubled_past_20)
+    D = GeneralizedDerivative("doubled", 1, 1, kernel=doubled_past_20)
     for rep in check_stratified(F, D, part):
         assert rep.verdict == "fail" and rep.notes == ()
         assert rep.witnesses[0].point == (20.75,)

@@ -181,7 +181,7 @@ def test_assumption_of_a_kernel_without_form_is_inconclusive():
     # handcrafted D(x,u) = {||u||^2}, not positively homogeneous: without a
     # vertex form no line is decided, and the note names the missing form
     F = make_abs1d()
-    D = GeneralizedDerivative("quad", "handcrafted", 1, 1,
+    D = GeneralizedDerivative("quad", 1, 1,
                               kernel=lambda X, U: np.sum(U * U, axis=1)[:, None, None])
     rep = check_assumption(D, F, [[0.5]])
     assert (rep.full_domain, rep.homogeneity, rep.lipschitz) == ("inconclusive",) * 3

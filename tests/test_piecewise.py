@@ -488,6 +488,17 @@ def test_refine_compatibility_sampling():
         assert len(seen_a) == 1 and len(seen_b) == 1
 
 
+def test_refine_is_computed_once_per_pair_of_arrangements():
+    # the refinement is kept on the first arrangement, keyed by the second
+    # (identity), so rows sharing a function and partition share its cells
+    a = Arrangement(2, (Hyperplane([1, 0], 0.0),))
+    p = Arrangement(2, (Hyperplane([0, 1], 0.5),))
+    r = refine(a, p)
+    assert r.k == 2 and refine(a, p) is r
+    other = Arrangement(2, p.hyperplanes)
+    assert refine(a, other) is not r and refine(a, other).k == 2
+
+
 def test_refine_without_a_new_hyperplane_is_the_first_arrangement():
     # each matrix row of a function then shares its cell decisions
     from stratacalc.corpus import default_corpus
