@@ -319,7 +319,7 @@ class Arrangement:
     # sign -> False (empty), the LP's (point, margin), or the Cell once built
     _cells: dict = field(init=False, repr=False, compare=False)
     _key_weights: np.ndarray = field(init=False, repr=False, compare=False)  # (k,) int64
-    _refined: dict = field(init=False, repr=False, compare=False)  # a2 -> refine(self, a2)
+    _refined: dict = field(init=False, repr=False, compare=False)  # a2 -> refine(self, a2) if new
 
     def __post_init__(self):
         hps = tuple(self.hyperplanes)
@@ -464,9 +464,10 @@ def refine(a1: Arrangement, a2: Arrangement) -> Arrangement:
     """Common refinement: concatenate hyperplane lists, dropping geometric
     duplicates (orientation-insensitive). Every cell of the result lies in
     exactly one cell of each input. When a2 adds no hyperplane and a1 has no
-    duplicate, the result is a1 itself. The result is kept on a1 per a2 (by
-    identity), so callers refining the same pair share its cached cell
-    decisions."""
+    duplicate, the result is a1 itself. Any other result is kept on a1 per
+    a2 (by identity), so callers refining the same pair share its cached
+    cell decisions. a1 is never kept on itself: that reference cycle would
+    leave every function's arrangement to the cyclic garbage collector."""
     if a1.ambient_dim != a2.ambient_dim:
         raise PiecewiseError("arrangements live in different dimensions")
     out = a1._refined.get(a2)
@@ -475,8 +476,9 @@ def refine(a1: Arrangement, a2: Arrangement) -> Arrangement:
         for h in a1.hyperplanes + a2.hyperplanes:
             if not any(h.same_as(g) for g in kept):
                 kept.append(h)
-        out = a1 if tuple(kept) == a1.hyperplanes else Arrangement(a1.ambient_dim, tuple(kept))
-        a1._refined[a2] = out
+        if tuple(kept) == a1.hyperplanes:
+            return a1
+        out = a1._refined[a2] = Arrangement(a1.ambient_dim, tuple(kept))
     return out
 
 

@@ -499,6 +499,25 @@ def test_refine_is_computed_once_per_pair_of_arrangements():
     assert refine(a, other) is not r and refine(a, other).k == 2
 
 
+def test_refine_leaves_no_reference_cycle():
+    # an arrangement kept on itself would outlive its function until the
+    # cyclic collector runs, at a point no op controls
+    import gc
+    import weakref
+    a = Arrangement(2, (Hyperplane([1, 0], 0.0),))
+    p = Arrangement(2, ())
+    assert refine(a, p) is a
+    gone = weakref.ref(a)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del a
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_refine_without_a_new_hyperplane_is_the_first_arrangement():
     # each matrix row of a function then shares its cell decisions
     from stratacalc.corpus import default_corpus
