@@ -77,7 +77,7 @@ def _build_entry(corpus: Corpus, fid: str, oracle_id: str) -> MatrixEntry:
 
 
 def _finite_float(text: str) -> float:
-    """float(text), refusing nan and inf (argparse type for --c)."""
+    """float(text), refusing nan and inf."""
     try:
         value = float(text)
     except ValueError:
@@ -87,14 +87,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """int(text) >= 1 (argparse type for --iters)."""
+def _positive(text: str, parse=int, kind: str = "integer"):
+    """parse(text) > 0 (argparse type for --iters; --c parses a finite float)."""
     try:
-        value = int(text)
+        value = parse(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive {kind}: {text!r}")
     return value
 
 
@@ -249,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subgrad: clarke | an oracle id")
     p.add_argument("--rule", default="one_over_k",
                    choices=("constant", "one_over_k", "c_over_sqrt_k"))
-    p.add_argument("--c", type=_finite_float, default=1.0, help="step-size constant")
-    p.add_argument("--iters", type=_positive_int, default=200)
+    p.add_argument("--c", type=lambda text: _positive(text, _finite_float, "number"),
+                   default=1.0, help="step-size constant")
+    p.add_argument("--iters", type=_positive, default=200)
     p.add_argument("--use-known-root", action="store_true",
                    help="newton: rate ratios against the corpus minimizer")
     p.add_argument("--dump", help="per-iteration CSV dump path")

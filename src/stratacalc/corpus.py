@@ -17,8 +17,9 @@ positive oracles and to scale/zero-strata negative controls.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -50,7 +51,7 @@ class CorpusFunction:
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    functions: dict[str, CorpusFunction]
+    functions: Mapping[str, CorpusFunction]
     matrix_rows: tuple[tuple[str, str], ...] = ()
 
     def function(self, fid: str) -> CorpusFunction:
@@ -250,17 +251,28 @@ def _p(num_vars, terms):
     return Polynomial.from_terms(num_vars, terms)
 
 
-def _random_curve(rng, dim: int) -> Curve:
-    """A random cubic curve."""
-    return Curve.from_coeffs(rng.uniform(-2.0, 2.0, size=(dim, 4)))
+class _LazyFunctions(Mapping):
+    """Read-only id -> CorpusFunction mapping over memoized builders."""
+
+    def __init__(self, builders: dict):
+        self._builders = builders
+
+    def __getitem__(self, fid: str) -> CorpusFunction:
+        return self._builders[fid]()
+
+    def __iter__(self):
+        return iter(self._builders)
+
+    def __len__(self) -> int:
+        return len(self._builders)
 
 
 def default_corpus() -> Corpus:
-    fns: dict[str, CorpusFunction] = {}
+    """The shipped corpus; each function is built on its first access."""
 
     def add(fid, func, base_points, curves, partition=None, minimizer=None,
             comment=""):
-        fns[fid] = CorpusFunction(
+        return CorpusFunction(
             fid=fid, func=func,
             base_points=tuple(np.array(x, dtype=float) for x in base_points),
             curves=tuple(curves),
@@ -268,113 +280,110 @@ def default_corpus() -> Corpus:
             minimizer=None if minimizer is None else np.array(minimizer, dtype=float),
             comment=comment)
 
-    rng = substream(_CORPUS_SEED, "curves")
+    def abs1d(fid, rand):   # |x|
+        arr = Arrangement(1, (Hyperplane([1.0], 0.0),))
+        func = PiecewiseFunction(arr, 1, {
+            "-": (_p(1, [((1,), -1.0)]),),
+            "+": (_p(1, [((1,), 1.0)]),),
+        }, lipschitz_hint=1.0)
+        return add(fid, func,
+                   [[0.0], [0.7], [-1.3]],
+                   [Curve.from_coeffs([[-1.0, 2.0]]),          # transversal crossing
+                    Curve.from_coeffs([[0.0]]),                # constant curve at the kink
+                    *map(Curve.from_coeffs, rand)],
+                   minimizer=[0.0],
+                   comment="absolute value: kink at a point")
 
-    # |x|
-    arr = Arrangement(1, (Hyperplane([1.0], 0.0),))
-    abs1d = PiecewiseFunction(arr, 1, {
-        "-": (_p(1, [((1,), -1.0)]),),
-        "+": (_p(1, [((1,), 1.0)]),),
-    }, lipschitz_hint=1.0)
-    add("abs1d", abs1d,
-        [[0.0], [0.7], [-1.3]],
-        [Curve.from_coeffs([[-1.0, 2.0]]),          # transversal crossing
-         Curve.from_coeffs([[0.0]]),                # constant curve at the kink
-         _random_curve(rng, 1), _random_curve(rng, 1), _random_curve(rng, 1)],
-        minimizer=[0.0],
-        comment="absolute value: kink at a point")
+    def id1d(fid, rand):   # identity
+        func = PiecewiseFunction(Arrangement(1, ()), 1,
+                                 {"": (_p(1, [((1,), 1.0)]),)}, lipschitz_hint=1.0)
+        return add(fid, func,
+                   [[0.0], [2.0]],
+                   [Curve.from_coeffs([[0.0, 1.0]]), *map(Curve.from_coeffs, rand)],
+                   comment="smooth linear control")
 
-    # identity
-    id1d = PiecewiseFunction(Arrangement(1, ()), 1,
-                             {"": (_p(1, [((1,), 1.0)]),)}, lipschitz_hint=1.0)
-    add("id1d", id1d,
-        [[0.0], [2.0]],
-        [Curve.from_coeffs([[0.0, 1.0]]), _random_curve(rng, 1)],
-        comment="smooth linear control")
+    def max2d(fid, rand):   # max(x, y)
+        arr = Arrangement(2, (Hyperplane([1.0, -1.0], 0.0),))
+        func = PiecewiseFunction(arr, 1, {
+            "+": (_p(2, [((1, 0), 1.0)]),),
+            "-": (_p(2, [((0, 1), 1.0)]),),
+        }, lipschitz_hint=1.0)
+        return add(fid, func,
+                   [[0.0, 0.0], [1.5, 1.5], [1.0, -1.0]],
+                   [Curve.from_coeffs([[-1.0, 2.0], [-1.0, 2.0]]),   # inside the diagonal
+                    Curve.from_coeffs([[-1.0, 2.0], [1.0, -2.0]]),   # crosses it at t=1/2
+                    *map(Curve.from_coeffs, rand)],
+                   partition=Arrangement(2, (Hyperplane([1.0, 1.0], 0.5),)),
+                   comment="max of coordinates: kink along a line")
 
-    # max(x, y)
-    arr = Arrangement(2, (Hyperplane([1.0, -1.0], 0.0),))
-    max2d = PiecewiseFunction(arr, 1, {
-        "+": (_p(2, [((1, 0), 1.0)]),),
-        "-": (_p(2, [((0, 1), 1.0)]),),
-    }, lipschitz_hint=1.0)
-    add("max2d", max2d,
-        [[0.0, 0.0], [1.5, 1.5], [1.0, -1.0]],
-        [Curve.from_coeffs([[-1.0, 2.0], [-1.0, 2.0]]),   # inside the diagonal
-         Curve.from_coeffs([[-1.0, 2.0], [1.0, -2.0]]),   # crosses it at t=1/2
-         _random_curve(rng, 2), _random_curve(rng, 2)],
-        partition=Arrangement(2, (Hyperplane([1.0, 1.0], 0.5),)),
-        comment="max of coordinates: kink along a line")
+    def relukink(fid, rand):   # x|x| + x - 2 (piecewise-quadratic equation, root at x=1)
+        arr = Arrangement(1, (Hyperplane([1.0], 0.0),))
+        func = PiecewiseFunction(arr, 1, {
+            "-": (_p(1, [((2,), -1.0), ((1,), 1.0), ((0,), -2.0)]),),
+            "+": (_p(1, [((2,), 1.0), ((1,), 1.0), ((0,), -2.0)]),),
+        }, lipschitz_hint=21.0)
+        return add(fid, func,
+                   [[0.0], [1.0], [-0.8]],
+                   [Curve.from_coeffs([[-1.0, 2.0]]), *map(Curve.from_coeffs, rand)],
+                   comment="piecewise-quadratic equation form")
 
-    # x|x| + x - 2 (piecewise-quadratic equation, root at x=1)
-    arr = Arrangement(1, (Hyperplane([1.0], 0.0),))
-    relukink = PiecewiseFunction(arr, 1, {
-        "-": (_p(1, [((2,), -1.0), ((1,), 1.0), ((0,), -2.0)]),),
-        "+": (_p(1, [((2,), 1.0), ((1,), 1.0), ((0,), -2.0)]),),
-    }, lipschitz_hint=21.0)
-    add("relukink", relukink,
-        [[0.0], [1.0], [-0.8]],
-        [Curve.from_coeffs([[-1.0, 2.0]]), _random_curve(rng, 1)],
-        comment="piecewise-quadratic equation form")
+    def absplus(fid, rand):   # x + |x| - 1 (flat left piece; Newton demo)
+        arr = Arrangement(1, (Hyperplane([1.0], 0.0),))
+        func = PiecewiseFunction(arr, 1, {
+            "-": (_p(1, [((0,), -1.0)]),),
+            "+": (_p(1, [((1,), 2.0), ((0,), -1.0)]),),
+        }, lipschitz_hint=2.0)
+        return add(fid, func,
+                   [[0.0], [0.5]],
+                   [Curve.from_coeffs([[-1.0, 2.0]]), *map(Curve.from_coeffs, rand)],
+                   comment="x + |x| - 1: converges in one Newton step from the right, "
+                           "stalls on the flat left piece")
 
-    # x + |x| - 1 (flat left piece; Newton demo)
-    arr = Arrangement(1, (Hyperplane([1.0], 0.0),))
-    absplus = PiecewiseFunction(arr, 1, {
-        "-": (_p(1, [((0,), -1.0)]),),
-        "+": (_p(1, [((1,), 2.0), ((0,), -1.0)]),),
-    }, lipschitz_hint=2.0)
-    add("absplus", absplus,
-        [[0.0], [0.5]],
-        [Curve.from_coeffs([[-1.0, 2.0]]), _random_curve(rng, 1)],
-        comment="x + |x| - 1: converges in one Newton step from the right, "
-                "stalls on the flat left piece")
+    def l1norm2d(fid, rand):   # |x| + |y|
+        arr = Arrangement(2, (Hyperplane([1.0, 0.0], 0.0), Hyperplane([0.0, 1.0], 0.0)))
+        func = PiecewiseFunction(arr, 1, {
+            "++": (_p(2, [((1, 0), 1.0), ((0, 1), 1.0)]),),
+            "+-": (_p(2, [((1, 0), 1.0), ((0, 1), -1.0)]),),
+            "-+": (_p(2, [((1, 0), -1.0), ((0, 1), 1.0)]),),
+            "--": (_p(2, [((1, 0), -1.0), ((0, 1), -1.0)]),),
+        }, lipschitz_hint=2.0)
+        return add(fid, func,
+                   [[0.0, 0.0], [1.0, 0.0], [0.0, -2.0], [1.0, 2.0]],
+                   [Curve.from_coeffs([[0.0], [-1.0, 2.0]]),   # travels inside x=0
+                    Curve.from_coeffs([[-1.0, 2.0], [0.0]]),   # travels inside y=0
+                    *map(Curve.from_coeffs, rand)],
+                   minimizer=[0.0, 0.0],
+                   comment="l1 norm: kinks along both axes meeting at a point")
 
-    # |x| + |y|
-    arr = Arrangement(2, (Hyperplane([1.0, 0.0], 0.0), Hyperplane([0.0, 1.0], 0.0)))
-    l1norm2d = PiecewiseFunction(arr, 1, {
-        "++": (_p(2, [((1, 0), 1.0), ((0, 1), 1.0)]),),
-        "+-": (_p(2, [((1, 0), 1.0), ((0, 1), -1.0)]),),
-        "-+": (_p(2, [((1, 0), -1.0), ((0, 1), 1.0)]),),
-        "--": (_p(2, [((1, 0), -1.0), ((0, 1), -1.0)]),),
-    }, lipschitz_hint=2.0)
-    add("l1norm2d", l1norm2d,
-        [[0.0, 0.0], [1.0, 0.0], [0.0, -2.0], [1.0, 2.0]],
-        [Curve.from_coeffs([[0.0], [-1.0, 2.0]]),   # travels inside x=0
-         Curve.from_coeffs([[-1.0, 2.0], [0.0]]),   # travels inside y=0
-         _random_curve(rng, 2), _random_curve(rng, 2)],
-        minimizer=[0.0, 0.0],
-        comment="l1 norm: kinks along both axes meeting at a point")
+    def maxreg2d(fid, rand):   # max(x,y) + 0.5||.||^2 (strongly convex, minimizer (-1/2,-1/2))
+        arr = Arrangement(2, (Hyperplane([1.0, -1.0], 0.0),))
+        quad = [((2, 0), 0.5), ((0, 2), 0.5)]
+        func = PiecewiseFunction(arr, 1, {
+            "+": (_p(2, [((1, 0), 1.0)] + quad),),
+            "-": (_p(2, [((0, 1), 1.0)] + quad),),
+        }, lipschitz_hint=16.0)
+        return add(fid, func,
+                   [[0.0, 0.0], [-0.5, -0.5], [1.0, -1.0]],
+                   [Curve.from_coeffs([[-1.0, 2.0], [-1.0, 2.0]]), *map(Curve.from_coeffs, rand)],
+                   minimizer=[-0.5, -0.5],
+                   comment="regularized max: subgradient-descent target")
 
-    # max(x,y) + 0.5||.||^2 (strongly convex, minimizer (-1/2,-1/2))
-    arr = Arrangement(2, (Hyperplane([1.0, -1.0], 0.0),))
-    quad = [((2, 0), 0.5), ((0, 2), 0.5)]
-    maxreg2d = PiecewiseFunction(arr, 1, {
-        "+": (_p(2, [((1, 0), 1.0)] + quad),),
-        "-": (_p(2, [((0, 1), 1.0)] + quad),),
-    }, lipschitz_hint=16.0)
-    add("maxreg2d", maxreg2d,
-        [[0.0, 0.0], [-0.5, -0.5], [1.0, -1.0]],
-        [Curve.from_coeffs([[-1.0, 2.0], [-1.0, 2.0]]),
-         _random_curve(rng, 2), _random_curve(rng, 2)],
-        minimizer=[-0.5, -0.5],
-        comment="regularized max: subgradient-descent target")
-
-    # three-piece piecewise-quadratic 2-D map over parallel hyperplanes
-    arr = Arrangement(2, (Hyperplane([1.0, 0.0], -1.0), Hyperplane([1.0, 0.0], 1.0)))
-    pwq2d = PiecewiseFunction(arr, 2, {
-        "--": (_p(2, [((2, 0), 2.0), ((1, 0), 4.0), ((0, 0), 3.0)]),
-               _p(2, [((0, 2), 1.0), ((1, 0), 2.0), ((0, 0), 1.0)])),
-        "+-": (_p(2, [((2, 0), 1.0)]),
-               _p(2, [((0, 2), 1.0), ((1, 0), 1.0)])),
-        "++": (_p(2, [((2, 0), 2.0), ((0, 0), -1.0)]),
-               _p(2, [((0, 2), 1.0), ((1, 0), 2.0), ((0, 0), -1.0)])),
-    }, lipschitz_hint=64.0)
-    add("pwq2d", pwq2d,
-        [[-1.0, 0.5], [1.0, -2.0], [0.0, 0.0]],
-        [Curve.from_coeffs([[-1.0], [-1.0, 2.0]]),   # inside the facet x=-1
-         Curve.from_coeffs([[1.0], [-1.0, 2.0]]),    # inside the facet x=+1
-         _random_curve(rng, 2), _random_curve(rng, 2)],
-        comment="three bands out of four sign vectors: sign '-+' is infeasible")
+    def pwq2d(fid, rand):   # three-piece piecewise-quadratic 2-D map over parallel hyperplanes
+        arr = Arrangement(2, (Hyperplane([1.0, 0.0], -1.0), Hyperplane([1.0, 0.0], 1.0)))
+        func = PiecewiseFunction(arr, 2, {
+            "--": (_p(2, [((2, 0), 2.0), ((1, 0), 4.0), ((0, 0), 3.0)]),
+                   _p(2, [((0, 2), 1.0), ((1, 0), 2.0), ((0, 0), 1.0)])),
+            "+-": (_p(2, [((2, 0), 1.0)]),
+                   _p(2, [((0, 2), 1.0), ((1, 0), 1.0)])),
+            "++": (_p(2, [((2, 0), 2.0), ((0, 0), -1.0)]),
+                   _p(2, [((0, 2), 1.0), ((1, 0), 2.0), ((0, 0), -1.0)])),
+        }, lipschitz_hint=64.0)
+        return add(fid, func,
+                   [[-1.0, 0.5], [1.0, -2.0], [0.0, 0.0]],
+                   [Curve.from_coeffs([[-1.0], [-1.0, 2.0]]),   # inside the facet x=-1
+                    Curve.from_coeffs([[1.0], [-1.0, 2.0]]),    # inside the facet x=+1
+                    *map(Curve.from_coeffs, rand)],
+                   comment="three bands out of four sign vectors: sign '-+' is infeasible")
 
     rows = (
         ("abs1d", "exact"),
@@ -393,5 +402,11 @@ def default_corpus() -> Corpus:
         ("max2d", "zero-strata:clarke"),
         ("l1norm2d", "zero-strata:exact"),
     )
+    # every random curve is drawn here, in corpus order, whichever function is built first
+    rng, builders = substream(_CORPUS_SEED, "curves"), {}
+    for build, count, dim in ((abs1d, 3, 1), (id1d, 1, 1), (max2d, 2, 2), (relukink, 1, 1),
+                              (absplus, 1, 1), (l1norm2d, 2, 2), (maxreg2d, 2, 2), (pwq2d, 2, 2)):
+        rand = rng.uniform(-2.0, 2.0, size=(count, dim, 4))     # count (dim, 4) draws in turn
+        builders[build.__name__] = cache(partial(build, build.__name__, rand))
     # constant data: tests/test_corpus_io.py validates it once
-    return Corpus(functions=fns, matrix_rows=rows)
+    return Corpus(functions=_LazyFunctions(builders), matrix_rows=rows)

@@ -191,12 +191,6 @@ class MatrixPolytope:
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
-    def lex_min_vertex(self) -> np.ndarray:
-        """Lexicographically minimal vertex by row-major entry comparison."""
-        flat = self.vertices.reshape(self.n_vertices, -1)
-        idx = min(range(self.n_vertices), key=lambda i: tuple(flat[i]))
-        return self.vertices[idx]
-
 
 def _affine_min_norm(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Min-norm point of the affine hull of `points`, with affine coefficients."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_vector, diameters
+from .geometry import _freeze, as_vector, diameters
 from .oracles import GeneralizedDerivative
 from .piecewise import PiecewiseFunction
 
@@ -54,10 +54,13 @@ def _jacobian_from_oracle(D: GeneralizedDerivative, x: np.ndarray) -> np.ndarray
 
 
 def _select_jacobian(F: PiecewiseFunction, source, x: np.ndarray) -> np.ndarray:
-    """The lexicographically minimal Clarke vertex for "clarke", else the
-    matrix of a singleton oracle."""
+    """The first lexicographically minimal (row-major) vertex of the Clarke
+    stack for "clarke", by a stable lexsort; else a singleton oracle's matrix."""
     if source == "clarke":
-        return F.clarke_jacobian(x).lex_min_vertex()
+        J = F.clarke_jacobians(x[None])[0]
+        if not np.isfinite(J).all():
+            raise ValueError("matrix vertices must be finite")
+        return _freeze(J[np.lexsort(J.reshape(len(J), -1).T[::-1])[0]])
     if isinstance(source, GeneralizedDerivative):
         return _jacobian_from_oracle(source, x)
     raise ValueError(f"unknown jacobian source {source!r}")
@@ -172,7 +175,9 @@ class SubgradientTrace:
 
 
 def step_size(rule: str, c: float, k: int) -> float:
-    """k is 1-based. Rules: constant | one_over_k | c_over_sqrt_k."""
+    """k is 1-based. Rules: constant | one_over_k | c_over_sqrt_k (c > 0)."""
+    if rule in ("constant", "c_over_sqrt_k") and not c > 0:
+        raise ValueError(f"step rule {rule!r} needs a positive constant c, got {c!r}")
     if rule == "constant":
         return c
     if rule == "one_over_k":

@@ -9,7 +9,7 @@ import pytest
 
 from stratacalc.cli import main
 from stratacalc.corpus import corpus_to_json, default_corpus
-from stratacalc.piecewise import Arrangement, Hyperplane, PiecewiseError
+from stratacalc.piecewise import Arrangement, Hyperplane, PiecewiseError, PiecewiseFunction
 
 
 def run(args):
@@ -373,6 +373,17 @@ def test_solve_reports_match_golden(tmp_path, name):
     assert out.read_bytes() == (DATA / "solve" / f"{name}.txt").read_bytes()
 
 
+def test_solve_op_builds_only_the_function_it_names(tmp_path, monkeypatch):
+    # the shipped corpus is lazy: all 8 functions were built per solve op
+    built = []
+    post = PiecewiseFunction.__post_init__
+    monkeypatch.setattr(PiecewiseFunction, "__post_init__",
+                        lambda self: built.append(self) or post(self))
+    assert run(["solve", "newton", "--function", "abs1d", "--x0=0.5",
+                "--output", str(tmp_path / "t.txt")]) == 0
+    assert len(built) == 1
+
+
 def test_solve_bad_point_exit_one():
     assert run(["solve", "newton", "--function", "absplus", "--x0", "1,2"]) == 1
     assert run(["solve", "newton", "--function", "absplus", "--x0", "abc"]) == 1
@@ -400,12 +411,17 @@ def test_solve_nonsquare_exit_one():
      "--iters: not a positive integer: '0'"),
     (["check", "--function", "abs1d", "--oracle", "clarke", "--conditions", " , "],
      "--conditions"),
+    (["solve", "subgrad", "--function", "abs1d", "--x0=1.0", "--rule", "c_over_sqrt_k",
+      "--c", "-2", "--iters", "5"], "--c: not a positive number: '-2'"),
+    (["solve", "subgrad", "--function", "abs1d", "--x0=1.0", "--rule", "constant",
+      "--c", "0"], "--c: not a positive number: '0'"),
 ], ids=["x0-nan", "x0-inf", "c-nan", "oracle-scale-nan", "oracle-scale-inf",
         "jacobian-scale-nan", "subgrad-unknown-oracle", "subgrad-set-valued-oracle",
-        "iters-negative", "iters-zero", "conditions-empty"])
+        "iters-negative", "iters-zero", "conditions-empty", "c-negative", "c-zero"])
 def test_bad_cli_values_exit_one_naming_them(capsys, argv, named):
     # regression: each printed a traceback, an error not naming the value,
-    # or (iters, conditions) ran and reported success
+    # or (iters, conditions, c) ran and reported success: a negative c
+    # climbed to f = 7.46 on abs1d, and c = 0 never moved
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err and named in err

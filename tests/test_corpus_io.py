@@ -46,8 +46,54 @@ def test_default_corpus_solves_no_cell_lp(monkeypatch):
     solve = Arrangement._solve_cell_lp
     monkeypatch.setattr(Arrangement, "_solve_cell_lp",
                         lambda arr, sign: calls.append(sign) or solve(arr, sign))
-    default_corpus()
+    list(default_corpus().functions.values())   # builds every function
     assert calls == []
+
+
+def test_default_corpus_is_the_same_in_any_access_order():
+    # every random curve is drawn before any function is built
+    in_order = corpus_to_json(default_corpus())
+    reverse = default_corpus()
+    for fid in reversed(list(reverse.functions)):
+        reverse.functions[fid]
+    assert corpus_to_json(reverse) == in_order
+    single = default_corpus()
+    assert corpus_to_json(Corpus({"pwq2d": single.function("pwq2d")})) == corpus_to_json(
+        Corpus({"pwq2d": default_corpus().function("pwq2d")}))
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Counts of the objects a corpus function is made of, by type name."""
+    counts = {}
+    for cls in (PiecewiseFunction, Arrangement, Polynomial, Curve):
+        def counted(self, _post=cls.__post_init__, _name=cls.__name__):
+            counts[_name] = counts.get(_name, 0) + 1
+            _post(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+def test_default_corpus_builds_nothing_before_the_first_access(constructed):
+    corpus = default_corpus()
+    assert list(corpus.functions) == ["abs1d", "id1d", "max2d", "relukink",
+                                      "absplus", "l1norm2d", "maxreg2d", "pwq2d"]
+    assert len(corpus.functions) == 8
+    assert constructed == {}
+    cf = corpus.function("abs1d")
+    assert constructed["PiecewiseFunction"] == 1
+    assert corpus.function("abs1d") is cf           # built once
+    assert constructed["PiecewiseFunction"] == 1
+    assert "pwq2d" in corpus.functions and "nope" not in corpus.functions
+    with pytest.raises(TypeError):
+        corpus.functions["abs1d"] = cf              # read-only
+
+
+def test_two_default_corpora_share_no_function_or_arrangement():
+    a, b = default_corpus(), default_corpus()
+    parts = [{id(p) for cf in c.functions.values()
+              for p in (cf.func, cf.func.arrangement, cf.partition)} for c in (a, b)]
+    assert len(parts[0]) == len(parts[1]) == 3 * 8 and not parts[0] & parts[1]
 
 
 def test_default_corpus_base_points_include_kinks(corpus):

@@ -207,8 +207,3 @@ def test_polytope_rejects_dim_beyond_cap():
     with pytest.raises(DimensionMismatchError):
         Polytope(np.zeros((1, 9)))
 
-
-def test_matrix_polytope_lex_min():
-    J = MatrixPolytope(np.array([[[1.0, 0.0], [0.0, 1.0]],
-                                 [[0.0, 5.0], [9.0, 9.0]]]))
-    assert np.allclose(J.lex_min_vertex(), [[0.0, 5.0], [9.0, 9.0]])

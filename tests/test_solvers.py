@@ -6,6 +6,7 @@ import pytest
 from stratacalc.oracles import oracle_branch_selection, parse_oracle
 from stratacalc.piecewise import Arrangement, Hyperplane, PiecewiseFunction
 from stratacalc.solvers import (
+    _select_jacobian,
     grid_minimize,
     newton_rate_estimate,
     semismooth_newton,
@@ -65,6 +66,13 @@ def test_newton_absplus_two_evaluations():
     assert len(trace.iterates) == 2
     assert trace.iterates[1][0] == pytest.approx(0.5)
     assert trace.residual_norms[-1] == 0.0
+
+
+def test_newton_trace_jacobians_are_read_only():
+    # the selected Clarke vertex is frozen, as MatrixPolytope vertices were
+    trace = semismooth_newton(make_absplus(), "clarke", [2.0])
+    with pytest.raises(ValueError, match="read-only"):
+        trace.jacobians[0][0, 0] = 5.0
 
 
 def test_newton_identity_one_step():
@@ -194,6 +202,72 @@ def test_step_rules():
     assert step_size("c_over_sqrt_k", 2.0, 4) == 1.0
     with pytest.raises(ValueError):
         step_size("bogus", 1.0, 1)
+    # regression: a constant c <= 0 ran, climbing or standing still
+    for rule in ("constant", "c_over_sqrt_k"):
+        for c in (0.0, -2.0):
+            with pytest.raises(ValueError, match="positive"):
+                step_size(rule, c, 1)
+    assert step_size("one_over_k", -2.0, 4) == 0.25   # c is not read
+
+
+# ---------------------------------------------------------------------------
+# the Clarke selection: the first lexicographically minimal vertex of the stack
+
+class _Stack:
+    """Stands in for a function whose Clarke stack is `vertices` at every x."""
+
+    def __init__(self, vertices):
+        self.vertices = np.asarray(vertices, dtype=float)
+
+    def clarke_jacobians(self, X):
+        return self.vertices[None]
+
+
+def _lex_min_by_tuples(vertices):
+    """The selection by min over row-major tuples, as a reference."""
+    flat = vertices.reshape(len(vertices), -1)
+    return vertices[min(range(len(vertices)), key=lambda i: tuple(flat[i]))]
+
+
+def test_clarke_selection_is_the_lexicographically_minimal_vertex():
+    F = _Stack([[[1.0, 0.0], [0.0, 1.0]],
+                [[0.0, 5.0], [9.0, 9.0]]])
+    A = _select_jacobian(F, "clarke", np.zeros(2))
+    assert np.array_equal(A, [[0.0, 5.0], [9.0, 9.0]])
+
+
+def test_clarke_selection_of_a_real_stack():
+    # x on the kink of |x|: vertices [-1] and [+1]
+    A = _select_jacobian(make_abs1d(), "clarke", np.zeros(1))
+    assert np.array_equal(A, [[-1.0]])
+
+
+def test_clarke_selection_ties_go_to_the_first_vertex_in_order():
+    # equal leading entries: a later entry decides, whichever vertex is first
+    F = _Stack([[[0.0, 3.0]], [[0.0, 2.0]], [[1.0, -9.0]]])
+    assert np.array_equal(_select_jacobian(F, "clarke", np.zeros(2)), [[0.0, 2.0]])
+    # equal vertices (0.0 == -0.0): the first in stack order is picked
+    for first in (0.0, -0.0):
+        F = _Stack([[[first, 1.0]], [[-first, 1.0]]])
+        A = _select_jacobian(F, "clarke", np.zeros(2))
+        assert np.signbit(A[0, 0]) == np.signbit(first)
+
+
+def test_clarke_selection_equals_min_over_tuples_on_random_stacks():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        V, m, n = rng.integers(1, 5), rng.integers(1, 3), rng.integers(1, 3)
+        stack = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(V, m, n))
+        A = _select_jacobian(_Stack(stack), "clarke", np.zeros(n))
+        ref = _lex_min_by_tuples(stack)
+        assert np.array_equal(A, ref) and np.array_equal(np.signbit(A), np.signbit(ref))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_clarke_selection_refuses_a_non_finite_stack(bad):
+    F = _Stack([[[0.0, 1.0]], [[bad, 0.0]]])
+    with pytest.raises(ValueError, match="matrix vertices must be finite"):
+        _select_jacobian(F, "clarke", np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
