@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from . import report as rpt
-from .conditions import MatrixEntry, equivalence_matrix, run_entry_conditions
+from .conditions import (CONDITION_NAMES, MatrixEntry, equivalence_matrix,
+                         run_entry_conditions, worst_verdict)
 from .corpus import Corpus, default_corpus, load_corpus
 from .oracles import check_assumption, parse_oracle
 from .piecewise import PiecewiseError, validate_continuity
@@ -117,8 +118,7 @@ def cmd_check(args) -> int:
     requested = tuple(c.strip() for c in args.conditions.split(",") if c.strip())
     if not requested:
         raise InputError(f"--conditions names no condition: {args.conditions!r}")
-    known = {"1", "2", "3", "4", "5"}
-    if not set(requested) <= known:
+    if not set(requested) <= CONDITION_NAMES.keys():
         raise InputError(f"unknown condition ids in {args.conditions!r}")
 
     continuity = validate_continuity(entry.F)
@@ -128,16 +128,11 @@ def cmd_check(args) -> int:
     verdicts = [r.verdict for r in reports.values()] + [   # "fail (probe ...)" -> "fail"
         "pass" if continuity.ok else "fail", assumption.full_domain.split()[0],
         assumption.homogeneity, assumption.lipschitz]
-    overall = ("fail" if "fail" in verdicts
-               else "inconclusive" if "inconclusive" in verdicts else "pass")
+    overall = worst_verdict(verdicts)
     text = rpt.render_check_report(args.function, args.oracle, args.seed,
                                    continuity, assumption, reports, overall)
     _emit(text, args.output)
-    if overall == "fail":
-        return EXIT_FAIL
-    if overall == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return {"fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}.get(overall, EXIT_OK)
 
 
 def cmd_matrix(args) -> int:

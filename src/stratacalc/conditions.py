@@ -40,7 +40,7 @@ from .piecewise import (
 )
 from .seeding import substream, unit_directions
 
-CONDITION_NAMES = {
+CONDITION_NAMES = {     # condition id -> name, in report order
     "1": "semismooth I",
     "2": "semismooth II",
     "3": "conservative",
@@ -81,6 +81,18 @@ class ConditionReport:
     notes: tuple[str, ...] = ()
     # per-(radius, direction) residuals, kept for reflection-duality checks
     sample_residuals: tuple[tuple[float, ...], ...] | None = None
+
+
+def worst_verdict(verdicts) -> str:
+    """"fail" if any verdict fails, else "inconclusive" if any is, else "pass"."""
+    return min(verdicts, key=("fail", "inconclusive", "pass").index, default="pass")
+
+
+def _formless_notes(D: GeneralizedDerivative, rows: str) -> tuple[str, ...]:
+    """The note of conditions 3-5 for a kernel without a vertex form: the
+    finite rows that decide a built-in oracle need not decide it."""
+    return () if D.form is not None else (
+        f"oracle {D.name!r} has no vertex form: only the {rows} were examined",)
 
 
 def _fit_slope(radii, residuals) -> float | None:
@@ -241,8 +253,8 @@ def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
     values at `_node_times` (one D.batch per curve). A node fails when its
     residual exceeds EPS_EQ * (1 + |velocity|); any failing node fails the
     curve. The rule is exact for the built-in kernels, whose vertices are
-    polynomial on each cell; a handcrafted kernel need not be. Without
-    curves there is no evidence, and the verdict is inconclusive.
+    polynomial on each cell; a handcrafted kernel need not be (its report
+    notes so). Without curves there is no evidence: inconclusive.
     """
     table, witnesses = [], []
     for ci, curve in enumerate(curves):
@@ -258,7 +270,8 @@ def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
     verdict = "fail" if witnesses else "pass" if table else "inconclusive"
     return ConditionReport(condition="3", verdict=verdict, residual_table=tuple(table),
                            witnesses=tuple(witnesses[:MAX_WITNESSES]),
-                           notes=() if table else ("no curves to follow",))
+                           notes=(() if table else ("no curves to follow",))
+                           + _formless_notes(D, "Chebyshev nodes of each curve"))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +287,8 @@ def _tangent_directions(cell, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
-                      conditions: tuple[str, ...], residuals) -> tuple[ConditionReport, ...]:
+                      conditions: tuple[str, ...], residuals,
+                      notes: tuple[str, ...] = ()) -> tuple[ConditionReport, ...]:
     """Per-cell loop shared by conditions 4-5 and the projection formula:
     residuals(X, U) at the points x that `sample_cell_point` places around
     the LP witness of every nonempty cell of positive dimension, for u = +/-
@@ -286,10 +300,10 @@ def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
     linear in u: it vanishes on the cell iff it vanishes on the lattice of
     degree deg F, for u = +/- the basis. Through the projection formula,
     condition 5 on tangents reduces to the same identity. A handcrafted
-    kernel is examined on the same rows. Zero-dimensional cells are not
-    examined: their only tangent direction is u = 0, where D(x, 0) = {0} by
-    the GeneralizedDerivative contract and F'(x, 0) = 0, so every oracle
-    would pass there.
+    kernel is examined on the same rows, and each report carries `notes`.
+    Zero-dimensional cells are not examined: their only tangent direction
+    is u = 0, where D(x, 0) = {0} by the GeneralizedDerivative contract and
+    F'(x, 0) = 0, so every oracle would pass there.
     """
     degree, rows = F.degree, []
     for sign in partition.all_nonempty_signs():
@@ -307,7 +321,7 @@ def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
             condition, "fail" if fails.size else "pass",
             (("max", float(np.max(res, initial=0.0))),),
             witnesses=tuple(Witness(tuple(X[i]), tuple(U[i]), float(res[i]))
-                            for i in fails[:MAX_WITNESSES])))
+                            for i in fails[:MAX_WITNESSES]), notes=notes))
     return tuple(reports)
 
 
@@ -329,7 +343,8 @@ def check_stratified(F: PiecewiseFunction, D: GeneralizedDerivative,
         return (np.maximum(diameters(img), row_norms(img - target[:, None, :]).max(axis=1)),
                 np.maximum(gap, 0.0).max(axis=(1, 2)))
 
-    return _stratified_check(F, partition, ("4", "5"), residuals)
+    return _stratified_check(F, partition, ("4", "5"), residuals,
+                             _formless_notes(D, "lattice points of each cell"))
 
 
 def check_stratified_derivative(F: PiecewiseFunction, D: GeneralizedDerivative,
@@ -364,9 +379,7 @@ def merge_reports(condition: str, reports: list[ConditionReport]) -> ConditionRe
     if not reports:
         return ConditionReport(condition=condition, verdict="inconclusive",
                                residual_table=(), notes=("no base points to sweep",))
-    verdicts = {r.verdict for r in reports}
-    verdict = ("fail" if "fail" in verdicts
-               else "inconclusive" if "inconclusive" in verdicts else "pass")
+    verdict = worst_verdict(r.verdict for r in reports)
     table: dict[str, float] = {}
     for r in reports:
         for key, v in r.residual_table:
@@ -419,7 +432,7 @@ class MatrixReport:
 
 
 def run_entry_conditions(entry: MatrixEntry, seed: int,
-                         conditions: tuple[str, ...] = ("1", "2", "3", "4", "5"),
+                         conditions: tuple[str, ...] = tuple(CONDITION_NAMES),
                          ) -> dict[str, ConditionReport]:
     """Run the requested condition checks for one (F, D) binding.
 

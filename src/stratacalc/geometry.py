@@ -62,6 +62,12 @@ def diameters(vertices: np.ndarray) -> np.ndarray:
     return np.sqrt(np.max(np.sum(diff * diff, axis=-1), axis=(-2, -1)))
 
 
+def svd_rank(sv: np.ndarray) -> int:
+    """Numerical rank from descending singular values: those above EPS_ORTH,
+    relative to the largest once it exceeds 1."""
+    return int(np.sum(sv > EPS_ORTH * max(1.0, sv[0])))
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=float)
     arr.flags.writeable = False
@@ -100,10 +106,6 @@ class Subspace:
         return cls(ambient_dim, np.zeros((0, ambient_dim)))
 
     @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim))
-
-    @classmethod
     def from_spanning(cls, vectors, ambient_dim: int) -> "Subspace":
         """Orthonormalize a (possibly redundant) spanning set via SVD."""
         arr = np.atleast_2d(np.asarray(vectors, dtype=float))
@@ -111,21 +113,8 @@ class Subspace:
             return cls.zero(ambient_dim)
         if arr.shape[1] != ambient_dim:
             raise DimensionMismatchError("spanning vectors have wrong dimension")
-        u, s, vt = np.linalg.svd(arr, full_matrices=False)
-        rank = int(np.sum(s > EPS_ORTH * max(1.0, s[0])))
-        return cls(ambient_dim, vt[:rank])
-
-    @classmethod
-    def null_space_of(cls, normals, ambient_dim: int) -> "Subspace":
-        """Orthonormal basis of {x : <a,x> = 0 for all rows a of normals}."""
-        arr = np.atleast_2d(np.asarray(normals, dtype=float))
-        if arr.size == 0:
-            return cls.full(ambient_dim)
-        if arr.shape[1] != ambient_dim:
-            raise DimensionMismatchError("normals have wrong dimension")
-        u, s, vt = np.linalg.svd(arr, full_matrices=True)
-        rank = int(np.sum(s > EPS_ORTH * max(1.0, s[0])))
-        return cls(ambient_dim, vt[rank:])
+        _, s, vt = np.linalg.svd(arr, full_matrices=False)
+        return cls(ambient_dim, vt[:svd_rank(s)])
 
 
 def project(v, V: Subspace) -> np.ndarray:

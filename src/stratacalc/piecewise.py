@@ -22,13 +22,13 @@ from functools import partial
 import numpy as np
 
 from .geometry import (
-    EPS_ORTH,
     MatrixPolytope,
     Polytope,
     Subspace,
     as_rows,
     as_vector,
     row_norms,
+    svd_rank,
 )
 
 EPS_CELL = 1e-10       # sign-vector zero declaration threshold
@@ -238,11 +238,12 @@ class Hyperplane:
         object.__setattr__(self, "offset", b)
 
     def same_as(self, other: "Hyperplane") -> bool:
-        """Geometric equality, treating opposite orientations as equal."""
-        if np.allclose(self.normal, other.normal, atol=EPS_CELL) and \
+        """Geometric equality up to orientation: each coordinate within EPS_CELL,
+        absolutely (no tolerance relative to its size)."""
+        if np.allclose(self.normal, other.normal, rtol=0.0, atol=EPS_CELL) and \
                 abs(self.offset - other.offset) <= EPS_CELL:
             return True
-        return np.allclose(self.normal, -other.normal, atol=EPS_CELL) and \
+        return np.allclose(self.normal, -other.normal, rtol=0.0, atol=EPS_CELL) and \
             abs(self.offset + other.offset) <= EPS_CELL
 
 
@@ -313,10 +314,10 @@ class Arrangement:
     ambient_dim: int
     hyperplanes: tuple[Hyperplane, ...]
 
-    # caches (not part of identity)
-    _normals: np.ndarray = field(init=False, repr=False, compare=False)
-    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
-    # sign -> False (empty), the LP's (point, margin), or the Cell once built
+    # derived arrays and caches (not part of identity)
+    normals: np.ndarray = field(init=False, repr=False, compare=False)  # (k, n)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)  # (k,)
+    # sign -> False (empty), the LP's (basis N, point, margin), or the Cell once built
     _cells: dict = field(init=False, repr=False, compare=False)
     _key_weights: np.ndarray = field(init=False, repr=False, compare=False)  # (k,) int64
     _refined: dict = field(init=False, repr=False, compare=False)  # a2 -> refine(self, a2) if new
@@ -334,8 +335,8 @@ class Arrangement:
         b = np.array([h.offset for h in hps], dtype=float)
         A.flags.writeable = False
         b.flags.writeable = False
-        object.__setattr__(self, "_normals", A)
-        object.__setattr__(self, "_offsets", b)
+        object.__setattr__(self, "normals", A)
+        object.__setattr__(self, "offsets", b)
         object.__setattr__(self, "_cells", {})
         object.__setattr__(self, "_refined", {})
         object.__setattr__(self, "_key_weights",
@@ -345,18 +346,10 @@ class Arrangement:
     def k(self) -> int:
         return len(self.hyperplanes)
 
-    @property
-    def normals(self) -> np.ndarray:
-        return self._normals
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return self._offsets
-
     def residuals(self, x) -> np.ndarray:
         """<a_i, x> - b_i for every hyperplane, per row when x is (N, n)."""
         x = np.asarray(x, dtype=float)
-        return np.matmul(self._normals, x[..., None])[..., 0] - self._offsets
+        return np.matmul(self.normals, x[..., None])[..., 0] - self.offsets
 
     def sign_codes(self, X) -> np.ndarray:
         """Sign vectors of the rows of X as integers: 0 '-', 1 '0', 2 '+'."""
@@ -370,8 +363,8 @@ class Arrangement:
     def _solve_cell_lp(self, sign: str):
         """Max-margin LP deciding nonemptiness: max m subject to
         s_i (a_i.x - b_i) >= m on the rows signed s_i = -1/+1, a_j.x = b_j on
-        the zero rows, |x|_inf <= LP_BOX and m <= 1. Returns (margin, point),
-        or (-inf, None) when the LP is infeasible."""
+        the zero rows, |x|_inf <= LP_BOX and m <= 1. Returns (margin, point, N),
+        N the tangent basis below, or (-inf, None, N) when the LP is infeasible."""
         n = self.ambient_dim
         codes = np.array(["-0+".index(c) - 1 for c in sign], dtype=float)
         zero = codes == 0
@@ -379,16 +372,16 @@ class Arrangement:
         # rows, N an orthonormal basis of their null space
         x0, N = np.zeros(n), np.eye(n)
         if zero.any():
-            u, sv, vt = np.linalg.svd(self._normals[zero])
-            rank = int(np.sum(sv > EPS_ORTH * max(1.0, sv[0])))
-            x0 = vt[:rank].T @ (u[:, :rank].T @ self._offsets[zero] / sv[:rank])
+            u, sv, vt = np.linalg.svd(self.normals[zero])
+            rank = svd_rank(sv)
+            x0 = vt[:rank].T @ (u[:, :rank].T @ self.offsets[zero] / sv[:rank])
             N = vt[rank:].T
         s = codes[~zero]
         slack = s * self.residuals(x0)[~zero]
         # m = m0 + mu: z = 0, mu = 0 is a feasible start when x0 is in the
         # box; mu is split into mu+ - mu- since m* < m0 when it is not
         m0 = min(1.0, slack.min(initial=1.0))
-        G = -s[:, None] * (self._normals[~zero] @ N)
+        G = -s[:, None] * (self.normals[~zero] @ N)
         d = N.shape[1]
         mu = np.array([[1.0, -1.0]])
         A = np.vstack([np.hstack([G, -G, np.repeat(mu, s.size, axis=0)]),
@@ -398,38 +391,36 @@ class Arrangement:
         h = np.concatenate([slack - m0, LP_BOX - x0, LP_BOX + x0, [1.0 - m0]])
         y = _simplex_max(A, h, A[-1])   # the last row, mu <= 1 - m0, is max mu
         if y is None:
-            return -np.inf, None
+            return -np.inf, None, N
         x = x0 + N @ (y[:d] - y[d:2 * d])
         # the margin x attains, which equals the optimum up to rounding: a
         # nonempty decision then rests on a point that is in the cell
-        return float(min(1.0, (s * self.residuals(x)[~zero]).min(initial=1.0))), x
+        return float(min(1.0, (s * self.residuals(x)[~zero]).min(initial=1.0))), x, N
 
     def cell_nonempty(self, sign: str) -> bool:
         if len(sign) != self.k:
             raise PiecewiseError(f"sign vector length {len(sign)} != {self.k}")
         cached = self._cells.get(sign)
         if cached is None:
-            margin, point = self._solve_cell_lp(sign)
+            margin, point, N = self._solve_cell_lp(sign)
             # zero rows that share no point (distinct parallel hyperplanes)
             # leave a least-squares witness off them; rejecting it keeps the
             # decisions equal to HiGHS's (tests/test_cell_lp.py)
             zero = [c == "0" for c in sign]
             nonempty = margin > 1e-9 and bool(np.all(
                 np.abs(self.residuals(point)[zero]) <= EPS_CELL))
-            cached = self._cells[sign] = (point, margin) if nonempty else False
+            cached = self._cells[sign] = (N, point, margin) if nonempty else False
         return cached is not False
 
     def cell(self, sign: str) -> "Cell":
-        """The nonempty cell `sign`, built with its tangent space on the
-        first call and cached in place of its LP witness."""
+        """The nonempty cell `sign`, built on the first call from its LP's
+        tangent basis and witness, and cached in their place."""
         if not self.cell_nonempty(sign):
             raise PiecewiseError(f"cell {sign!r} is empty")
         cached = self._cells[sign]
         if isinstance(cached, tuple):
-            zeros = [i for i, c in enumerate(sign) if c == "0"]
-            tangent = (Subspace.null_space_of(self._normals[zeros], self.ambient_dim)
-                       if zeros else Subspace.full(self.ambient_dim))
-            cached = self._cells[sign] = Cell(sign, tangent.dim, tangent, *cached)
+            tangent = Subspace(self.ambient_dim, cached[0].T)
+            cached = self._cells[sign] = Cell(sign, tangent.dim, tangent, *cached[1:])
         return cached
 
     def all_nonempty_signs(self) -> list[str]:
@@ -1021,11 +1012,11 @@ def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
     times = set(float(t) for t in curve.breakpoints)
     exact: list[list] = []
     for j, piece in enumerate(curve.pieces):
-        h = arr._normals @ piece
-        h[:, 0] -= arr._offsets
+        h = arr.normals @ piece
+        h[:, 0] -= arr.offsets
         inside = np.max(np.abs(h), axis=1) <= 1e-12 * max(1.0, float(np.max(np.abs(piece))))
         # each h_i exactly, or None where the curve lies inside hyperplane i
-        polys = [_int_coeffs(a, b, piece) for a, b in zip(arr._normals, arr._offsets)]
+        polys = [_int_coeffs(a, b, piece) for a, b in zip(arr.normals, arr.offsets)]
         polys = [H if any(H) and not flat else None for H, flat in zip(polys, inside)]
         for H in filter(None, polys):
             times.update(a for a, _ in _sign_changes(H, *curve.breakpoints[j:j + 2].tolist()))

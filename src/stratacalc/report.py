@@ -83,7 +83,7 @@ def matrix_csv(matrix: MatrixReport) -> str:
     lines = ["entry_id,cond1,cond2,cond3,cond4,cond5,consistent"]
     for row in matrix.rows:
         v = row.verdicts
-        lines.append(",".join([row.entry_id] + [v[k] for k in "12345"]
+        lines.append(",".join([row.entry_id] + [v[k] for k in CONDITION_NAMES]
                               + [str(row.consistent).lower()]))
     return "\n".join(lines) + "\n"
 
@@ -95,7 +95,7 @@ def render_matrix_report(matrix: MatrixReport, seed: int) -> str:
              f"rows: {len(matrix.rows)}"]
     for row in matrix.rows:
         v = row.verdicts
-        verdict_str = " ".join(f"{k}={v[k]}" for k in "12345")
+        verdict_str = " ".join(f"{k}={v[k]}" for k in CONDITION_NAMES)
         flag = "consistent" if row.consistent else "INCONSISTENT"
         if row.has_inconclusive:
             flag += " (has inconclusive)"

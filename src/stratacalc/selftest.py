@@ -198,8 +198,7 @@ def _o_coincide(ctx):
             outs = [D(x, u).vertices for D in oracles]
             if not all(o.shape[0] == 1 for o in outs):
                 return False, f"{fid}: set-valued output on an open cell"
-            if not (np.allclose(outs[0], outs[1], atol=1e-12)
-                    and np.allclose(outs[1], outs[2], atol=1e-12)):
+            if not (np.array_equal(outs[0], outs[1]) and np.array_equal(outs[1], outs[2])):
                 return False, f"{fid}: oracles disagree at {x}"
     return True, "exact = clarke = branch on open-cell samples"
 

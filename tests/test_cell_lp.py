@@ -69,7 +69,7 @@ SHAPES = [(1, 4), (2, 5), (3, 4)] + [(n, 3) for n in range(4, 9)]
 def test_cell_lp_matches_highs_on_every_sign_vector(n, k):
     arr = arrangement(np.random.default_rng(100 * n + k), n, k)
     for sign in map("".join, itertools.product("-0+", repeat=k)):
-        margin, point = arr._solve_cell_lp(sign)
+        margin, point, _ = arr._solve_cell_lp(sign)
         ref_margin, ref_point = highs_cell_lp(arr, sign)
         assert arr.cell_nonempty(sign) == highs_nonempty(arr, sign, ref_margin, ref_point), sign
         if arr.cell_nonempty(sign):    # the witness lies in the cell
@@ -103,7 +103,7 @@ def test_phase1_with_a_second_hyperplane():
 def test_phase1_hull_misses_box():
     arr = Arrangement(2, (Hyperplane([0.6, 0.8], 1.5e4),))
     assert not arr.cell_nonempty("0")
-    assert arr._solve_cell_lp("0") == (-np.inf, None)
+    assert arr._solve_cell_lp("0")[:2] == (-np.inf, None)
 
 
 def test_pivot_cap_raises(monkeypatch):

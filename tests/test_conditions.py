@@ -11,6 +11,7 @@ from stratacalc.conditions import (
     check_projection_formula,
     check_semismooth_I,
     check_semismooth_II,
+    check_stratified,
     check_stratified_derivative,
     check_stratified_subdifferential,
     equivalence_matrix,
@@ -358,6 +359,25 @@ def test_merge_reports_worst_verdict():
 def test_conservative_without_curves_is_inconclusive(abs1d):
     rep = check_conservative(abs1d, parse_oracle("scale:2", abs1d), [])
     assert rep.verdict == "inconclusive" and rep.notes == ("no curves to follow",)
+
+
+def test_kernel_without_form_is_noted_on_conditions_3_to_5(abs1d):
+    # 2 F'(x, u) where x > 5 is wrong only away from the '+' cell's lattice
+    # (around its witness x = 1) and from the curve's nodes, so conditions
+    # 3-5 pass; for a kernel without a vertex form they say on which rows
+    exact = oracle_exact_directional(abs1d)
+    D = GeneralizedDerivative(
+        "doubled-past-5", 1, 1,
+        kernel=lambda X, U: np.where(X[:, None, :] > 5.0, 2.0, 1.0) * exact.batch(X, U))
+    curves = [Curve.from_coeffs([[-1.0, 2.0]])]
+    reps = (check_conservative(abs1d, D, curves),) + check_stratified(abs1d, D, abs1d.arrangement)
+    assert [r.verdict for r in reps] == ["pass"] * 3
+    head = "oracle 'doubled-past-5' has no vertex form: only the "
+    assert reps[0].notes == (head + "Chebyshev nodes of each curve were examined",)
+    assert reps[1].notes == reps[2].notes == (head + "lattice points of each cell were examined",)
+    built_in = (check_conservative(abs1d, exact, curves),) + \
+        check_stratified(abs1d, exact, abs1d.arrangement)
+    assert [r.notes for r in built_in] == [()] * 3
 
 
 def _run_all_five(F, D, base_points, curves, partition, seed=11):

@@ -120,7 +120,9 @@ def test_cell_outside_the_box_is_examined():
 
     D = GeneralizedDerivative("doubled", 1, 1, kernel=doubled_past_20)
     for rep in check_stratified(F, D, part):
-        assert rep.verdict == "fail" and rep.notes == ()
+        assert rep.verdict == "fail" and rep.notes == (
+            "oracle 'doubled' has no vertex form: only the lattice points of each cell "
+            "were examined",)
         assert rep.witnesses[0].point == (20.75,)
 
 

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -134,25 +135,54 @@ def test_cell_nonempty_and_tangent():
 def test_cell_is_built_once_per_sign(tmp_path, monkeypatch):
     arr = Arrangement(2, (Hyperplane([1, 0], 0.0), Hyperplane([0, 1], 0.0)))
     assert arr.cell("0+") is arr.cell("0+")
-    # over a whole matrix run, each lower-dimensional cell's tangent space
-    # (one SVD in Subspace.null_space_of) is computed at most once
+    # over a whole matrix run, the one SVD of each cell LP with a zero row
+    # also gives the cell its tangent space: no cell takes a second one
     from stratacalc.cli import main
-    from stratacalc.geometry import Subspace
-    svds, cells = [0], set()
-    null_space_of, cell = Subspace.null_space_of.__func__, Arrangement.cell
+    svds, zero_row_lps = [0], [0]
+    svd, solve = np.linalg.svd, Arrangement._solve_cell_lp
 
-    def counted_svd(cls, *args):
+    def counted_svd(*args, **kwargs):
         svds[0] += 1
-        return null_space_of(cls, *args)
+        return svd(*args, **kwargs)
 
-    def recorded_cell(self, sign):
-        if "0" in sign:
-            cells.add((self, sign))     # holds self, so no id is reused
-        return cell(self, sign)
-    monkeypatch.setattr(Subspace, "null_space_of", classmethod(counted_svd))
-    monkeypatch.setattr(Arrangement, "cell", recorded_cell)
+    def counted_lp(self, sign):
+        zero_row_lps[0] += "0" in sign
+        return solve(self, sign)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(Arrangement, "_solve_cell_lp", counted_lp)
     main(["matrix", "--seed", "7", "--output", str(tmp_path / "m.txt")])
-    assert 0 < svds[0] <= len(cells)
+    assert svds[0] == zero_row_lps[0] == 19
+
+
+def test_cell_tangent_bases_equal_the_recorded_ones(monkeypatch):
+    # every nonempty cell's tangent basis, bit for bit, on the shipped
+    # arrangements, their refinements with the corpus partitions and the
+    # generated arrangements; the reference (float.hex rows) was recorded
+    # from a separate SVD of each cell's zero rows
+    from stratacalc.corpus import default_corpus
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from gencorpus import generate_corpus
+    from workloads import GENERATED_CORPUS_SEED, GENERATED_SHAPES
+    ref = json.loads((Path(__file__).parent / "data" / "tangent_bases.json").read_text())
+    arrangements = {}
+    for corpus in (default_corpus(), generate_corpus(GENERATED_CORPUS_SEED, GENERATED_SHAPES)):
+        for fid, cf in corpus.functions.items():
+            arrangements[fid] = cf.func.arrangement
+            refined = refine(cf.func.arrangement, cf.partition)
+            if refined is not cf.func.arrangement:
+                arrangements[fid + " refined"] = refined
+    assert list(arrangements) == list(ref)
+    dims = set()
+    for label, arr in arrangements.items():
+        assert arr.all_nonempty_signs() == list(ref[label]), label
+        for sign, rows in ref[label].items():
+            want = np.array([[float.fromhex(v) for v in row] for row in rows])
+            basis = arr.cell(sign).tangent.basis
+            assert basis.shape == want.reshape(len(rows), arr.ambient_dim).shape, (label, sign)
+            assert basis.tobytes() == want.tobytes(), (label, sign)
+            dims.add((arr.ambient_dim, len(rows)))
+    # vertices and full-dimensional cells in R^1, R^2 and R^3
+    assert {(n, d) for n in (1, 2, 3) for d in (0, n)} <= dims
 
 
 def test_hyperplane_side_and_normalization():
@@ -427,6 +457,18 @@ def test_refine_dedup():
     assert refine(a, a).k == 1
     flipped = Arrangement(1, (Hyperplane([-1.0], 0.0),))
     assert refine(a, flipped).k == 1
+
+
+def test_refine_keeps_two_lines_at_a_small_angle():
+    # lines through the origin 4e-6 rad apart are distinct: all 9 cells of
+    # the pair are nonempty, so refine must keep both (numpy's default
+    # relative tolerance of 1e-5 on the normals would merge them)
+    t = np.pi / 4
+    a = Arrangement(2, (Hyperplane([np.cos(t), np.sin(t)], 0.0),))
+    b = Arrangement(2, (Hyperplane([np.cos(t + 4e-6), np.sin(t + 4e-6)], 0.0),))
+    assert len(Arrangement(2, a.hyperplanes + b.hyperplanes).all_nonempty_signs()) == 9
+    assert not a.hyperplanes[0].same_as(b.hyperplanes[0])
+    assert refine(a, b).k == 2
 
 
 def test_refine_union():
