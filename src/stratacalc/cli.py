@@ -8,6 +8,7 @@ prose. All randomness flows from --seed; nothing reads the environment.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -195,13 +196,14 @@ def cmd_selftest(args) -> int:
     if args.filter and args.filter not in available_groups():
         raise InputError(f"unknown selftest group {args.filter!r}; "
                          f"known: {', '.join(available_groups())}")
-    results = run_selftest(SelftestContext(seed=args.seed), group_filter=args.filter)
+    results = run_selftest(SelftestContext(), group_filter=args.filter)
     _emit(rpt.render_selftest(results), args.output)
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 
+@functools.cache     # one parser per process: building one leaves cyclic garbage
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stratacalc",
@@ -209,10 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "derivatives of piecewise-polynomial maps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, corpus=True):
-        if corpus:
-            p.add_argument("--corpus", help="corpus file (stratacalc-corpus/1); "
-                                            "defaults to the built-in corpus")
+    def common(p):
+        p.add_argument("--corpus", help="corpus file (stratacalc-corpus/1); "
+                                        "defaults to the built-in corpus")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for all sampling (default 0)")
         p.add_argument("--output", help="write the report here instead of stdout")
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    common(p, corpus=False)
+    p.add_argument("--output", help="write the report here instead of stdout")
     p.add_argument("--filter", help="restrict to one group "
                                     f"({', '.join(available_groups())})")
     p.set_defaults(fn=cmd_selftest)

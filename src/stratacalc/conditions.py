@@ -10,13 +10,13 @@ the evidence to a verdict with a residual table and witnesses:
   4  D equals the directional derivative on stratum tangents
   5  D(x,u) lies in the row-wise Clarke-subdifferential box on tangents
 
-plus two sanity checks that selftest runs: the first-order expansion
-anchored at the base point and the scalar projection formula. The limit
-statements are operationalized by a two-sided pass rule: absolute threshold
-at the smallest radius OR a fitted log-log decay slope. "Almost every t" is
-decided at Chebyshev nodes of each subinterval of the composed curve, where
-both sides of the chain rule are polynomials in t, and conditions 4-5 on a
-principal lattice in each cell, where each residual is a polynomial in x.
+plus the scalar projection formula, a sanity check that selftest runs. The
+limit statements are operationalized by a two-sided pass rule: absolute
+threshold at the smallest radius OR a fitted log-log decay slope. "Almost
+every t" is decided at Chebyshev nodes of each subinterval of the composed
+curve, where both sides of the chain rule are polynomials in t, and
+conditions 4-5 on a principal lattice in each cell, where each residual is a
+polynomial in x.
 """
 
 from __future__ import annotations
@@ -133,16 +133,23 @@ def _sweep_directions(F: PiecewiseFunction, x: np.ndarray,
     return np.vstack(dirs)
 
 
-def _sweep(F: PiecewiseFunction, x: np.ndarray, rng, conditions: tuple[str, ...],
-           residuals) -> tuple[ConditionReport, ...]:
-    """Shrinking-sphere sweep shared by conditions 1-2 and the base-anchored
-    check: residuals(Y, r) evaluates the rows y = x + r*d of Y for every radius
-    r and sweep direction d in one call, and returns one array per condition.
+def check_semismooth(F: PiecewiseFunction, D: GeneralizedDerivative, x,
+                     rng: np.random.Generator | None = None) -> tuple[ConditionReport, ...]:
+    """Residual sweeps for condition 1, F(y) - F(x) - D(y, y-x), and its
+    mirror condition 2, F(y) - F(x) + D(y, x-y), over shrinking spheres.
+
+    The value of D is anchored at the moving point y, which is what
+    distinguishes the semismooth estimate from a plain first-order expansion
+    at x. The base point itself (y = x) is never evaluated. F(y)-F(x) is
+    compensated: cancellation would otherwise swamp the residual at small
+    radii. Both conditions share the rows y = x + r*d, for every radius r and
+    sweep direction d, F(y)-F(x) and one D.batch.
 
     Samples outside the box are not evaluated (NaN); a radius at which every
     sample left the box is dropped. The witness of a failed sweep is the first
     maximum at the last radius kept.
     """
+    x = np.asarray(x, dtype=float)
     rng = rng or np.random.default_rng(0)
     dirs = _sweep_directions(F, x, rng)
     lo, hi = F.box
@@ -151,9 +158,12 @@ def _sweep(F: PiecewiseFunction, x: np.ndarray, rng, conditions: tuple[str, ...]
     inside = np.all((ys >= lo) & (ys <= hi), axis=2)
     kept = [k for k in range(len(radii)) if inside[k].any()]
     scale = max(1.0, float(F.lipschitz_hint or 1.0))
+    Y, r = ys[inside], np.broadcast_to(radii[:, None], inside.shape)[inside]
+    diff = F.value_differences(Y, x[None])[:, None, :]
+    plus, minus = np.split(D.batch(np.vstack([Y, Y]), np.vstack([Y - x, x - Y])), 2)
     reports = []
-    for condition, values in zip(conditions, residuals(
-            ys[inside], np.broadcast_to(radii[:, None], inside.shape)[inside])):
+    for condition, values in (("1", row_norms(diff - plus).max(axis=1) / r),
+                              ("2", row_norms(diff + minus).max(axis=1) / r)):
         res = np.full(inside.shape, np.nan)
         res[inside] = values
         best = np.nanargmax(res[kept], axis=1).tolist()
@@ -168,27 +178,6 @@ def _sweep(F: PiecewiseFunction, x: np.ndarray, rng, conditions: tuple[str, ...]
     return tuple(reports)
 
 
-def check_semismooth(F: PiecewiseFunction, D: GeneralizedDerivative, x,
-                     rng: np.random.Generator | None = None) -> tuple[ConditionReport, ...]:
-    """Residual sweeps for condition 1, F(y) - F(x) - D(y, y-x), and its
-    mirror condition 2, F(y) - F(x) + D(y, x-y), over shrinking spheres.
-
-    The value of D is anchored at the moving point y, which is what
-    distinguishes the semismooth estimate from a plain first-order expansion
-    at x. The base point itself (y = x) is never evaluated. F(y)-F(x) is
-    compensated: cancellation would otherwise swamp the residual at small
-    radii. Both conditions share the rows y, F(y)-F(x) and one D.batch.
-    """
-    x = np.asarray(x, dtype=float)
-
-    def residuals(Y, r):
-        diff = F.value_differences(Y, x[None])[:, None, :]
-        plus, minus = np.split(D.batch(np.vstack([Y, Y]), np.vstack([Y - x, x - Y])), 2)
-        return row_norms(diff - plus).max(axis=1) / r, row_norms(diff + minus).max(axis=1) / r
-
-    return _sweep(F, x, rng, ("1", "2"), residuals)
-
-
 def check_semismooth_I(F: PiecewiseFunction, D: GeneralizedDerivative, x,
                        rng: np.random.Generator | None = None) -> ConditionReport:
     """Condition 1 alone: the first report of check_semismooth."""
@@ -199,28 +188,6 @@ def check_semismooth_II(F: PiecewiseFunction, D: GeneralizedDerivative, x,
                         rng: np.random.Generator | None = None) -> ConditionReport:
     """Condition 2 alone: the second report of check_semismooth."""
     return check_semismooth(F, D, x, rng)[1]
-
-
-def check_base_anchored(F: PiecewiseFunction, x,
-                        rng: np.random.Generator | None = None,
-                        fixed_matrix: np.ndarray | None = None) -> ConditionReport:
-    """Sanity sweep for the plain first-order expansion anchored at x.
-
-    With the true directional derivative the residual must vanish (this is
-    the classical property of Lipschitz directionally differentiable maps);
-    with a fixed matrix chosen at x it fails at kinks, which demonstrates
-    why the moving anchor point matters.
-    """
-    x = np.asarray(x, dtype=float)
-
-    def residuals(Y, r):
-        if fixed_matrix is None:
-            pred = F.directional_derivatives(np.broadcast_to(x, Y.shape), Y - x)
-        else:
-            pred = np.matmul(fixed_matrix, (Y - x)[..., None])[..., 0]
-        return (row_norms(F.value_differences(Y, x[None]) - pred) / r,)
-
-    return _sweep(F, x, rng, ("b_der",), residuals)[0]
 
 
 # ---------------------------------------------------------------------------

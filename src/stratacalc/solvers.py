@@ -26,8 +26,6 @@ DET_TOL = 1e-12
 DAMP_INIT = 1e-8
 DAMP_MAX = 1e-2
 STEP_MAX = 1e6   # damped steps beyond this are a stall, not progress
-GRID_RESOLUTION = 1e-3   # node spacing of grid_minimize
-GRID_CHUNK = 200_000   # grid nodes evaluated per call in grid_minimize
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,26 +209,3 @@ def subgradient_descent(f: PiecewiseFunction, grad_source, x0,
         values = tuple(map(float, f.values(np.array(iterates))[:, 0]))
     return SubgradientTrace(tuple(iterates), values, tuple(steps))
 
-
-def grid_minimize(f: PiecewiseFunction, lo, hi) -> tuple[np.ndarray, float]:
-    """Brute-force grid search for the minimizer of a scalar objective.
-
-    Independent of the descent path: evaluates every grid node of the box
-    at spacing GRID_RESOLUTION (piece selected per node by sign compatibility).
-    """
-    if f.output_dim != 1:
-        raise ValueError("grid search needs a scalar objective")
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    axes = [np.arange(l, h + GRID_RESOLUTION / 2, GRID_RESOLUTION) for l, h in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    best_val, best_pt = np.inf, None
-    for start in range(0, pts.shape[0], GRID_CHUNK):
-        block = pts[start:start + GRID_CHUNK]
-        vals = f.values(block)[:, 0]
-        idx = int(np.argmin(vals))
-        if vals[idx] < best_val:
-            best_val = float(vals[idx])
-            best_pt = block[idx].copy()
-    return best_pt, best_val

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -499,6 +500,21 @@ def test_unwritable_path_exits_one_naming_it(tmp_path, capsys, flag, argv):
     assert f"error: cannot write {path}: " in capsys.readouterr().err
 
 
+def test_solve_op_leaves_no_cyclic_garbage():
+    # the parser is built once per process, so an op leaves nothing for the
+    # cyclic collector to free inside a later op
+    argv = ["solve", "newton", "--function", "relukink", "--x0", "0.37",
+            "--output", os.devnull]
+    assert run(argv) == 0       # warm-up
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_cli_commands_import_no_scipy():
     # scipy.optimize alone was ~0.6 s of every CLI start; only the tests may
     # import scipy
@@ -548,6 +564,11 @@ def test_selftest_has_no_corpus_flag(tmp_path):
     # selftest always checks the built-in corpus; the flag was silently ignored
     assert run(["selftest", "--filter", "corpus",
                 "--corpus", str(tmp_path / "missing.json")]) == 1
+
+
+def test_selftest_has_no_seed_flag():
+    # every check is decided on fixed rows: there is nothing to seed
+    assert run(["selftest", "--seed", "2"]) == 1
 
 
 def test_selftest_has_no_fast_flag():

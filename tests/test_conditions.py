@@ -6,7 +6,6 @@ import pytest
 from stratacalc.conditions import (
     ConditionReport,
     MatrixEntry,
-    check_base_anchored,
     check_conservative,
     check_projection_formula,
     check_semismooth_I,
@@ -32,6 +31,7 @@ from stratacalc.piecewise import (
     refine,
 )
 from stratacalc.seeding import substream
+from stratacalc.selftest import base_anchored_residual
 
 from test_piecewise import P, make_abs1d, make_max2d
 
@@ -126,13 +126,11 @@ def test_reflection_duality_sample_for_sample(abs1d, max2d, id1d):
 
 
 def test_base_anchored_first_order(abs1d):
-    # the plain expansion anchored at x holds with the true derivative ...
-    rep = check_base_anchored(abs1d, [0.0], substream(0, "t7"))
-    assert rep.verdict == "pass"
-    # ... and fails with a fixed wrong-branch matrix at the kink
-    rep2 = check_base_anchored(abs1d, [0.0], substream(0, "t7"),
-                               fixed_matrix=np.array([[-1.0]]))
-    assert rep2.verdict == "fail"
+    # the plain expansion anchored at x holds exactly with the true derivative ...
+    assert base_anchored_residual(abs1d, [0.0]) == 0.0
+    # ... and fails with a fixed wrong-branch matrix at the kink: along t > 0
+    # into the + cell, |x| has h-coefficient t where -1 predicts -t
+    assert base_anchored_residual(abs1d, [0.0], fixed_matrix=np.array([[-1.0]])) == 2.0
 
 
 # ---------------------------------------------------------------------------

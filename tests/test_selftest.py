@@ -1,6 +1,13 @@
+import numpy as np
 import pytest
 
-from stratacalc.selftest import SelftestContext, available_groups, run_selftest
+from stratacalc.corpus import default_corpus
+from stratacalc.selftest import (
+    SelftestContext,
+    available_groups,
+    base_anchored_residual,
+    run_selftest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +29,28 @@ def test_fast_suite_all_pass(results):
 def test_every_group_has_checks(results):
     groups = {r.group for r in results}
     assert groups == set(available_groups())
+
+
+def test_selftest_draws_no_random_numbers(monkeypatch):
+    # the corpus draws its curves when the context is built; every check is
+    # then decided on fixed rows and draws nothing
+    ctx = SelftestContext()
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("selftest drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    results = run_selftest(ctx)
+    assert len(results) == 13
+    failed = [f"{r.group}/{r.name}: {r.detail}" for r in results if not r.passed]
+    assert not failed, failed
+
+
+def test_expansion_residual_vanishes_at_the_l1norm2d_origin():
+    # the base point where the radius sweep of seed 2 failed: its row at
+    # r = 1e-7 lay 9.8e-11 from the axis y = 0 and took F(y) from the far piece
+    F = default_corpus().function("l1norm2d").func
+    assert base_anchored_residual(F, [0.0, 0.0]) == 0.0
 
 
 def test_group_filter():

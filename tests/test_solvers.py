@@ -7,7 +7,6 @@ from stratacalc.oracles import oracle_branch_selection, parse_oracle
 from stratacalc.piecewise import Arrangement, Hyperplane, PiecewiseFunction
 from stratacalc.solvers import (
     _select_jacobian,
-    grid_minimize,
     newton_rate_estimate,
     semismooth_newton,
     subgradient_descent,
@@ -181,12 +180,12 @@ def test_subgradient_oracle_source():
     assert abs(trace.iterates[-1][0]) <= 0.2
 
 
-def test_subgradient_maxreg_approaches_grid_minimum():
+def test_subgradient_maxreg_approaches_known_minimum():
     F = make_maxreg2d()
-    best_pt, best_val = grid_minimize(F, [-1.0, -1.0], [0.0, 0.0])
-    # brute-force grid locates the known minimizer (-0.5, -0.5), f* = -0.25
-    assert np.allclose(best_pt, [-0.5, -0.5], atol=2e-3)
-    assert best_val == pytest.approx(-0.25, abs=1e-5)
+    # the analytic minimizer: 0 is in the Clarke subdifferential
+    # conv{(1, 0), (0, 1)} + (x, y) at (-1/2, -1/2), where f* = -1/4 exactly
+    best_pt, best_val = np.array([-0.5, -0.5]), -0.25
+    assert F.value(best_pt)[0] == best_val
     trace = subgradient_descent(F, "clarke", [1.0, 1.0], rule="c_over_sqrt_k",
                                 c=0.5, iters=400)
     assert trace.best_value - best_val <= 0.05
