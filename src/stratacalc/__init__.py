@@ -7,7 +7,6 @@ from .conditions import (
     MatrixEntry,
     VerifierConfig,
     check_conservative,
-    check_projection_formula,
     check_semismooth_I,
     check_semismooth_II,
     check_stratified_derivative,
@@ -59,9 +58,9 @@ __all__ = [
     "GeneralizedDerivative", "Hyperplane", "MatrixEntry", "MatrixPolytope",
     "NewtonTrace", "PiecewiseFunction", "Polynomial", "Polytope",
     "SubgradientTrace", "Subspace", "VerifierConfig",
-    "check_assumption", "check_conservative", "check_projection_formula",
-    "check_semismooth_I", "check_semismooth_II",
-    "check_stratified_derivative", "check_stratified_subdifferential",
+    "check_assumption", "check_conservative", "check_semismooth_I",
+    "check_semismooth_II", "check_stratified_derivative",
+    "check_stratified_subdifferential",
     "compose_exact", "default_corpus", "dist_point_polytope",
     "equivalence_matrix", "hausdorff", "linear_image",
     "linear_range_over_polytope", "load_corpus", "newton_rate_estimate",

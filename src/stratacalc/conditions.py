@@ -10,7 +10,8 @@ the evidence to a verdict with a residual table and witnesses:
   4  D equals the directional derivative on stratum tangents
   5  D(x,u) lies in the row-wise Clarke-subdifferential box on tangents
 
-plus the scalar projection formula, a sanity check that selftest runs. The
+The Clarke projection formula (Bolte, Daniilidis, Lewis & Shiota 2007) is
+condition 4 with D the Clarke oracle, so it has no check of its own. The
 limit statements are operationalized by a two-sided pass rule: absolute
 threshold at the smallest radius OR a fitted log-log decay slope. "Almost
 every t" is decided at Chebyshev nodes of each subinterval of the composed
@@ -31,6 +32,7 @@ from .geometry import hausdorff, linear_range_over_polytope, project  # noqa: F4
 from .oracles import GeneralizedDerivative
 from .piecewise import (
     EPS_EQ,
+    EPS_ROUND,
     Arrangement,
     Curve,
     PiecewiseFunction,
@@ -218,8 +220,9 @@ def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
     than its 1e-12 merge), so (F o c)' and each vertex of a built-in oracle
     are polynomials in t of degree below deg F * deg c + 1, decided by their
     values at `_node_times` (one D.batch per curve). A node fails when its
-    residual exceeds EPS_EQ * (1 + |velocity|); any failing node fails the
-    curve. The rule is exact for the built-in kernels, whose vertices are
+    residual exceeds EPS_EQ * (1 + |velocity|) plus a rounding allowance of
+    EPS_ROUND * comp.velocity_terms(t); any failing node fails the curve.
+    The rule is exact for the built-in kernels, whose vertices are
     polynomial on each cell; a handcrafted kernel need not be (its report
     notes so). Without curves there is no evidence: inconclusive.
     """
@@ -232,7 +235,8 @@ def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
         miss = row_norms(img - comp.velocity(ts)[:, None, :]).max(axis=1)
         res = np.maximum(diameters(img), miss)
         table.append((f"curve{ci}", float(np.max(res, initial=0.0))))
-        for i in np.flatnonzero(~(res <= EPS_EQ * (1.0 + row_norms(V)))):
+        tol = EPS_EQ * (1.0 + row_norms(V)) + EPS_ROUND * comp.velocity_terms(ts)
+        for i in np.flatnonzero(~(res <= tol)):
             witnesses.append(Witness(tuple(X[i]), tuple(V[i]), float(res[i])))
     verdict = "fail" if witnesses else "pass" if table else "inconclusive"
     return ConditionReport(condition="3", verdict=verdict, residual_table=tuple(table),
@@ -242,7 +246,7 @@ def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
 
 
 # ---------------------------------------------------------------------------
-# stratified checks (conditions 4, 5, projection formula)
+# stratified checks (conditions 4 and 5)
 
 def _tangent_directions(cell, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows (x, u) for each of the cell's points x, in point order, with u
@@ -253,24 +257,24 @@ def _tangent_directions(cell, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(pts, len(U), axis=0), np.tile(U, (len(pts), 1))
 
 
-def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
-                      conditions: tuple[str, ...], residuals,
-                      notes: tuple[str, ...] = ()) -> tuple[ConditionReport, ...]:
-    """Per-cell loop shared by conditions 4-5 and the projection formula:
-    residuals(X, U) at the points x that `sample_cell_point` places around
-    the LP witness of every nonempty cell of positive dimension, for u = +/-
-    its tangent basis. One call evaluates all rows, one array per condition.
-    A direction fails when its residual exceeds EPS_EQ * (1 + |u|).
+def check_stratified(F: PiecewiseFunction, D: GeneralizedDerivative,
+                     partition: Arrangement) -> tuple[ConditionReport, ...]:
+    """Conditions 4 and 5 on one set of rows (x, u), with one D.batch: x
+    runs over the points that `sample_cell_point` places around the LP
+    witness of every nonempty cell of positive dimension, u over +/- its
+    tangent basis. D must be a singleton equal to F'(x, u) (4) and lie
+    row-wise in J(x)u (5). For tangent u, membership reduces to that of
+    every vertex component in <component Clarke subdifferential, u>; the
+    residual of 5 is the largest distance to it. A direction fails when its
+    residual exceeds EPS_EQ * (1 + |u|).
 
     On a cell, each vertex of a built-in oracle is c J_p(x) u with the piece
     p fixed, so a residual of 4 is a polynomial in x of degree below deg F,
-    linear in u: it vanishes on the cell iff it vanishes on the lattice of
-    degree deg F, for u = +/- the basis. Through the projection formula,
+    linear in u: it vanishes on the cell iff it vanishes on these rows.
+    Through the projection formula (condition 4 of the Clarke oracle),
     condition 5 on tangents reduces to the same identity. A handcrafted
-    kernel is examined on the same rows, and each report carries `notes`.
-    Zero-dimensional cells are not examined: their only tangent direction
-    is u = 0, where D(x, 0) = {0} by the GeneralizedDerivative contract and
-    F'(x, 0) = 0, so every oracle would pass there.
+    kernel is examined on the same rows, with a note. A vertex is not: its
+    only tangent is u = 0, where D(x, 0) = {0} = F'(x, 0) by contract.
     """
     degree, rows = F.degree, []
     for sign in partition.all_nonempty_signs():
@@ -280,9 +284,16 @@ def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
     empty = np.empty((0, F.ambient_dim))
     X = np.concatenate([empty] + [x for x, _ in rows])
     U = np.concatenate([empty] + [u for _, u in rows])
+    img = D.batch(X, U)
+    target = F.directional_derivatives(X, U)
+    lo, hi = F.component_ranges(X, U)
+    gap = np.maximum(lo[:, None, :] - img, img - hi[:, None, :])
+    residuals = (np.maximum(diameters(img), row_norms(img - target[:, None, :]).max(axis=1)),
+                 np.maximum(gap, 0.0).max(axis=(1, 2)))
     tol = EPS_EQ * (1.0 + row_norms(U))
+    notes = _formless_notes(D, "lattice points of each cell")
     reports = []
-    for condition, res in zip(conditions, residuals(X, U)):
+    for condition, res in zip("45", residuals):
         fails = np.flatnonzero(res > tol)
         reports.append(ConditionReport(
             condition, "fail" if fails.size else "pass",
@@ -290,28 +301,6 @@ def _stratified_check(F: PiecewiseFunction, partition: Arrangement,
             witnesses=tuple(Witness(tuple(X[i]), tuple(U[i]), float(res[i]))
                             for i in fails[:MAX_WITNESSES]), notes=notes))
     return tuple(reports)
-
-
-def check_stratified(F: PiecewiseFunction, D: GeneralizedDerivative,
-                     partition: Arrangement) -> tuple[ConditionReport, ...]:
-    """Conditions 4 and 5 on one set of rows (x, u), u tangent to the cell
-    of x, with one D.batch: D must be a singleton equal to the directional
-    derivative (4) and lie row-wise in J(x)u (5). For tangent u the
-    normal-space shift contributes nothing, so membership reduces
-    (subset-modulo-subspace style) to per-component membership of every
-    vertex in the interval <component Clarke subdifferential, u>. The
-    residual of 5 is the largest distance of a vertex component to it.
-    """
-    def residuals(X, U):
-        img = D.batch(X, U)
-        target = F.directional_derivatives(X, U)
-        lo, hi = F.component_ranges(X, U)
-        gap = np.maximum(lo[:, None, :] - img, img - hi[:, None, :])
-        return (np.maximum(diameters(img), row_norms(img - target[:, None, :]).max(axis=1)),
-                np.maximum(gap, 0.0).max(axis=(1, 2)))
-
-    return _stratified_check(F, partition, ("4", "5"), residuals,
-                             _formless_notes(D, "lattice points of each cell"))
 
 
 def check_stratified_derivative(F: PiecewiseFunction, D: GeneralizedDerivative,
@@ -324,17 +313,6 @@ def check_stratified_subdifferential(F: PiecewiseFunction, D: GeneralizedDerivat
                                      partition: Arrangement) -> ConditionReport:
     """Condition 5 alone: the second report of check_stratified."""
     return check_stratified(F, D, partition)[1]
-
-
-def check_projection_formula(F: PiecewiseFunction, partition: Arrangement) -> ConditionReport:
-    """Scalar projection formula: on tangents of each cell, the interval
-    <component Clarke subdifferential, u> degenerates to {F_i'(x,u)}."""
-    def residuals(X, U):
-        target = F.directional_derivatives(X, U)
-        lo, hi = F.component_ranges(X, U)
-        return (np.maximum(np.abs(lo - target), np.abs(hi - target)).max(axis=1),)
-
-    return _stratified_check(F, partition, ("projection_formula",), residuals)[0]
 
 
 # ---------------------------------------------------------------------------

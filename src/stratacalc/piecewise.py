@@ -22,6 +22,7 @@ from functools import partial
 import numpy as np
 
 from .geometry import (
+    MAX_DIM,
     MatrixPolytope,
     Polytope,
     Subspace,
@@ -317,12 +318,13 @@ class Arrangement:
     # derived arrays and caches (not part of identity)
     normals: np.ndarray = field(init=False, repr=False, compare=False)  # (k, n)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)  # (k,)
-    # sign -> False (empty), the LP's (basis N, point, margin), or the Cell once built
-    _cells: dict = field(init=False, repr=False, compare=False)
+    _cells: dict = field(init=False, repr=False, compare=False)  # sign -> Cell, or None if empty
     _key_weights: np.ndarray = field(init=False, repr=False, compare=False)  # (k,) int64
     _refined: dict = field(init=False, repr=False, compare=False)  # a2 -> refine(self, a2) if new
 
     def __post_init__(self):
+        if not 1 <= self.ambient_dim <= MAX_DIM:
+            raise PiecewiseError(f"ambient dimension {self.ambient_dim} outside 1..{MAX_DIM}")
         hps = tuple(self.hyperplanes)
         if len(hps) > MAX_HYPERPLANES:
             raise PiecewiseError(f"{len(hps)} hyperplanes, more than the "
@@ -398,10 +400,10 @@ class Arrangement:
         return float(min(1.0, (s * self.residuals(x)[~zero]).min(initial=1.0))), x, N
 
     def cell_nonempty(self, sign: str) -> bool:
+        """Whether cell `sign` is nonempty: its LP decides once and builds it."""
         if len(sign) != self.k:
             raise PiecewiseError(f"sign vector length {len(sign)} != {self.k}")
-        cached = self._cells.get(sign)
-        if cached is None:
+        if sign not in self._cells:
             margin, point, N = self._solve_cell_lp(sign)
             # zero rows that share no point (distinct parallel hyperplanes)
             # leave a least-squares witness off them; rejecting it keeps the
@@ -409,19 +411,15 @@ class Arrangement:
             zero = [c == "0" for c in sign]
             nonempty = margin > 1e-9 and bool(np.all(
                 np.abs(self.residuals(point)[zero]) <= EPS_CELL))
-            cached = self._cells[sign] = (N, point, margin) if nonempty else False
-        return cached is not False
+            self._cells[sign] = (Cell(sign, N.shape[1], Subspace(self.ambient_dim, N.T),
+                                      point, margin) if nonempty else None)
+        return self._cells[sign] is not None
 
     def cell(self, sign: str) -> "Cell":
-        """The nonempty cell `sign`, built on the first call from its LP's
-        tangent basis and witness, and cached in their place."""
+        """The nonempty cell `sign`."""
         if not self.cell_nonempty(sign):
             raise PiecewiseError(f"cell {sign!r} is empty")
-        cached = self._cells[sign]
-        if isinstance(cached, tuple):
-            tangent = Subspace(self.ambient_dim, cached[0].T)
-            cached = self._cells[sign] = Cell(sign, tangent.dim, tangent, *cached[1:])
-        return cached
+        return self._cells[sign]
 
     def all_nonempty_signs(self) -> list[str]:
         """Every nonempty cell's sign vector, in '-'<'0'<'+' lexicographic order."""
@@ -784,7 +782,9 @@ class ContinuityReport:
 
 def validate_continuity(F: PiecewiseFunction, seed: int = 0) -> ContinuityReport:
     """Decide whether adjacent full-dimensional pieces agree on their shared
-    facets. Report-only; lists violating pairs with witnesses.
+    facets. Report-only; lists violating pairs with witnesses, in the sign
+    order of their facets. A facet is a nonempty cell with exactly one zero
+    sign; its pieces are those of that sign with the zero read '-' and '+'.
 
     The pieces' difference restricted to a facet's hyperplane {a.x = b} is a
     polynomial of degree <= MAX_DEGREE in the coordinates of an orthonormal
@@ -803,40 +803,30 @@ def validate_continuity(F: PiecewiseFunction, seed: int = 0) -> ContinuityReport
     around b*a. A violation's witness is the point with the largest
     gap-to-tolerance ratio; it lies on the facet's hyperplane, not
     necessarily on the facet. No sampling is involved, so `seed` has no
-    effect.
+    effect. A missing piece raises the PiecewiseError of F.validate().
     """
+    F.validate()
     arr, n = F.arrangement, F.arrangement.ambient_dim
     m = n - 1
     radius = F.box_halfwidth * np.sqrt(n)
     step = radius * (m + np.sqrt(m)) / MAX_DEGREE
     coords = step * _principal_lattice(m, MAX_DEGREE) - radius
     violations: list[ContinuityViolation] = []
-    pairs = 0
-    full = [s for s in arr.full_dim_signs() if s in F.pieces]
-    seen = set()
-    for sign in full:
-        for i in range(arr.k):
-            other = sign[:i] + ("-" if sign[i] == "+" else "+") + sign[i + 1:]
-            key = (min(sign, other), max(sign, other), i)
-            if key in seen or other not in F.pieces:
-                continue
-            seen.add(key)
-            facet = sign[:i] + "0" + sign[i + 1:]
-            if not arr.cell_nonempty(facet):
-                continue
-            pairs += 1
-            a = arr.normals[i]
-            pts = arr.offsets[i] * a + coords @ arr.cell(facet).tangent.basis
-            ev_a, ev_b = F._value_eval(sign), F._value_eval(other)
-            gaps = row_norms(ev_a(pts) - ev_b(pts))
-            tols = EPS_EQ + EPS_ROUND * (np.abs(ev_a.terms(pts)).sum(axis=1)
-                                         + np.abs(ev_b.terms(pts)).sum(axis=1))
-            worst = int(np.argmax(gaps / tols))
-            if gaps[worst] > tols[worst]:
-                violations.append(ContinuityViolation(sign, other, pts[worst],
-                                                      float(gaps[worst])))
+    facets = [s for s in arr.all_nonempty_signs() if s.count("0") == 1]
+    for facet in facets:
+        i = facet.index("0")
+        sign, other = facet.replace("0", "-"), facet.replace("0", "+")
+        pts = arr.offsets[i] * arr.normals[i] + coords @ arr.cell(facet).tangent.basis
+        ev_a, ev_b = F._value_eval(sign), F._value_eval(other)
+        gaps = row_norms(ev_a(pts) - ev_b(pts))
+        tols = EPS_EQ + EPS_ROUND * (np.abs(ev_a.terms(pts)).sum(axis=1)
+                                     + np.abs(ev_b.terms(pts)).sum(axis=1))
+        worst = int(np.argmax(gaps / tols))
+        if gaps[worst] > tols[worst]:
+            violations.append(ContinuityViolation(sign, other, pts[worst],
+                                                  float(gaps[worst])))
     return ContinuityReport(ok=not violations, violations=tuple(violations),
-                            pairs_checked=pairs)
+                            pairs_checked=len(facets))
 
 
 # ---------------------------------------------------------------------------
@@ -867,11 +857,11 @@ class Curve:
         dims = {p.shape[0] for p in pieces}
         if len(dims) != 1:
             raise ValueError("pieces disagree on curve dimension")
-        for j in range(len(pieces) - 1):  # continuity across breakpoints
-            t = bp[j + 1]
-            left = _upolyval(pieces[j], t)
-            right = _upolyval(pieces[j + 1], t)
-            if float(np.linalg.norm(left - right)) > EPS_EQ:
+        for j in range(len(pieces) - 1):  # continuity across breakpoints, up
+            t = bp[j + 1]                  # to EPS_ROUND per unit of sum |c_k t^k|
+            gap = np.linalg.norm(_upolyval(pieces[j], t) - _upolyval(pieces[j + 1], t))
+            terms = sum(_upolyval(np.abs(p), t).sum() for p in pieces[j:j + 2])
+            if float(gap) > EPS_EQ + EPS_ROUND * terms:
                 raise ValueError(f"curve discontinuous at t={t}")
         bp.flags.writeable = False
         for p in pieces:
@@ -901,15 +891,15 @@ class Curve:
         j = np.searchsorted(self.breakpoints, t, side="left") - 1
         return np.minimum(np.maximum(j, 0), len(self.pieces) - 1)
 
-    def _at(self, t, deriv: bool) -> np.ndarray:
-        """Point (or velocity) at a time, or one row per time of an array."""
+    def _at(self, t, coeffs) -> np.ndarray:
+        """The polynomial rows coeffs(piece) of the active piece at a time,
+        or one row per time of an array."""
         tt = np.minimum(np.maximum(np.asarray(t, dtype=float), 0.0), 1.0)
         flat = tt.reshape(-1)
         idx = self.interval_index(flat)
         out = np.empty((flat.size, self.dim))
         for j in set(idx.tolist()):
-            piece = _upolyder(self.pieces[j]) if deriv else self.pieces[j]
-            out[idx == j] = _upolyval(piece, flat[idx == j])
+            out[idx == j] = _upolyval(coeffs(self.pieces[j]), flat[idx == j])
         return out if tt.ndim else out[0]
 
     def leaves_box(self, halfwidth: float) -> bool:
@@ -923,12 +913,16 @@ class Curve:
                    for t in _monotone_points(H, *self.breakpoints[j:j + 2].tolist()))
 
     def value(self, t) -> np.ndarray:
-        return self._at(t, False)
+        return self._at(t, np.asarray)
 
     def velocity(self, t) -> np.ndarray:
         """Derivative of the active piece: right-sided at t=0, left-sided at
         interior breakpoints and t=1."""
-        return self._at(t, True)
+        return self._at(t, _upolyder)
+
+    def velocity_terms(self, t) -> np.ndarray:
+        """The sum of |k c_k t^(k-1)| over velocity(t)'s terms: its rounding scale."""
+        return self._at(t, lambda piece: np.abs(_upolyder(piece))).sum(axis=-1)
 
 
 def _upolyval(coeffs: np.ndarray, t) -> np.ndarray:

@@ -248,7 +248,7 @@ def _c_bder(ctx):
 def _c_projection(ctx):
     for fid, cf in _corpus_items(ctx):
         part = cond.refine(cf.func.arrangement, cf.partition)
-        rep = cond.check_projection_formula(cf.func, part)
+        rep = cond.check_stratified(cf.func, oracle_clarke_linear(cf.func), part)[0]
         if rep.verdict != "pass":
             return False, f"{fid}: projection formula verdict {rep.verdict}"
     return True, "tangential Clarke intervals are degenerate everywhere"

@@ -192,6 +192,26 @@ def test_dimensions_above_max_dim_exit_one_naming_the_field(tmp_path, capsys):
             assert f"'wide': bad field '{field}'" in capsys.readouterr().err
 
 
+def test_check_and_matrix_of_a_large_valued_map_exit_zero(tmp_path):
+    # regression: compose_exact's output failed Curve's absolute 1e-9
+    # breakpoint test at the crossing of x = 9, where the pieces 1000 x^6
+    # and 1000 x^6 + x - 9 reach 5.3e8, and both commands ended in a traceback
+    doc = {"format": "stratacalc-corpus/1", "matrix_rows": [["big", "clarke"]],
+           "functions": [{
+               "id": "big", "ambient_dim": 1, "output_dim": 1,
+               "hyperplanes": [{"normal": [1.0], "offset": 9.0}],
+               "pieces": {"-": [[[[6], 1000.0]]],
+                          "+": [[[[6], 1000.0], [[1], 1.0], [[0], -9.0]]]},
+               "base_points": [[9.0]],
+               "curves": [{"breakpoints": [0.0, 1.0], "pieces": [[[8.0, 1.7, 0.013]]]}],
+               "partition": []}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", "--corpus", str(path), "--function", "big", "--oracle", "clarke",
+                "--output", str(tmp_path / "c.txt")]) == 0
+    assert run(["matrix", "--corpus", str(path), "--output", str(tmp_path / "m.txt")]) == 0
+
+
 def test_check_bad_flags_exit_one():
     assert run(["check", "--function", "abs1d"]) == 1  # missing --oracle
 

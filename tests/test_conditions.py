@@ -7,7 +7,6 @@ from stratacalc.conditions import (
     ConditionReport,
     MatrixEntry,
     check_conservative,
-    check_projection_formula,
     check_semismooth_I,
     check_semismooth_II,
     check_stratified,
@@ -33,7 +32,13 @@ from stratacalc.piecewise import (
 from stratacalc.seeding import substream
 from stratacalc.selftest import base_anchored_residual
 
-from test_piecewise import P, make_abs1d, make_max2d
+from test_piecewise import (
+    CURVE_LARGE_VALUED,
+    P,
+    make_abs1d,
+    make_large_valued,
+    make_max2d,
+)
 
 
 def make_id1d():
@@ -174,6 +179,15 @@ def test_conservative_fails_on_a_short_stretch_along_the_kink(max2d):
     assert rep.witnesses and all(w.point[0] == w.point[1] for w in rep.witnesses)
 
 
+def test_conservative_large_valued_map_passes_honest_and_fails_scaled():
+    # regression: the honest row's nodes miss by 4.8e-7, rounding of values
+    # near 6e8, against an absolute tolerance of 2.7e-9
+    F, curves = make_large_valued(), [Curve.from_coeffs(CURVE_LARGE_VALUED)]
+    rep = check_conservative(F, oracle_clarke_linear(F), curves)
+    assert rep.verdict == "pass" and rep.residual_table[0][1] > 1e-8
+    assert check_conservative(F, parse_oracle("scale:2", F), curves).verdict == "fail"
+
+
 def test_conservative_fails_on_a_dip_between_close_crossings(abs1d):
     # regression: (t - 0.3)^2 - 1e-8 is negative only for |t - 0.3| < 1e-4,
     # where the oracle doubles F'. Both crossings lay inside one interval of
@@ -236,8 +250,9 @@ def test_stratified_checks_with_user_partition(max2d):
 
 
 def test_projection_formula(abs1d, max2d):
+    # the projection formula is condition 4 with D the Clarke oracle
     for F in (abs1d, max2d):
-        rep = check_projection_formula(F, F.arrangement)
+        rep = check_stratified_derivative(F, oracle_clarke_linear(F), F.arrangement)
         assert rep.verdict == "pass"
 
 
@@ -277,7 +292,8 @@ def test_stratified_checks_draw_no_random_numbers(monkeypatch):
                             cf.base_points, cf.curves, cf.partition)
         assert set(run_entry_conditions(entry, 7, ("4", "5"))) == {"4", "5"}
         part = refine(cf.func.arrangement, cf.partition)
-        assert check_projection_formula(cf.func, part).verdict == "pass"
+        assert check_stratified_derivative(
+            cf.func, oracle_clarke_linear(cf.func), part).verdict == "pass"
 
 
 HONEST_ORACLES = ("exact", "clarke", "branch", "reflect:clarke", "reflect:exact",

@@ -59,6 +59,19 @@ def make_xabs():
     })
 
 
+def make_large_valued():
+    # 1000 x^6 and 1000 x^6 + x - 9, which agree on x = 9, where both
+    # reach 5.3e8; with CURVE_LARGE_VALUED, which crosses x = 9 at t = 0.586
+    arr = Arrangement(1, (Hyperplane([1.0], 9.0),))
+    return PiecewiseFunction(arr, 1, {
+        "-": (P(1, [((6,), 1000.0)]),),
+        "+": (P(1, [((6,), 1000.0), ((1,), 1.0), ((0,), -9.0)]),),
+    })
+
+
+CURVE_LARGE_VALUED = [[8.0, 1.7, 0.013]]
+
+
 # ---------------------------------------------------------------------------
 # Polynomial
 
@@ -388,6 +401,31 @@ def test_validate_continuity_catches_unsampled_jumps(F, pair, pairs):
     assert hit and hit[0].gap == 1.0
 
 
+def test_validate_continuity_names_a_missing_piece():
+    arr = Arrangement(1, (Hyperplane([1.0], 0.0),))
+    F = PiecewiseFunction(arr, 1, {"+": (P(1, [((1,), 1.0)]),)})
+    with pytest.raises(PiecewiseError, match="missing piece .* '-'"):
+        validate_continuity(F)
+
+
+def test_validate_continuity_checks_each_facet_of_the_shipped_corpus():
+    from stratacalc.corpus import default_corpus
+    pairs = {fid: validate_continuity(cf.func).pairs_checked
+             for fid, cf in default_corpus().functions.items()}
+    assert pairs == {"abs1d": 1, "id1d": 0, "max2d": 1, "relukink": 1, "absplus": 1,
+                     "l1norm2d": 4, "maxreg2d": 1, "pwq2d": 2}
+
+
+def test_validate_continuity_lists_violations_in_facet_sign_order():
+    # 1 on the quadrant x < 0, y < 0 and 0 elsewhere jumps across its two
+    # facets '-0' and '0-', which come in sign order, '-' < '0' < '+'
+    arr = Arrangement(2, (Hyperplane([1.0, 0.0], 0.0), Hyperplane([0.0, 1.0], 0.0)))
+    rep = validate_continuity(_constants(arr, {"--"}))
+    assert rep.pairs_checked == 4
+    assert [(v.sign_a, v.sign_b, v.gap) for v in rep.violations] == \
+        [("--", "-+", 1.0), ("--", "+-", 1.0)]
+
+
 def _chebyshev6(n, scale):
     """scale * T6(x/6) in n variables, T6 the degree-6 Chebyshev polynomial."""
     return P(n, [((e,) + (0,) * (n - 1), scale * c / 6.0 ** e)
@@ -451,6 +489,13 @@ def test_validate_continuity_passes_degree6_far_from_origin(n):
 
 # ---------------------------------------------------------------------------
 # refine
+
+@pytest.mark.parametrize("n", [0, 9])
+def test_arrangement_outside_max_dim_is_refused_naming_the_dimension(n):
+    # a cell is built with its tangent Subspace, which holds 1..MAX_DIM = 8
+    with pytest.raises(PiecewiseError, match=f"ambient dimension {n} outside 1..8"):
+        Arrangement(n, ())
+
 
 def test_refine_dedup():
     a = Arrangement(1, (Hyperplane([1.0], 0.0),))
@@ -621,6 +666,27 @@ def test_compose_abs_affine_crossing():
     # pieces 1-2t then 2t-1 (solved by hand)
     assert np.allclose(comp.pieces[0][0, :2], [1.0, -2.0])
     assert np.allclose(comp.pieces[1][0, :2], [-1.0, 2.0])
+
+
+def test_compose_large_valued_map_keeps_its_crossing():
+    # regression: the composed pieces meet at the crossing within rounding
+    # of their 5.3e8 values, but Curve rejected the 6e-8 gap as a jump
+    F = make_large_valued()
+    assert validate_continuity(F).ok
+    gamma = Curve.from_coeffs(CURVE_LARGE_VALUED)
+    comp = compose_exact(F, gamma)
+    assert len(comp.pieces) == 2
+    assert comp.breakpoints[1] == pytest.approx((-1.7 + np.sqrt(1.7 ** 2 + 0.052)) / 0.026)
+    ts = np.linspace(0.0, 1.0, 11)
+    assert np.allclose(comp.value(ts), F.values(gamma.value(ts)), rtol=1e-13, atol=0.0)
+
+
+def test_curve_breakpoint_tolerance_scales_with_its_terms():
+    # pieces near 1e9 that meet within rounding join; a jump of 1 does not
+    big = np.array([[1e9, 1.0]])
+    Curve(np.array([0.0, 0.5, 1.0]), (big, big + np.array([[1e-6, 0.0]])))
+    with pytest.raises(ValueError, match="discontinuous at t=0.5"):
+        Curve(np.array([0.0, 0.5, 1.0]), (big, big + np.array([[1.0, 0.0]])))
 
 
 def test_compose_smooth_polynomial_single_piece():
