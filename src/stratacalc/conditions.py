@@ -221,7 +221,10 @@ def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
     are polynomials in t of degree below deg F * deg c + 1, decided by their
     values at `_node_times` (one D.batch per curve). A node fails when its
     residual exceeds EPS_EQ * (1 + |velocity|) plus a rounding allowance of
-    EPS_ROUND * comp.velocity_terms(t); any failing node fails the curve.
+    EPS_ROUND * comp.velocity_terms(t), or, where that does not cover it,
+    plus EPS_ROUND times the sum of |monomial| values of F at the curve
+    point (F.term_sums), the scale of the terms that comp was summed from;
+    any failing node fails the curve.
     The rule is exact for the built-in kernels, whose vertices are
     polynomial on each cell; a handcrafted kernel need not be (its report
     notes so). Without curves there is no evidence: inconclusive.
@@ -236,6 +239,9 @@ def check_conservative(F: PiecewiseFunction, D: GeneralizedDerivative,
         res = np.maximum(diameters(img), miss)
         table.append((f"curve{ci}", float(np.max(res, initial=0.0))))
         tol = EPS_EQ * (1.0 + row_norms(V)) + EPS_ROUND * comp.velocity_terms(ts)
+        over = ~(res <= tol)
+        if over.any():
+            tol[over] += EPS_ROUND * F.term_sums(X[over])
         for i in np.flatnonzero(~(res <= tol)):
             witnesses.append(Witness(tuple(X[i]), tuple(V[i]), float(res[i])))
     verdict = "fail" if witnesses else "pass" if table else "inconclusive"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -170,21 +171,14 @@ class _StackedPolys:
 
     Stacks all terms into one exponent matrix so a single vectorized pass
     evaluates every output slot at every row of a point array; used for
-    piece values and Jacobians.
+    piece values and Jacobians, one piece or a tuple of pieces at a time.
     """
 
     def __init__(self, polys: list[Polynomial], shape: tuple[int, ...]):
-        exps, cfs, slots = [], [], []
-        for slot, p in enumerate(polys):
-            for e, c in zip(p.exponents, p.coeffs):
-                exps.append(e)
-                cfs.append(c)
-                slots.append(slot)
-        self.shape = shape
-        self.size = int(np.prod(shape))
-        self.exponents = np.array(exps, dtype=float).reshape(len(exps), polys[0].num_vars)
-        self.coeffs = np.array(cfs, dtype=float)
-        self.slots = np.array(slots, dtype=int)
+        self.polys, self.shape, self.size = polys, shape, math.prod(shape)
+        self.exponents = np.concatenate([p.exponents for p in polys], dtype=float)
+        self.coeffs = np.concatenate([p.coeffs for p in polys])
+        self.slots = np.repeat(np.arange(len(polys)), [p.coeffs.size for p in polys])
 
     def terms(self, X: np.ndarray) -> np.ndarray:
         """(N, T) monomial products at the rows of X, in term order."""
@@ -200,11 +194,11 @@ class _StackedPolys:
         return out.reshape((n,) + self.shape)
 
     def slot_terms(self, X: np.ndarray, width: int) -> np.ndarray:
-        """(N, size, width) array holding term t of each row in column t of
-        its output slot, zeros elsewhere (for compensated sums)."""
+        """(N,) + shape + (width,) array holding term t of each row in
+        column t of its output slot, zeros elsewhere (for compensated sums)."""
         out = np.zeros((X.shape[0], self.size, width))
         out[:, self.slots, np.arange(self.slots.size)] = self.terms(X)
-        return out
+        return out.reshape((X.shape[0],) + self.shape + (width,))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +350,7 @@ class Arrangement:
     def sign_codes(self, X) -> np.ndarray:
         """Sign vectors of the rows of X as integers: 0 '-', 1 '0', 2 '+'."""
         r = self.residuals(X)
-        return np.where(np.abs(r) <= EPS_CELL, 1, 2 * (r > 0))
+        return np.add(r > EPS_CELL, r >= -EPS_CELL, dtype=int)
 
     def sign_vector(self, x) -> str:
         """One point's sign vector as a string: sign_codes of one row."""
@@ -526,8 +520,7 @@ class PiecewiseFunction:
     lipschitz_hint: float | None = None
     box_halfwidth: float = DEFAULT_BOX_HALFWIDTH
 
-    _value_cache: dict = field(init=False, repr=False, compare=False)
-    _jac_cache: dict = field(init=False, repr=False, compare=False)
+    _evals: dict = field(init=False, repr=False, compare=False)  # (kind, sign or ids) -> evaluator
     _signs: list = field(init=False, repr=False, compare=False)    # piece index -> sign
     _index: dict = field(init=False, repr=False, compare=False)    # sign -> piece index
     _adjacent: dict = field(init=False, repr=False, compare=False)  # cell key -> indices
@@ -547,8 +540,7 @@ class PiecewiseFunction:
                     raise PiecewiseError(f"piece {sign!r} has wrong num_vars")
             norm_pieces[sign] = polys
         object.__setattr__(self, "pieces", norm_pieces)
-        object.__setattr__(self, "_value_cache", {})
-        object.__setattr__(self, "_jac_cache", {})
+        object.__setattr__(self, "_evals", {})
         object.__setattr__(self, "_signs", list(norm_pieces))
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(norm_pieces)})
         object.__setattr__(self, "_adjacent", {})
@@ -578,20 +570,28 @@ class PiecewiseFunction:
 
     # -- evaluators --------------------------------------------------------
 
-    def _value_eval(self, sign: str) -> _StackedPolys:
-        ev = self._value_cache.get(sign)
+    def _cached(self, key, build) -> _StackedPolys:
+        ev = self._evals.get(key)
         if ev is None:
-            ev = _StackedPolys(list(self.pieces[sign]), (self.output_dim,))
-            self._value_cache[sign] = ev
+            ev = self._evals[key] = build()
         return ev
 
+    def _value_eval(self, sign: str) -> _StackedPolys:
+        return self._cached(("value", sign), lambda: _StackedPolys(
+            list(self.pieces[sign]), (self.output_dim,)))
+
     def _jac_eval(self, sign: str) -> _StackedPolys:
-        ev = self._jac_cache.get(sign)
-        if ev is None:
-            flat = [g for p in self.pieces[sign] for g in p.gradient()]
-            ev = _StackedPolys(flat, (self.output_dim, self.ambient_dim))
-            self._jac_cache[sign] = ev
-        return ev
+        return self._cached(("jac", sign), lambda: _StackedPolys(
+            [g for p in self.pieces[sign] for g in p.gradient()],
+            (self.output_dim, self.ambient_dim)))
+
+    def _stacked(self, evaluator, ids: tuple[int, ...]) -> _StackedPolys:
+        """evaluator(sign) of the pieces ids on a new leading axis; each slot
+        sums the same terms in the same order as its piece's, bit for bit."""
+        def build():
+            evs = [evaluator(self._signs[i]) for i in ids]
+            return _StackedPolys([q for ev in evs for q in ev.polys], (len(evs),) + evs[0].shape)
+        return self._cached((evaluator.__name__, ids), build)
 
     def adjacent_full_signs(self, x) -> list[str]:
         """Nonempty full-dimensional cells (with pieces) whose closure contains x."""
@@ -610,38 +610,37 @@ class PiecewiseFunction:
     # bit-identical to evaluating it alone; the one-point methods below are
     # one-row views of these kernels.
 
-    def _piece_ids(self, codes: np.ndarray) -> np.ndarray:
-        """Piece indices of the full-dimensional cells adjacent to the cell of
-        each row of (N, k) sign codes (0 '-', 1 '0', 2 '+'): an (N, V) array
-        whose short rows repeat their column 0. Rows are grouped by int64
-        keys sum c_i 3^(k-1-i); compatible_full_signs fills a key's entry of
-        the table `_adjacent` on first sight, and a key without a piece
-        raises on every call, since it is never stored."""
+    def _piece_ids(self, codes: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """The rows of (N, k) sign codes (0 '-', 1 '0', 2 '+') grouped by
+        cell: each distinct cell's tuple of adjacent full-dimensional piece
+        indices, in ascending key order, and the group of every row. Rows are
+        grouped by int64 keys sum c_i 3^(k-1-i); compatible_full_signs fills
+        a key's entry of the table `_adjacent` on first sight, and a key
+        without a piece raises on every call, since it is never stored."""
         keys = codes @ self.arrangement._key_weights
         first, inv = _groups(keys)
-        adj = []
+        tuples = []
         for key, i in zip(keys[first].tolist(), first):
             ids = self._adjacent.get(key)
             if ids is None:
                 sign = "".join("-0+"[c] for c in codes[i])
-                ids = [self._index[s] for s in self.arrangement.compatible_full_signs(sign)
-                       if s in self._index]
+                ids = tuple(self._index[s] for s in self.arrangement.compatible_full_signs(sign)
+                            if s in self._index)
                 if not ids:
                     raise PiecewiseError(
                         f"no adjacent full-dimensional piece at sign vector {sign!r}: "
                         "each compatible full-dimensional cell is empty or has no piece")
                 self._adjacent[key] = ids
-            adj.append(ids)
-        width = max(map(len, adj), default=1)
-        table = np.array([a + a[:1] * (width - len(a)) for a in adj], dtype=int)
-        return table.reshape(len(adj), width)[inv]
+            tuples.append(ids)
+        return tuples, inv
 
-    def _adjacent_ids(self, X: np.ndarray) -> np.ndarray:
+    def _adjacent_ids(self, X: np.ndarray):
         """_piece_ids of the cell of each row of X."""
         return self._piece_ids(self.arrangement.sign_codes(X))
 
-    def _directional_ids(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """(N, 1) index of the piece active on (x, x + eps*u] per row (u != 0).
+    def _directional_ids(self, X: np.ndarray, U: np.ndarray):
+        """The piece active on (x, x + eps*u] per row (u != 0), grouped as by
+        _piece_ids: each group's tuple holds that one piece.
 
         Residual zero signs after consulting <a_i, u> are tie-broken to '+';
         continuity across the facet makes the tangential derivative
@@ -652,28 +651,38 @@ class PiecewiseFunction:
         r, du = arr.residuals(X), np.matmul(arr.normals, U[..., None])[..., 0]
         moving = np.abs(du) > EPS_CELL * row_norms(U)[:, None]
         plus = np.where(np.abs(r) > EPS_CELL, r > 0, ~moving | (du > 0))
-        return self._piece_ids(2 * plus)[:, :1]
+        return self._piece_ids(2 * plus)
 
-    def _at_pieces(self, evaluator, X: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """evaluator(sign)(rows) for each piece index in the (N, V) array
-        ids, called once per distinct piece on the rows that use it."""
-        flat, out = ids.ravel(), None
-        for p in set(flat.tolist()) or {0}:     # no rows: any piece gives the shape
-            at = np.flatnonzero(flat == p)
-            vals = evaluator(self._signs[p])(X[at // ids.shape[1]])
-            if out is None:
-                out = np.empty((flat.size,) + vals.shape[1:])
-            out[at] = vals
-        return out.reshape(ids.shape + out.shape[1:])
+    def _at_pieces(self, evaluator, X: np.ndarray, tuples, inv) -> np.ndarray:
+        """evaluator(ids)(rows) for each group of rows of _piece_ids, as one
+        (N, V) + shape array, V the longest tuple (a shorter one repeats its
+        piece 0); or, when that makes fewer calls, per distinct piece on the
+        (row, vertex) pairs that use it. A lone group takes X as it is."""
+        n, width = len(X), max(map(len, tuples), default=1)
+        pieces = sorted(set().union(*tuples))
+        if len(pieces) < len(tuples):
+            table = np.array([t + t[:1] * (width - len(t)) for t in tuples])[inv]
+            X, inv = np.repeat(X, width, axis=0), np.searchsorted(pieces, table.ravel())
+            tuples = [(p,) for p in pieces]
+        for g, ids in enumerate(tuples or [(0,)]):     # no rows: any piece gives the shape
+            at = slice(None) if len(tuples) < 2 else np.flatnonzero(inv == g)
+            vals = evaluator(ids)(X[at])
+            if len(tuples) < 2:                        # every row, in order: no scatter
+                return vals
+            if g == 0:
+                out = np.empty((len(X), max(map(len, tuples))) + vals.shape[2:])
+            out[at, :len(ids)], out[at, len(ids):] = vals, vals[:, :1]
+        return out.reshape((n, width) + out.shape[2:])
 
     def _at_first_piece(self, evaluator, X) -> np.ndarray:
-        """evaluator(sign)(x) with the first adjacent piece of each row."""
+        """evaluator(ids)(x) with the first adjacent piece of each row."""
         X = as_rows(X, self.ambient_dim)
-        return self._at_pieces(evaluator, X, self._adjacent_ids(X)[:, :1])[:, 0]
+        tuples, inv = self._adjacent_ids(X)
+        return self._at_pieces(evaluator, X, [t[:1] for t in tuples], inv)[:, 0]
 
     def values(self, X) -> np.ndarray:
         """(N, m) values at the rows of X."""
-        return self._at_first_piece(self._value_eval, X)
+        return self._at_first_piece(partial(self._stacked, self._value_eval), X)
 
     def value_differences(self, Y, X) -> np.ndarray:
         """(N, m) rows F(y) - F(x), each with one exactly-rounded summation
@@ -686,8 +695,8 @@ class PiecewiseFunction:
         residuals become exact zeros when the products themselves are exact).
         """
         width = max(self._value_eval(s).coeffs.size for s in self.pieces)
-        terms = partial(self._at_first_piece,
-                        lambda s: partial(self._value_eval(s).slot_terms, width=width))
+        terms = partial(self._at_first_piece, lambda ids: partial(
+            self._stacked(self._value_eval, ids).slot_terms, width=width))
         ty, tx = terms(Y), terms(X)
         if len(tx) not in (1, len(ty)):
             raise ValueError(f"value_differences: X of shape {np.shape(X)} does not "
@@ -712,17 +721,24 @@ class PiecewiseFunction:
         "directional", the piece active on (x, x + eps*u] (u != 0); "adjacent",
         every piece adjacent to x, padded as in clarke_jacobians; "first", the
         first adjacent piece in sign order."""
-        if select == "directional":
-            ids = self._directional_ids(X, U)
-        else:
-            ids = self._adjacent_ids(X)
-            ids = ids[:, :1] if select == "first" else ids
-        return self._at_pieces(self._jac_eval, X, ids)
+        tuples, inv = (self._directional_ids(X, U) if select == "directional"
+                       else self._adjacent_ids(X))
+        if select == "first":
+            tuples = [t[:1] for t in tuples]
+        return self._at_pieces(partial(self._stacked, self._jac_eval), X, tuples, inv)
 
     def clarke_jacobians(self, X) -> np.ndarray:
         """The vertices of the Clarke Jacobian per row: the adjacent piece
         Jacobians, (N, V, m, n), a row with fewer than V repeating vertex 0."""
         return self.selected_jacobians(as_rows(X, self.ambient_dim), None, "adjacent")
+
+    def term_sums(self, X) -> np.ndarray:
+        """(N,) sum of |monomial| values over the first adjacent piece at
+        each row of X, as validate_continuity sums them: F(x)'s rounding scale."""
+        def sums(ids):
+            ev = self._stacked(self._value_eval, ids)
+            return lambda rows: np.abs(ev.terms(rows)).sum(axis=1)[:, None]
+        return self._at_first_piece(sums, X)
 
     def component_ranges(self, X, U) -> tuple[np.ndarray, np.ndarray]:
         """(N, m) arrays lo, hi: [min, max] of <g, u> over the Clarke
@@ -837,11 +853,15 @@ class Curve:
     """Piecewise-polynomial curve [0,1] -> R^n.
 
     `pieces[j]` is an (n, deg_j+1) array of low-to-high coefficients on the
-    interval [breakpoints[j], breakpoints[j+1]].
+    interval [breakpoints[j], breakpoints[j+1]]. Pieces computed from larger
+    terms than their own (compose_exact) pass `source_terms(j)`, the sum of
+    |term| values of the pieces that meet at breakpoints[j+1]: a gap there
+    that their own terms do not allow is allowed up to that sum's rounding.
     """
 
     breakpoints: np.ndarray
     pieces: tuple[np.ndarray, ...]
+    source_terms: Callable[[int], float] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -861,6 +881,8 @@ class Curve:
             t = bp[j + 1]                  # to EPS_ROUND per unit of sum |c_k t^k|
             gap = np.linalg.norm(_upolyval(pieces[j], t) - _upolyval(pieces[j + 1], t))
             terms = sum(_upolyval(np.abs(p), t).sum() for p in pieces[j:j + 2])
+            if float(gap) > EPS_EQ + EPS_ROUND * terms and self.source_terms:
+                terms = self.source_terms(j)
             if float(gap) > EPS_EQ + EPS_ROUND * terms:
                 raise ValueError(f"curve discontinuous at t={t}")
         bp.flags.writeable = False
@@ -998,7 +1020,9 @@ def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
     substituted into the first piece that F._piece_ids finds for the exact
     signs of the h_i at the midpoint; continuity makes the result
     independent of the choice, also on a subinterval on which the curve
-    travels inside some hyperplane.
+    travels inside some hyperplane. The joints of the result are held to
+    the rounding of F's monomials there, sum |c_alpha| |x(t)|^alpha over
+    the pieces on both sides, as validate_continuity holds facets.
     """
     if curve.dim != F.ambient_dim:
         raise PiecewiseError("curve dimension does not match the map")
@@ -1024,6 +1048,7 @@ def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
     merged[0], merged[-1] = 0.0, 1.0
 
     out_pieces: list[np.ndarray] = []
+    used: list[str] = []
     for j in range(len(merged) - 1):
         t_lo, t_hi = merged[j], merged[j + 1]
         t_mid = 0.5 * (t_lo + t_hi)
@@ -1035,8 +1060,12 @@ def compose_exact(F: PiecewiseFunction, curve: Curve) -> Curve:
             while H is not None and s == 0 and t < t_hi:
                 s, t = _sign_at(H, t), math.nextafter(t, t_hi)
             codes.append(s + 1)
-        piece = F._piece_ids(np.array([codes], dtype=int))[0, 0]
-        rows = [p.compose_univariate(list(curve.pieces[src]))
-                for p in F.pieces[F._signs[piece]]]
+        (ids,), _ = F._piece_ids(np.array([codes], dtype=int))
+        used.append(F._signs[ids[0]])
+        rows = [p.compose_univariate(list(curve.pieces[src])) for p in F.pieces[used[-1]]]
         out_pieces.append(Curve.from_coeffs(rows).pieces[0])
-    return Curve(np.array(merged), tuple(out_pieces))
+
+    def source_terms(j: int) -> float:
+        x = curve.value(merged[j + 1])[None]
+        return sum(float(np.abs(F._value_eval(s).terms(x)).sum()) for s in used[j:j + 2])
+    return Curve(np.array(merged), tuple(out_pieces), source_terms)

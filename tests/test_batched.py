@@ -175,6 +175,12 @@ def _cell_rows(F, seed):
     return X[rng.permutation(len(X))]
 
 
+def _per_row(grouped):
+    """The piece-index tuple of each row, from _piece_ids's grouped form."""
+    tuples, inv = grouped
+    return [tuples[g] for g in inv]
+
+
 def _fresh_functions(monkeypatch, corpus):
     """Newly built functions (empty key tables) of the shipped corpus or of
     the benchmark's generated corpus (k = 3)."""
@@ -197,15 +203,11 @@ def test_adjacent_ids_equal_per_row_adjacent_full_signs(monkeypatch, corpus):
         X = _cell_rows(F, seed)
         expected = [F.adjacent_full_signs(x) for x in X]
         for _ in range(2):
-            ids = F._adjacent_ids(X)
-            # padding repeats column 0, so a row's count is its distinct ids
-            counts = [len(set(row.tolist())) for row in ids]
-            for row, count, signs in zip(ids, counts, expected):
-                assert [F._signs[i] for i in row[:count]] == signs
-                assert (row[count:] == row[0]).all()
+            rows = _per_row(F._adjacent_ids(X))
+            for row, signs in zip(rows, expected):
+                assert [F._signs[i] for i in row] == signs
             for k in range(0, len(X), 7):
-                one = F._adjacent_ids(X[k:k + 1])
-                assert one.shape == (1, counts[k]) and np.array_equal(one[0], ids[k, :counts[k]])
+                assert _per_row(F._adjacent_ids(X[k:k + 1])) == [rows[k]]
 
 
 def test_adjacent_ids_raise_for_a_cell_without_pieces_on_every_call():
@@ -214,7 +216,7 @@ def test_adjacent_ids_raise_for_a_cell_without_pieces_on_every_call():
     for _ in range(2):
         with pytest.raises(PiecewiseError, match="no adjacent full-dimensional piece"):
             F._adjacent_ids(np.array([[0.5], [-1.0]]))
-    assert [len(set(row)) for row in F._adjacent_ids(np.array([[0.0], [2.0]])).tolist()] == [1, 1]
+    assert [len(row) for row in _per_row(F._adjacent_ids(np.array([[0.0], [2.0]])))] == [1, 1]
 
 
 def test_packed_keys_tell_cells_apart_with_39_hyperplanes():
@@ -226,11 +228,66 @@ def test_packed_keys_tell_cells_apart_with_39_hyperplanes():
         for j in range(40)})
     X = np.array([[-1.0], [0.5], [37.5], [40.0], [38.0], [0.0], [0.5]])
     assert F.values(X)[:, 0].tolist() == [0, 1, 38, 39, 38, 0, 1]
-    assert [len(set(row)) for row in F._adjacent_ids(X).tolist()] == [1, 1, 1, 1, 2, 2, 1]
-    ids = F._directional_ids(np.array([[38.0], [0.0], [37.5]]), np.array([[1.0], [-1.0], [1.0]]))
-    assert [F._signs[i].count("+") for i in ids[:, 0]] == [39, 0, 38]
+    assert [len(row) for row in _per_row(F._adjacent_ids(X))] == [1, 1, 1, 1, 2, 2, 1]
+    ids = _per_row(F._directional_ids(np.array([[38.0], [0.0], [37.5]]),
+                                      np.array([[1.0], [-1.0], [1.0]])))
+    assert [F._signs[i].count("+") for i, in ids] == [39, 0, 38]
     # exact in int64, first hyperplane most significant
     assert arr._key_weights.tolist() == [3 ** (38 - i) for i in range(39)]
+
+
+def _cells_and_pieces(F, X, first=False):
+    """How many distinct cells the rows of X lie in, and how many distinct
+    pieces are adjacent to them (only the first of each cell's, with first)."""
+    signs = [F.adjacent_full_signs(x)[:1] if first else F.adjacent_full_signs(x) for x in X]
+    cells = {F.arrangement.sign_vector(x) for x in X}
+    return len(cells), len(set().union(*signs))
+
+
+def test_grouped_rows_equal_one_row_calls_at_every_cell_witness(monkeypatch):
+    # the witness of every nonempty cell of the generated (3, 3) function,
+    # whose vertex has all 8 pieces adjacent: all of them in one batch (more
+    # cells than pieces) and in small mixed batches (fewer cells than pieces,
+    # also counting only the first piece of each cell), every kernel and
+    # every built-in oracle bit for bit against one-row calls
+    F, = [F for F in _fresh_functions(monkeypatch, "generated") if F.ambient_dim == 3]
+    arr = F.arrangement
+    W = np.array([arr.cell(s).point for s in arr.all_nonempty_signs()])
+    assert F.clarke_jacobians(W).shape[1] == 8
+    rng = np.random.default_rng(4)
+    U = rng.normal(size=W.shape)
+    vertex = [k for k, s in enumerate(arr.all_nonempty_signs()) if s == "000"]
+    batches = [np.arange(len(W)), vertex + [0], vertex + [1, 2]]
+    batches += [rng.permutation(len(W))[:3] for _ in range(8)]
+    spread = [_cells_and_pieces(F, W[b], first) for b in batches for first in (False, True)]
+    assert any(c > p for c, p in spread) and any(c <= p for c, p in spread)
+    oracles = [parse_oracle(o, F) for o in ORACLES]
+    # kernels with a vertex axis, as (X, U) -> rows; a row's vertices are
+    # its one-row call's, padded by repeating vertex 0
+    stacks = [lambda X, U, sel=sel: F.selected_jacobians(X, U, sel)
+              for sel in ("directional", "adjacent", "first")]
+    stacks += [lambda X, U: F.clarke_jacobians(X)] + [D.batch for D in oracles]
+    for b in batches:
+        X, U_, Y = W[b], U[b], W[b][::-1]
+        vals, diffs, (lo, hi) = F.values(X), F.value_differences(Y, X), F.component_ranges(X, U_)
+        batch = [kernel(X, U_) for kernel in stacks]
+        for k, (x, u, y) in enumerate(zip(X, U_, Y)):
+            assert np.array_equal(vals[k], F.values(x[None])[0])
+            assert np.array_equal(diffs[k], F.value_differences(y[None], x[None])[0])
+            one_lo, one_hi = F.component_ranges(x[None], u[None])
+            assert np.array_equal(lo[k], one_lo[0]) and np.array_equal(hi[k], one_hi[0])
+            for kernel, rows in zip(stacks, batch):
+                one = kernel(x[None], u[None])[0]
+                assert np.array_equal(rows[k, :len(one)], one)
+                assert (rows[k, len(one):] == one[0]).all()
+            assert len(F.clarke_jacobians(x[None])[0]) == len(F.adjacent_full_signs(x))
+    # compose_exact's lookup: a curve resting at a witness takes the first
+    # adjacent piece of the witness's cell
+    for w in W:
+        comp = piecewise.compose_exact(F, piecewise.Curve.from_coeffs(w[:, None]))
+        first = F.pieces[F.adjacent_full_signs(w)[0]]
+        want = [p.compose_univariate([np.array([c]) for c in w]) for p in first]
+        assert np.array_equal(comp.pieces[0], piecewise.Curve.from_coeffs(want).pieces[0])
 
 
 def _directional_rows(F, seed):
@@ -266,12 +323,13 @@ def test_directional_ids_equal_the_per_row_string_loop(monkeypatch, corpus):
         assert F.ambient_dim == 1 or ties.any()       # zero signs that tie-break to '+'
         expected = [directional_sign(F, x, u) for x, u in zip(X, U)]
         for _ in range(2):
-            assert [F._signs[i] for i in F._directional_ids(X, U)[:, 0]] == expected
+            assert [F._signs[i] for i, in _per_row(F._directional_ids(X, U))] == expected
         fresh = dataclasses.replace(F)
         fresh.values(X)
-        assert [fresh._signs[i] for i in fresh._directional_ids(X, U)[:, 0]] == expected
+        assert [fresh._signs[i] for i, in _per_row(fresh._directional_ids(X, U))] == expected
         for k in range(0, len(X), 13):
-            assert F._signs[F._directional_ids(X[k:k + 1], U[k:k + 1])[0, 0]] == expected[k]
+            (i,), = _per_row(F._directional_ids(X[k:k + 1], U[k:k + 1]))
+            assert F._signs[i] == expected[k]
 
 
 def test_a_second_directional_call_decides_no_cell(monkeypatch, functions):
@@ -295,9 +353,9 @@ def test_directional_and_point_rows_of_one_open_cell_share_one_table_entry():
     # the tie-break on y = 0; the point (0.5, 0.5) lies in the same cell
     F = default_corpus().function("l1norm2d").func
     assert F.directional_derivative([0.0, 0.0], [1.0, 0.0]).tolist() == [1.0]
-    assert F._adjacent == {8: [F._index["++"]]}
+    assert F._adjacent == {8: (F._index["++"],)}
     F.values(np.array([[0.5, 0.5]]))
-    assert F._adjacent == {8: [F._index["++"]]}
+    assert F._adjacent == {8: (F._index["++"],)}
 
 
 def test_value_differences_share_one_base_row(functions):

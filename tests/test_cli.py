@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stratacalc import piecewise
 from stratacalc.cli import main
 from stratacalc.corpus import corpus_to_json, default_corpus
 from stratacalc.piecewise import Arrangement, Hyperplane, PiecewiseError, PiecewiseFunction
@@ -212,6 +214,30 @@ def test_check_and_matrix_of_a_large_valued_map_exit_zero(tmp_path):
     assert run(["matrix", "--corpus", str(path), "--output", str(tmp_path / "m.txt")]) == 0
 
 
+def test_check_of_a_cancelling_map_passes_condition_3_and_scale_fails_it(tmp_path):
+    # regression: 1000 (x - 9)^6 in monomials, and the same plus x - 9:
+    # compose_exact raised "curve discontinuous" and check ended in a traceback
+    six = [[[k], 1000.0 * math.comb(6, k) * (-9.0) ** (6 - k)] for k in range(7)]
+    doc = {"format": "stratacalc-corpus/1", "matrix_rows": [["flat", "clarke"]],
+           "functions": [{
+               "id": "flat", "ambient_dim": 1, "output_dim": 1,
+               "hyperplanes": [{"normal": [1.0], "offset": 9.0}],
+               "pieces": {"-": [six], "+": [six + [[[1], 1.0], [[0], -9.0]]]},
+               "base_points": [[9.0]],
+               "curves": [{"breakpoints": [0.0, 1.0], "pieces": [[[8.0, 1.7, 0.013]]]}],
+               "partition": []}]}
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    for oracle, verdict in (("clarke", "pass"), ("scale:2", "fail")):
+        out = tmp_path / f"{oracle}.txt"
+        run(["check", "--corpus", str(path), "--function", "flat", "--oracle", oracle,
+             "--conditions", "3", "--output", str(out)])
+        assert f"condition 3 (conservative): {verdict}" in out.read_text()
+    # the matrix report is written (conditions 1-2 are not decided here)
+    run(["matrix", "--corpus", str(path), "--output", str(tmp_path / "m.txt")])
+    assert " 3=pass " in (tmp_path / "m.txt").read_text()
+
+
 def test_check_bad_flags_exit_one():
     assert run(["check", "--function", "abs1d"]) == 1  # missing --oracle
 
@@ -269,6 +295,63 @@ def test_matrix_seed7_on_the_generated_corpus_matches_golden(tmp_path, monkeypat
     save_corpus(generate_corpus(GENERATED_CORPUS_SEED, GENERATED_SHAPES), path)
     assert run(["matrix", "--seed", "7", "--corpus", str(path), "--output", str(out)]) == 2
     assert out.read_bytes() == (DATA / "matrix_generated_seed7.txt").read_bytes()
+
+
+def _count_evaluations(monkeypatch):
+    """Counts of polynomial evaluator calls, by method name."""
+    counts = {"__call__": 0, "slot_terms": 0}
+    for name in counts:
+        method = getattr(piecewise._StackedPolys, name)
+
+        def counted(self, *args, _m=method, _name=name, **kw):
+            counts[_name] += 1
+            return _m(self, *args, **kw)
+        monkeypatch.setattr(piecewise._StackedPolys, name, counted)
+    return counts
+
+
+def test_one_row_kernel_calls_evaluate_once(monkeypatch):
+    # a row at the vertex of l1norm2d touches four pieces; every kernel
+    # still evaluates one stack of polynomials for it
+    counts = _count_evaluations(monkeypatch)
+    F = default_corpus().function("l1norm2d").func
+    x, u = np.zeros((1, 2)), np.ones((1, 2))
+    assert F.clarke_jacobians(x).shape[1] == 4
+    for kernel in (lambda: F.values(x), lambda: F.clarke_jacobians(x),
+                   lambda: F.directional_derivatives(x, u), lambda: F.component_ranges(x, u),
+                   lambda: F.selected_jacobians(x, u, "first")):
+        before = counts["__call__"]
+        kernel()
+        assert counts["__call__"] == before + 1
+    F.value_differences(x, x)
+    assert counts["slot_terms"] == 2
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["solve", "subgrad", "--function", "l1norm2d", "--x0=1.3,-2.2"], 203),
+    (["solve", "newton", "--function", "pwq2d", "--x0=0.7,0.4"], 201),
+])
+def test_solver_steps_evaluate_once_per_kernel_call(tmp_path, monkeypatch, argv, budget):
+    counts = _count_evaluations(monkeypatch)
+    assert run([*argv, "--output", str(tmp_path / "s.txt")]) == 0
+    assert counts["__call__"] <= budget and counts["slot_terms"] == 0
+
+
+@pytest.mark.parametrize("corpus, budget", [("shipped", (237, 109)), ("generated", (143, 47))])
+def test_matrix_seed7_evaluation_budget(tmp_path, monkeypatch, corpus, budget):
+    # grouping by piece tuple must not add evaluator calls on large batches:
+    # at most one per distinct piece, as when each piece was evaluated alone
+    argv = ["matrix", "--seed", "7", "--output", str(tmp_path / "m.txt")]
+    if corpus == "generated":
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from gencorpus import generate_corpus
+        from workloads import GENERATED_CORPUS_SEED, GENERATED_SHAPES
+        from stratacalc import save_corpus
+        save_corpus(generate_corpus(GENERATED_CORPUS_SEED, GENERATED_SHAPES), tmp_path / "g.json")
+        argv += ["--corpus", str(tmp_path / "g.json")]
+    counts = _count_evaluations(monkeypatch)
+    run(argv)
+    assert counts["__call__"] <= budget[0] and counts["slot_terms"] <= budget[1]
 
 
 def _strata_blocks(text: str) -> list[str]:
@@ -383,6 +466,9 @@ SOLVE_GOLDEN = {   # report name: (solve arguments, exit code)
                                  "--c", "0.5"], 0),
     "subgrad_l1norm2d_constant": (["subgrad", "--function", "l1norm2d", "--x0=0.7,0.2",
                                    "--rule", "constant", "--c", "0.1", "--iters", "50"], 0),
+    # starts on a hyperplane, where the Clarke stack has two vertices
+    "subgrad_max2d_hyperplane": (["subgrad", "--function", "max2d", "--x0", "1,1"], 0),
+    "subgrad_l1norm2d_hyperplane": (["subgrad", "--function", "l1norm2d", "--x0", "1,0"], 0),
 }
 
 

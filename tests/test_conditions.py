@@ -36,6 +36,7 @@ from test_piecewise import (
     CURVE_LARGE_VALUED,
     P,
     make_abs1d,
+    make_cancelling,
     make_large_valued,
     make_max2d,
 )
@@ -185,6 +186,15 @@ def test_conservative_large_valued_map_passes_honest_and_fails_scaled():
     F, curves = make_large_valued(), [Curve.from_coeffs(CURVE_LARGE_VALUED)]
     rep = check_conservative(F, oracle_clarke_linear(F), curves)
     assert rep.verdict == "pass" and rep.residual_table[0][1] > 1e-8
+    assert check_conservative(F, parse_oracle("scale:2", F), curves).verdict == "fail"
+
+
+def test_conservative_cancelling_map_passes_honest_and_fails_scaled():
+    # regression: the composition raised; its velocity rounds at the scale
+    # of F's monomials along the curve (3e10), not of its own coefficients
+    F, curves = make_cancelling(), [Curve.from_coeffs(CURVE_LARGE_VALUED)]
+    rep = check_conservative(F, oracle_clarke_linear(F), curves)
+    assert rep.verdict == "pass"
     assert check_conservative(F, parse_oracle("scale:2", F), curves).verdict == "fail"
 
 

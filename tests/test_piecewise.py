@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,18 @@ def make_large_valued():
 
 
 CURVE_LARGE_VALUED = [[8.0, 1.7, 0.013]]
+
+
+def make_cancelling():
+    # 1000 (x - 9)^6 written out in monomials (coefficients up to 5.3e8),
+    # and the same plus x - 9: both near 0 at x = 9, so the composed
+    # pieces' small coefficients are sums of terms near 3e10
+    six = [((k,), 1000.0 * math.comb(6, k) * (-9.0) ** (6 - k)) for k in range(7)]
+    arr = Arrangement(1, (Hyperplane([1.0], 9.0),))
+    return PiecewiseFunction(arr, 1, {
+        "-": (P(1, six),),
+        "+": (P(1, six + [((1,), 1.0), ((0,), -9.0)]),),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +264,8 @@ def test_eval_missing_piece_errors():
 
 def directional_signs(F, X, U):
     """Sign vector of the piece active on (x, x + eps*u] for each row."""
-    ids = F._directional_ids(np.array(X, dtype=float), np.array(U, dtype=float))
-    return [F._signs[i] for i in ids[:, 0]]
+    tuples, inv = F._directional_ids(np.array(X, dtype=float), np.array(U, dtype=float))
+    return [F._signs[tuples[g][0]] for g in inv]
 
 
 def test_directional_cell_abs():
@@ -679,6 +692,20 @@ def test_compose_large_valued_map_keeps_its_crossing():
     assert comp.breakpoints[1] == pytest.approx((-1.7 + np.sqrt(1.7 ** 2 + 0.052)) / 0.026)
     ts = np.linspace(0.0, 1.0, 11)
     assert np.allclose(comp.value(ts), F.values(gamma.value(ts)), rtol=1e-13, atol=0.0)
+
+
+def test_compose_cancelling_map_keeps_its_crossing():
+    # regression: the composed pieces' coefficients are small, so their own
+    # terms gave no allowance for the rounding of the 3e10 monomials of F
+    # they were summed from, and Curve rejected the crossing as a jump
+    F = make_cancelling()
+    assert validate_continuity(F).ok
+    gamma = Curve.from_coeffs(CURVE_LARGE_VALUED)
+    comp = compose_exact(F, gamma)
+    assert len(comp.pieces) == 2
+    assert comp.breakpoints[1] == pytest.approx((-1.7 + np.sqrt(1.7 ** 2 + 0.052)) / 0.026)
+    ts = np.linspace(0.0, 1.0, 11)
+    assert np.allclose(comp.value(ts), F.values(gamma.value(ts)), rtol=0.0, atol=1e-4)
 
 
 def test_curve_breakpoint_tolerance_scales_with_its_terms():
